@@ -9,7 +9,8 @@ to the JSON file the spec names:
   and result cache of a serial workload, or the job service plus one
   fleet spawn (up to the first task it serves) for ``service_fleet``.
 * ``round`` -- the workload body once, starting from an empty result
-  cache and journal, traced or untraced.
+  cache and journal, traced or untraced; a serial round then requests
+  every experiment once more from the warm cache, untimed.
 * ``reference`` -- the service jobs run locally (the in-process backend)
   so ``run.py`` can check the fleet's results byte for byte.
 """
@@ -88,55 +89,52 @@ def _digests(folder: pathlib.Path, prefix: str):
     }
 
 
-def serial_round(spec, work, recorder):
-    """Every experiment cold, then re-requested against the warm cache."""
+def _serial_pass(spec, out, folder, cached_expected, result, recorder=None):
+    """Execute and render every experiment on one context, as ``run_all``
+    does; latencies go to ``result["hits" if cached_expected else "jobs"]``.
+    """
     from repro.engine.cache import ResultCache
     from repro.experiments.reporting import write_csv
 
-    out = work / "out"
-    experiments = _experiments(spec)
+    latencies = result["hits" if cached_expected else "jobs"]
+    folder.mkdir(parents=True)
     cache = ResultCache(out / ".cache")
-    jobs, hits, failures = [], [], []
-
-    def render(experiment, result, folder):
-        with recorder.span("experiments.report") if recorder else (
-            contextlib.nullcontext()
-        ):
-            text = experiment.report(result)
-            (folder / f"{experiment.name}.txt").write_text(text + "\n")
-            for export in experiment.csv_exports(result):
-                write_csv(folder / export.filename, export.headers, export.rows)
-
-    def execute(experiment, context, folder, want_cached, latencies):
-        start = time.perf_counter()
-        result, cached = experiment.execute(context, cache)
-        render(experiment, result, folder)
-        latencies.append(time.perf_counter() - start)
-        if cached != want_cached:
-            failures.append(f"{experiment.name}: cached={cached}")
-
-    cold, hit = out / "cold", out / "hit"
-    cold.mkdir(parents=True)
-    hit.mkdir()
-    # One shared context, as run_all uses.
     context = _context(spec, out)
     try:
-        for experiment in experiments:
-            execute(experiment, context, cold, False, jobs)
+        for experiment in _experiments(spec):
+            start = time.perf_counter()
+            value, cached = experiment.execute(context, cache)
+            with recorder.span("experiments.report") if recorder else (
+                contextlib.nullcontext()
+            ):
+                text = experiment.report(value)
+                (folder / f"{experiment.name}.txt").write_text(text + "\n")
+                for export in experiment.csv_exports(value):
+                    write_csv(folder / export.filename, export.headers,
+                              export.rows)
+            latencies.append(time.perf_counter() - start)
+            if cached != cached_expected:
+                result["failures"].append(f"{experiment.name}: cached={cached}")
     finally:
         context.close()
-    # A re-run is a fresh process: new context, same on-disk cache.
-    for _ in range(spec["scale"]["hits"]):
-        for experiment in experiments:
-            context = _context(spec, out)
-            try:
-                execute(experiment, context, hit, True, hits)
-            finally:
-                context.close()
-    digests = _digests(cold, "cold")
-    digests.update(_digests(hit, "hit"))
-    return {"jobs": jobs, "hits": hits, "first_events": [],
-            "failures": failures, "digests": digests}
+    result["digests"].update(_digests(folder, folder.name))
+
+
+def serial_round(spec, work, recorder):
+    """Every experiment once, cold."""
+    result = {"jobs": [], "hits": [], "first_events": [], "failures": [],
+              "digests": {}}
+    out = work / "out"
+    _serial_pass(spec, out, out / "cold", False, result, recorder)
+    return result
+
+
+def serial_rerequest(spec, work, result):
+    """Every experiment once more from the warm result cache, after the
+    clock, so ``run.py`` can check the cached bytes equal the cold ones.
+    A re-run is a fresh process: new context, same on-disk cache."""
+    out = work / "out"
+    _serial_pass(spec, out, out / "hit", True, result)
 
 
 def service_round(spec, work, recorder):
@@ -217,6 +215,8 @@ def measured_round(spec, work):
         wall = time.perf_counter() - start
         patches.restore()
     cpu_after, peak_rss_kb = _usage()
+    if serial:
+        serial_rerequest(spec, work, result)
     result.update(
         traced=spec["traced"],
         wall_s=wall,

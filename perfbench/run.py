@@ -5,10 +5,11 @@ Usage (from the root of a checkout)::
     python3 perfbench/run.py --workload geomsweep --seed 2007 \
         --seconds 30 --trace 0
 
-Each run measures set-up ``SETUP_REPEATS`` times, then repeats the
-workload body, one fresh process per round (``rounds.py``), until
-``--seconds`` have passed, checks every output, writes a record under
-``.perfbench-out/`` and prints one JSON result as its last line: the
+Each run repeats the workload body, one fresh process per round
+(``rounds.py``), for at least the workload's fixed number of untraced
+rounds and until ``--seconds`` have passed, measuring set-up
+``SETUP_REPEATS`` times in between, checks every output, writes a record
+under ``.perfbench-out/`` and prints one JSON result as its last line: the
 end-to-end metrics with ``--trace 0``, the per-layer metrics with
 ``--trace 1`` (rounds alternate traced and untraced, so the same run also
 gives the tracing overhead).  The exit code is 1 when any output check
@@ -43,16 +44,23 @@ DEFAULT_SEED = 2007
 HELDOUT_SEED = 4242
 """Kept out of tuning; a change's claim must hold on it too."""
 
-SETUP_REPEATS = 5
+SETUP_REPEATS = 12
+"""Set-up samples of an untraced run, spread over its first rounds."""
 CHILD_TIMEOUT_S = 150.0
+UNATTRIBUTED_LIMIT = 0.10
+"""Largest share of traced wall time the serial workloads may leave
+outside every wrapped layer."""
 
+#: ``rounds`` is the fixed number of untraced rounds the end-to-end
+#: estimates are taken over, the same on every commit, so that faster
+#: code does not earn more samples and a lower floor.
 SCALES: Dict[str, dict] = {
     # 1 chip (geomsweep's n_chips/4 policy) on 72 of the 540 cells: every
     # scheme, both variation severities the report reads, the smallest,
     # paper and largest sizes, both banking extremes, direct-mapped and
     # paper associativity.
     "geomsweep": {
-        "chips": 4, "refs": 200, "hits": 30,
+        "chips": 4, "refs": 200, "rounds": 6,
         "grid": {
             "sizes_kb": [16, 64, 256], "banks_sweep": [2, 8],
             "ways_sweep": [1, 4], "severities": ["typical", "severe"],
@@ -60,10 +68,10 @@ SCALES: Dict[str, dict] = {
     },
     # The smallest scale every paper driver accepts; fig12 and table3
     # sample their own chips, so most of a round is fixed cost.
-    "paper_drivers": {"chips": 1, "refs": 300, "hits": 3},
+    "paper_drivers": {"chips": 1, "refs": 300, "rounds": 3},
     "service_fleet": {
         "experiment": "fig10_hundred_chips", "chips": 2, "refs": 400,
-        "jobs": 6, "fleet_size": min(2, os.cpu_count() or 1),
+        "jobs": 6, "fleet_size": min(2, os.cpu_count() or 1), "rounds": 5,
     },
 }
 
@@ -143,22 +151,36 @@ def floor_sum(totals: List[float], units: List[List[float]]) -> float:
     ``totals[r]`` is round ``r``'s whole body and ``units[r]`` its units
     of work in call order, the same units in every round of a seed.
     """
+    if len({len(parts) for parts in units}) != 1:
+        raise ValueError("rounds made different numbers of units: "
+                         f"{[len(parts) for parts in units]}")
     rest = min(total - sum(parts) for total, parts in zip(totals, units))
     return sum(min(samples) for samples in zip(*units)) + rest
 
 
-def end_to_end(setups: List[float], rounds: List[dict],
+def estimated_rounds(workload: str, rounds: List[dict]) -> List[dict]:
+    """The untraced rounds the end-to-end estimates use: the first
+    ``SCALES[workload]["rounds"]``, however many the window held."""
+    plain = [r for r in rounds if not r["traced"]]
+    return plain[:SCALES[workload]["rounds"]]
+
+
+def end_to_end(setups: List[float], plain: List[dict],
                reference: Optional[dict]) -> Dict[str, float]:
-    """The user-facing metrics over the untraced rounds.
+    """The user-facing metrics over a fixed number of untraced rounds.
 
     On a shared 2-core host, neighbours slow whole rounds by 20-40 % for
     seconds to minutes, yet short pieces of work still slip through at
     full speed.  So the serial workloads time every chip draw, trace
     generation and replay (``layers.UnitTimer``) and sum each one's
-    fastest round plus the fastest remainder of the body; the service,
-    mostly waiting on processes and polls, takes its fastest round.
+    fastest round plus the fastest remainder of the body; the service
+    does the same with each job's submit-to-DONE time (the same specs in
+    every round).  Its CPU time is spent in fleet workers whose time
+    reaches ``getrusage`` only when they are reaped, so no job's share is
+    known and ``cpu_s`` takes the fastest round.  Set-up takes its
+    fastest sample; the samples are spread over the rounds so that one
+    slow stretch does not hold all of them.
     """
-    plain = [r for r in rounds if not r["traced"]]
     if reference is None:
         wall = floor_sum([r["wall_s"] for r in plain],
                          [r["unit_wall"] for r in plain])
@@ -166,32 +188,17 @@ def end_to_end(setups: List[float], rounds: List[dict],
                         [r["unit_cpu"] for r in plain])
         refs = plain[0]["sim"]["core.sim.refs"]
     else:
-        wall = min(r["wall_s"] for r in plain)
+        wall = floor_sum([r["wall_s"] for r in plain],
+                         [r["jobs"] + r["hits"] for r in plain])
         cpu = min(r["cpu_s"] for r in plain)
         refs = sum(entry["refs"] for entry in reference.values())
     return {
         "wall_s": wall,
         "cpu_s": cpu,
-        "setup_s": median(setups),
+        "setup_s": min(setups),
         "sim_refs_per_s": refs / wall,
         "peak_rss_mb": median(r["peak_rss_kb"] / 1024 for r in plain),
     }
-
-
-def rerun_ms(rounds: List[dict]) -> float:
-    """Milliseconds to serve every request of the workload again from the
-    warm cache: each request's median over the run, summed.
-
-    A round re-requests its ``len(jobs)`` requests in the same order one
-    or more times.  Medians, not minima: a resubmitted job's latency is
-    either one status poll or none, and the fastest of those is luck.
-    """
-    n = len(rounds[0]["jobs"])
-    per_request = [
-        [r["hits"][k] for r in rounds for k in range(j, len(r["hits"]), n)]
-        for j in range(n)
-    ]
-    return sum(median(samples) for samples in per_request) * 1e3
 
 
 def per_layer(rounds: List[dict]) -> Dict[str, float]:
@@ -221,10 +228,21 @@ def load_golden() -> dict:
 
 def check(workload: str, seed: int, rounds: List[dict],
           reference: Optional[dict], golden: dict) -> List[str]:
-    """Every reason the outputs cannot be trusted (empty when correct)."""
+    """Every reason the outputs or the measurement cannot be trusted
+    (empty when correct)."""
     problems: List[str] = []
+    serial = workload != "service_fleet"
     for index, r in enumerate(rounds):
         problems += [f"round {index}: {f}" for f in r["failures"]]
+        problems += [f"round {index}: {m} not wrapped (renamed or removed)"
+                     for m in r["missing_targets"]]
+        if serial and r["traced"]:
+            share = r["layers"]["unattributed_s"] / r["wall_s"]
+            if share > UNATTRIBUTED_LIMIT:
+                problems.append(
+                    f"round {index}: unattributed {share:.1%} of traced wall "
+                    f"time, over {UNATTRIBUTED_LIMIT:.0%}"
+                )
         problems += [f"round {index}: spot check {m} differs from the "
                      "event controller" for m in r["spot_mismatches"]]
         if r["sim"]["core.batcheval.event_replays"]:
@@ -282,13 +300,18 @@ def measure(args, work: pathlib.Path) -> dict:
     """Set-up samples, timed rounds and the reference run of one run."""
     base = {"workload": args.workload, "seed": args.seed,
             "scale": SCALES[args.workload]}
-    setups = [
-        run_child(dict(base, mode="setup"), work, f"setup{i}")["setup_s"]
-        for i in range(SETUP_REPEATS)
-    ]
+    setups: List[float] = []
     rounds: List[dict] = []
+    # Untraced runs need the fixed number of rounds the estimates use;
+    # traced runs one traced and one untraced round.
+    needed = 2 if args.trace else SCALES[args.workload]["rounds"]
+    setups_per_round = 0 if args.trace else math.ceil(SETUP_REPEATS / needed)
     start = time.perf_counter()
     while True:
+        while len(setups) < min(SETUP_REPEATS,
+                                setups_per_round * (len(rounds) + 1)):
+            setups.append(run_child(dict(base, mode="setup"), work,
+                                    f"setup{len(setups)}")["setup_s"])
         # Traced runs alternate traced and untraced rounds, traced first.
         traced = bool(args.trace) and len(rounds) % 2 == 0
         rounds.append(run_child(
@@ -296,10 +319,10 @@ def measure(args, work: pathlib.Path) -> dict:
             f"round{len(rounds)}",
         ))
         elapsed = time.perf_counter() - start
-        enough = len(rounds) >= (2 if args.trace else 1)
-        # Stop when another round would overrun the window by more than
-        # half a round.
-        if enough and elapsed * (1 + 0.5 / len(rounds)) >= args.seconds:
+        # Then stop when another round would overrun the window by more
+        # than half a round.
+        if (len(rounds) >= needed
+                and elapsed * (1 + 0.5 / len(rounds)) >= args.seconds):
             break
     reference = None
     if args.workload == "service_fleet":
@@ -342,23 +365,23 @@ def main(argv: Optional[List[str]] = None) -> int:
         problems += check(args.workload, args.seed, rounds,
                           measured["reference"], load_golden())
         attempted = sum(len(r["jobs"]) + len(r["hits"]) for r in rounds)
-        e2e = end_to_end(measured["setups"], rounds, measured["reference"])
         plain = [r for r in rounds if not r["traced"]]
         jobs = [j for r in plain for j in r["jobs"]]
         record.update(
             setup_samples=measured["setups"],
             rounds=rounds,
             reference=measured["reference"],
-            end_to_end=e2e,
-            hit_ms=rerun_ms(plain),
-            hit_p50_ms=median(h for r in plain for h in r["hits"]) * 1e3,
+            wall_s_median_round=median(r["wall_s"] for r in plain),
             job_p50_s=median(jobs),
             job_tail_s=tail(jobs),
-            first_event_p50_ms=(
-                median(f for r in plain for f in r["first_events"]) * 1e3
-                if any(r["first_events"] for r in plain) else None
-            ),
         )
+        if measured["reference"] is not None:
+            record.update(
+                hit_p50_ms=median(h for r in plain for h in r["hits"]) * 1e3,
+                first_event_p50_ms=median(
+                    f for r in plain for f in r["first_events"]
+                ) * 1e3,
+            )
         if args.trace:
             metrics = per_layer(rounds)
             traced = [r for r in rounds if r["traced"]]
@@ -368,7 +391,15 @@ def main(argv: Optional[List[str]] = None) -> int:
             }
             record["per_layer"] = metrics
         else:
-            metrics = e2e
+            try:
+                metrics = end_to_end(
+                    measured["setups"],
+                    estimated_rounds(args.workload, rounds),
+                    measured["reference"],
+                )
+            except ValueError as exc:
+                problems.append(str(exc))
+            record["end_to_end"] = metrics
     failed = attempted if problems else 0
     record.update(problems=problems, attempted=attempted, failed=failed,
                   failed_frac=failed / attempted)
@@ -378,10 +409,6 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     for problem in problems:
         print(f"CHECK FAILED: {problem}")
-    missing = sorted({m for r in record.get("rounds", [])
-                      for m in r["missing_targets"]})
-    if missing:
-        print(f"not wrapped (renamed or removed): {', '.join(missing)}")
     for key, value in sorted(record.get("layers_s", {}).items()):
         print(f"  {key:48s} {value:.6g}")
     for key, value in metrics.items():

@@ -117,6 +117,7 @@ def test_missing_targets_are_reported_not_fatal():
 
 def _round(digests, sim=None, **extra):
     base = {"failures": [], "spot_mismatches": [], "digests": digests,
+            "missing_targets": [], "traced": False,
             "sim": sim or {"core.batcheval.event_replays": 0,
                            "core.sim.misses": 5}}
     base.update(extra)
@@ -161,11 +162,39 @@ def test_digest_gate_compares_fleet_results_with_the_local_backend():
     assert run.check("service_fleet", 0, [_round(digests)], reference, {})
 
 
+def test_check_fails_a_run_that_lost_a_layer():
+    rounds = [_round({"cold/a.txt": "1"},
+                     missing_targets=["ChipSampler.sample_3t1d_chip"])]
+    problems = run.check("geomsweep", 7, rounds, None, {})
+    assert any("sample_3t1d_chip not wrapped" in p for p in problems)
+
+
+def test_check_limits_unattributed_time_on_serial_workloads():
+    def traced(unattributed):
+        return _round({"cold/a.txt": "1"}, traced=True, wall_s=10.0,
+                      layers={"unattributed_s": unattributed})
+
+    assert run.check("paper_drivers", 7, [traced(1.0)], None, {}) == []
+    problems = run.check("paper_drivers", 7, [traced(1.5)], None, {})
+    assert any("unattributed 15.0%" in p for p in problems)
+    # The service is traced on the coordinator side only: no limit.
+    assert run.check("service_fleet", 7, [traced(1.5)], {}, {}) == []
+
+
+def test_estimates_use_a_fixed_number_of_untraced_rounds():
+    n = run.SCALES["geomsweep"]["rounds"]
+    rounds = [{"traced": i % 2 == 0, "i": i} for i in range(3 * n)]
+    chosen = run.estimated_rounds("geomsweep", rounds)
+    assert [r["i"] for r in chosen] == list(range(1, 2 * n, 2))
+
+
 def test_floor_sum_takes_each_units_fastest_round():
     # Round 0 is slow in unit 0, round 1 in unit 1 and in the remainder.
     totals = [4.0 + 1.0 + 0.5, 1.0 + 3.0 + 0.9]
     units = [[4.0, 1.0], [1.0, 3.0]]
     assert run.floor_sum(totals, units) == pytest.approx(1.0 + 1.0 + 0.5)
+    with pytest.raises(ValueError, match="different numbers of units"):
+        run.floor_sum(totals, [[4.0, 1.0], [1.0]])
 
 
 def test_tail_needs_ten_samples_beyond_the_percentile():
