@@ -1,12 +1,64 @@
 """Chip-level Monte-Carlo sampling."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.technology import NODE_32NM
+from repro.technology import NODE_32NM, TechnologyNode
 from repro.variation import VariationParams
 from repro.array import CacheGeometry, ChipSampler
+
+
+#: Digest of access_time_by_line, worst access time, exact leakage and
+#: flip count of the first 6T chip of ChipSampler(node, typical,
+#: seed=2007) per (node, size factor), recorded before chip sampling
+#: moved to in-place per-pair buffers.
+GOLDEN_SRAM_CHIPS = {
+    ("65nm", 1.0): (
+        "8bdbfad5e2793f9096faadde319e3d6a62baa0b5"
+        "76cd0d584e983408ee403c2b",
+        3.5716641270398275e-10,
+        0.01684236893793983,
+        2296,
+    ),
+    ("65nm", 2.0): (
+        "4df904279cfd23a5cdb8c009c7667f20d6ec83f5"
+        "04d974bb20efc8c0684b54b6",
+        3.155609300482719e-10,
+        0.02386989110692302,
+        0,
+    ),
+    ("45nm", 1.0): (
+        "0ac4988dcf85962e98240c4414c26ac0f7c666b6"
+        "3583dd0402681ad632d1c550",
+        3.094187790076657e-10,
+        0.0364672347674614,
+        2296,
+    ),
+    ("45nm", 2.0): (
+        "5f35afa996c337a7da7eb24793c03ae4cc0d2208"
+        "9087608b3940ad3d4d358379",
+        2.7611349948980975e-10,
+        0.05369817458169137,
+        0,
+    ),
+    ("32nm", 1.0): (
+        "56beccd921e45c74cd6c553be6dc51721a58256d"
+        "832ef175cea80e330fcc3624",
+        2.5078379915176543e-10,
+        0.07379624305192013,
+        2296,
+    ),
+    ("32nm", 2.0): (
+        "c99ccb4cd9f48ac280360ba8c53d89b83611a98f"
+        "8d7c80f1b147105e9202c07b",
+        2.2676804897332887e-10,
+        0.11459591257538203,
+        0,
+    ),
+}
 
 
 @pytest.fixture(scope="module")
@@ -122,6 +174,29 @@ class TestDRAMChipSample:
             a.sample_3t1d_chip().retention_by_line,
             b.sample_3t1d_chip().retention_by_line,
         )
+
+
+
+class TestSRAMChipGoldens:
+    """6T chips equal the digests recorded before in-place sampling."""
+
+    @pytest.mark.parametrize("case", sorted(GOLDEN_SRAM_CHIPS))
+    def test_sram_chip_matches_golden(self, case):
+        node_name, size_factor = case
+        sampler = ChipSampler(
+            TechnologyNode.from_name(node_name),
+            VariationParams.typical(),
+            seed=2007,
+        )
+        chip = sampler.sample_sram_chip(size_factor)
+        access_sha, worst, leakage, flips = GOLDEN_SRAM_CHIPS[case]
+        assert (
+            hashlib.sha256(chip.access_time_by_line.tobytes()).hexdigest()
+            == access_sha
+        )
+        assert chip.worst_access_time == worst
+        assert chip.leakage_power == leakage
+        assert chip.flip_count == flips
 
 
 class TestSamplerValidation:

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.technology import NODE_32NM
+from repro.technology import NODE_32NM, TechnologyNode
 from repro.technology.backends import (
     BACKEND_PROTOCOL_METHODS,
     DEFAULT_TECHNOLOGY,
@@ -33,7 +33,7 @@ from repro.technology.backends import (
     register_backend,
 )
 from repro.variation import VariationParams
-from repro.array import ChipSampler
+from repro.array import CacheGeometry, ChipSampler
 from repro.core import (
     Cache3T1DArchitecture,
     Evaluator,
@@ -74,6 +74,92 @@ GOLDEN_EVALS = {
     (1, "no-refresh/LRU"): (0.9970305633670952, 1.0292047545163836),
     (1, "partial-refresh/DSP"): (0.9986265170882993, 1.086695548526384),
     (1, "rsp-fifo"): (0.9964419920373198, 1.182641473374127),
+}
+
+
+#: sha256 digests of (retention_by_line, retention_by_word) and the exact
+#: leakage of the first chip of ChipSampler(node, severity, seed=2007,
+#: geometry) for each (node, severity, geometry, vdd) case, recorded
+#: before chip sampling moved to in-place per-pair buffers.  The geometry
+#: cases cover both tag-folding widths (548 and 544 cells per line) and
+#: the 32nm-severe-1.0V case has 787 dead lines (fig12 point 6).
+GOLDEN_3T1D_MAPS = {
+    ("32nm", "none", None, None): (
+        "d29e3cd89a72e471fe3b7882221ea906a7b9e6a7"
+        "1a7e44b0b106dbb5a57e7d9f",
+        "3f4f7617e72ef450ed81b33c78565b13538e4454"
+        "f2d0628ef8db27ca4a59f0ef",
+        0.024399999999999998,
+    ),
+    ("32nm", "typical", None, None): (
+        "001e25241cb37ebe49c566c56199fce1d9050cd5"
+        "4d27abae1fc5de9154cd2864",
+        "a6f69c7480374168de1e404e2948597c2b3c8372"
+        "a85e039b1855523ba51a8917",
+        0.02145594616826907,
+    ),
+    ("32nm", "severe", None, None): (
+        "404ea2c72729b71a5e985c8ffee8f88c5c420760"
+        "104fcefe56e2203f3ac72e89",
+        "cb0a8f4a3d60110a318d92f209bf21980c6656e0"
+        "c06344c2543736069f32e481",
+        0.02124839737207382,
+    ),
+    ("65nm", "typical", None, None): (
+        "28595efb151494e50f9c73ec1631923162ba5cdb"
+        "0f9704198caffa0f7582a5c9",
+        "c6f2b3b978da5dc5427f906f75679e55a4187de4"
+        "3ab41d36914624077c8099d9",
+        0.0031049452068378225,
+    ),
+    ("45nm", "typical", None, None): (
+        "b71dbdcc7a7cdd8f18349ed81785ad15bd234348"
+        "cc5f8bf3f36a3b07b3d42ffa",
+        "cc989bd134554279bb39cb50d65d4d5ca0a13056"
+        "af817eeb6bb88c5b8574c827",
+        0.005140172946575555,
+    ),
+    ("32nm", "typical", (16 * 1024, 8), None): (
+        "4233cedae05adff2d8270c81f813fb2b33d094b7"
+        "11c6a44f81aca8d4f5dd3f09",
+        "879ff521519be45780f12b6a501674a82ec9aed3"
+        "dbdebe1e106893dff258da16",
+        0.016129889728522338,
+    ),
+    ("32nm", "typical", (256 * 1024, 2), None): (
+        "7230b12981745156ee02c39edb8f4e2892ed88ce"
+        "627217cba186354bd1283432",
+        "a25488cd82ee403300aee5cad2433d957a882a02"
+        "b949c754357130e81f3e64b1",
+        0.052861084535144126,
+    ),
+    ("32nm", "severe", None, 1.0): (
+        "ea2eef6b988d4a30e8cdef1cceabbf7f04380680"
+        "aa09a39f10e943df27911ae0",
+        "b6c552af21130ce8529aa8c57d97a2c866c208fd"
+        "dc641a2cc5f55cbb23219247",
+        0.02124839737207382,
+    ),
+}
+
+#: The same for the other backends (32nm typical, paper geometry, seed
+#: 2007): line digest, word digest, latency-factor digest or None.
+GOLDEN_TECH_MAPS = {
+    "sttram": (
+        "6047052406874411b11e2bf96686d9f16a8e6157"
+        "72e3add77a85c1bbb667925d",
+        "077765201b5f71a448c9b65ada018260940f1908"
+        "fa7683cc8baead19800e31fb",
+        None,
+    ),
+    "vardram": (
+        "cb9d1e1b6f61cb8a0561a2d92870f163ee8ff98c"
+        "2b7aaeb32f90916e63ca8775",
+        "62c977d170e7f966a636046feca67025ee8046ad"
+        "f5ee809260545d28bb609fc4",
+        "7697b13133a067ca7629f9c0f80b0f23188ab355"
+        "1611c167634a2766404e4926",
+    ),
 }
 
 
@@ -227,6 +313,47 @@ class TestDefaultBackendBitIdentity:
         rmap = backend.sample_retention_map(chip, chips[0].geometry)
         assert isinstance(rmap, RetentionMap)
         assert rmap.latency_factor_by_line is None  # no latency variation
+
+
+
+def _digest(array):
+    return hashlib.sha256(array.tobytes()).hexdigest()
+
+
+class TestRetentionMapGoldens:
+    """Every backend's maps equal digests recorded before in-place sampling."""
+
+    @pytest.mark.parametrize("case", sorted(GOLDEN_3T1D_MAPS, key=str))
+    def test_3t1d_map_matches_golden(self, case):
+        node_name, severity, capacity, vdd = case
+        node = TechnologyNode.from_name(node_name)
+        if vdd is not None:
+            node = node.scaled(vdd=vdd)
+        kwargs = {}
+        if capacity is not None:
+            size, banks = capacity
+            kwargs["geometry"] = CacheGeometry.from_capacity(
+                size, 4, banks=banks
+            )
+        sampler = ChipSampler(
+            node, getattr(VariationParams, severity)(), seed=2007, **kwargs
+        )
+        chip = sampler.sample_3t1d_chip()
+        line_sha, word_sha, leakage = GOLDEN_3T1D_MAPS[case]
+        assert _digest(chip.retention_by_line) == line_sha
+        assert _digest(chip.retention_by_word) == word_sha
+        assert chip.leakage_power == leakage
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_TECH_MAPS))
+    def test_other_backend_maps_match_golden(self, name):
+        chip = sample_chips(name, n=1, severity="typical", seed=2007)[0]
+        line_sha, word_sha, latency_sha = GOLDEN_TECH_MAPS[name]
+        assert _digest(chip.retention_by_line) == line_sha
+        assert _digest(chip.retention_by_word) == word_sha
+        if latency_sha is None:
+            assert chip.latency_factor_by_line is None
+        else:
+            assert _digest(chip.latency_factor_by_line) == latency_sha
 
 
 class TestSTTRAMModel:
