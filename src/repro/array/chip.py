@@ -25,6 +25,7 @@ from repro.technology.node import TechnologyNode
 from repro.variation.montecarlo import (
     ChipVariation,
     VariationSampler,
+    normal_draws,
     validate_chip_count,
 )
 from repro.variation.parameters import VariationParams
@@ -365,29 +366,28 @@ class ChipSampler:
         access_by_line = np.empty(geometry.n_lines)
         leakage = 0.0
         golden_cell_leak = cell.nominal_cell_leakage_power()
+        # Every pair is evaluated in place in these buffers.  Draw order
+        # per pair: the access-path Vth, then the leakage-path Vth.
+        shape = (rows, cells)
+        delta_vth, cell_values = np.empty(shape), np.empty(shape)
+        dead = np.empty(shape, dtype=bool)
         for pair in range(geometry.n_pairs):
             sub_a, sub_b = geometry.subarrays_of_pair(pair)
             delta_l = 0.5 * (
                 chip.delta_l_total(sub_a) + chip.delta_l_total(sub_b)
             )
             periphery = float(cell.periphery_delay_factor(delta_l))
-            shape = (rows, cells)
-            delta_vth = (
-                chip.rng.normal(0.0, sigma_vth_cell, size=shape)
-                if sigma_vth_cell > 0
-                else np.zeros(shape)
-            )
+            normal_draws(chip.rng, sigma_vth_cell, out=delta_vth)
             access = cell.access_time(
-                delta_vth=delta_vth, delta_l=delta_l, periphery_factor=periphery
+                delta_vth=delta_vth, delta_l=delta_l,
+                periphery_factor=periphery, out=cell_values, mask=dead,
             )
             line_ids = np.arange(rows) * geometry.n_pairs + pair
             access_by_line[line_ids] = np.max(access, axis=1)
-            leak_vth = (
-                chip.rng.normal(0.0, sigma_vth_cell, size=shape)
-                if sigma_vth_cell > 0
-                else np.zeros(shape)
+            leak_vth = normal_draws(chip.rng, sigma_vth_cell, out=delta_vth)
+            leakage += float(
+                np.sum(cell.leakage_power(leak_vth, delta_l, out=cell_values))
             )
-            leakage += float(np.sum(cell.leakage_power(leak_vth, delta_l)))
         # Banking periphery leakage (sense columns, row drivers, control)
         # relative to the paper layout; an exact no-op for the paper's
         # organisation, so default-geometry chips stay bit-identical.

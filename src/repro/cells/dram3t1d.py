@@ -25,8 +25,9 @@ exactly the lumping argument the paper makes.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -64,12 +65,14 @@ re-targeting the cell per node would.  The constant reproduces the 32nm
 reference design's 236 mV margin."""
 
 
+@functools.lru_cache()
 def read_overdrive_required(node: TechnologyNode) -> float:
     """Design-time read overdrive for ``node``'s 3T1D cell, volts.
 
     Computed from the node's *reference* voltages (the Table 1 design
     point), so supply-voltage what-if studies shrink the margin instead of
-    silently re-designing the cell.
+    silently re-designing the cell.  Memoised: a pure function of the
+    frozen node, read on every cell evaluation.
     """
     reference = TechnologyNode.from_name(node.name)
     stored = reference.vdd - reference.vth - BODY_EFFECT_SHIFT
@@ -156,25 +159,33 @@ class DRAM3T1DCell:
         """This node's design-time read overdrive (see module function)."""
         return read_overdrive_required(self.node)
 
+    def _rolloff_shift(self, delta_l: ArrayLike = 0.0) -> ArrayLike:
+        """Threshold shift from correlated gate-length deviation, volts."""
+        return (
+            MARGIN_ROLLOFF_PER_REL_L
+            * np.asarray(delta_l) / self.node.feature_size
+        )
+
     # ------------------------------------------------------------------
     # storage node voltages
     # ------------------------------------------------------------------
 
     def stored_voltage(
-        self, delta_vth_t1: ArrayLike = 0.0, delta_l: ArrayLike = 0.0
+        self,
+        delta_vth_t1: ArrayLike = 0.0,
+        delta_l: ArrayLike = 0.0,
+        out: Optional[np.ndarray] = None,
     ) -> ArrayLike:
         """Storage-node voltage right after writing a "1", volts.
 
         Clamped at zero: a catastrophically high T1 threshold simply fails
-        to write any charge.
+        to write any charge.  ``out`` receives the result in place.
         """
-        vth_t1 = (
-            self.node.vth
-            + np.asarray(delta_vth_t1)
-            + MARGIN_ROLLOFF_PER_REL_L
-            * np.asarray(delta_l) / self.node.feature_size
-        )
-        return np.maximum(self.node.vdd - vth_t1 - BODY_EFFECT_SHIFT, 0.0)
+        vth_t1 = np.add(self.node.vth, delta_vth_t1, out=out)
+        vth_t1 = np.add(vth_t1, self._rolloff_shift(delta_l), out=out)
+        stored = np.subtract(self.node.vdd, vth_t1, out=out)
+        stored = np.subtract(stored, BODY_EFFECT_SHIFT, out=out)
+        return np.maximum(stored, 0.0, out=out)
 
     def boosted_voltage(
         self, stored: ArrayLike, boost_eps: ArrayLike = 0.0
@@ -187,25 +198,26 @@ class DRAM3T1DCell:
         delta_vth_t2: ArrayLike = 0.0,
         delta_l: ArrayLike = 0.0,
         boost_eps: ArrayLike = 0.0,
+        out: Optional[np.ndarray] = None,
+        scratch: Optional[np.ndarray] = None,
     ) -> ArrayLike:
         """Minimum stored voltage at which the read still matches 6T speed.
 
         The boosted gate must sit ``READ_OVERDRIVE_REQUIRED`` above T2's
         effective threshold; dividing by the (varied) boost ratio converts
-        that back to a storage-node voltage.
+        that back to a storage-node voltage.  ``out`` receives the result
+        in place; ``scratch`` (same shape) holds the boost derating.
         """
-        vth_t2 = (
-            self.node.vth
-            + np.asarray(delta_vth_t2)
-            + MARGIN_ROLLOFF_PER_REL_L
-            * np.asarray(delta_l) / self.node.feature_size
-        )
+        vth_t2 = np.add(self.node.vth, delta_vth_t2, out=out)
+        vth_t2 = np.add(vth_t2, self._rolloff_shift(delta_l), out=out)
         # First-order in the boost variation: a diode with eps less boost
         # needs eps more stored voltage.  (Linearised to keep the variation
         # Gaussian; the paper's +-10-15% component spreads never reach the
         # regime where the 1/(1+eps) curvature matters.)
-        base = (vth_t2 + self.read_overdrive_required) / BOOST_RATIO
-        return base * (1.0 - np.asarray(boost_eps))
+        base = np.add(vth_t2, self.read_overdrive_required, out=out)
+        base = np.divide(base, BOOST_RATIO, out=out)
+        derating = np.subtract(1.0, boost_eps, out=scratch)
+        return np.multiply(base, derating, out=out)
 
     # ------------------------------------------------------------------
     # storage-node decay
@@ -215,11 +227,12 @@ class DRAM3T1DCell:
         """Stored-voltage headroom of the nominal cell, volts."""
         return float(self.stored_voltage() - self.required_storage_voltage())
 
+    @functools.lru_cache()
     def nominal_decay_rate(self) -> float:
         """Storage-node decay rate of the nominal cell in V/s.
 
         Back-solved from the nominal retention anchor (Figure 4: ~5.8 us at
-        32nm): decay_rate = margin / retention.
+        32nm): decay_rate = margin / retention.  Memoised per cell.
         """
         margin = self.nominal_margin()
         if margin <= 0:
@@ -229,32 +242,37 @@ class DRAM3T1DCell:
         return margin / calibration.nominal_retention_time(self.node)
 
     def decay_rate(
-        self, delta_vth_t1: ArrayLike = 0.0, delta_l: ArrayLike = 0.0
+        self,
+        delta_vth_t1: ArrayLike = 0.0,
+        delta_l: ArrayLike = 0.0,
+        out: Optional[np.ndarray] = None,
     ) -> ArrayLike:
         """Storage-node decay rate in V/s under variation.
 
         The Vth-sensitive share follows T1's subthreshold leakage
         (exponential in its effective threshold); the remainder is a fixed
-        gate/junction leakage floor.
+        gate/junction leakage floor.  ``out`` receives the result in place.
         """
         factor = leakage_variation_factor(
             delta_vth_t1,
             np.asarray(delta_l) / self.node.feature_size,
             sensitive_share=STORAGE_SUBTHRESHOLD_SHARE,
             ideality=STORAGE_LEAK_IDEALITY,
+            out=out,
         )
-        return self.nominal_decay_rate() * factor
+        return np.multiply(self.nominal_decay_rate(), factor, out=out)
 
     # ------------------------------------------------------------------
     # cell leakage (supply current, for the power model)
     # ------------------------------------------------------------------
 
+    @functools.lru_cache()
     def nominal_cell_leakage_power(self) -> float:
         """Leakage power of one nominal 3T1D cell in watts.
 
         Pinned so that the full 64KB 3T1D cache hits the Table 3 leakage
         anchor: the per-node ratio to the 6T cell comes straight from the
-        Table 3 columns.
+        Table 3 columns.  Memoised per cell.
         """
         from repro.cells.sram6t import SRAM6TCell
 
@@ -267,17 +285,21 @@ class DRAM3T1DCell:
         return ratio * SRAM6TCell(self.node).nominal_cell_leakage_power()
 
     def leakage_power(
-        self, delta_vth: ArrayLike = 0.0, delta_l: ArrayLike = 0.0
+        self,
+        delta_vth: ArrayLike = 0.0,
+        delta_l: ArrayLike = 0.0,
+        out: Optional[np.ndarray] = None,
     ) -> ArrayLike:
         """Cell leakage power in watts under the given variation.
 
         The single weak path plus the Vth-insensitive floor compress the
         spread relative to 6T -- the mechanism behind Figure 7b's tight
-        3T1D leakage distribution.
+        3T1D leakage distribution.  ``out`` receives the result in place.
         """
         factor = leakage_variation_factor(
             delta_vth,
             np.asarray(delta_l) / self.node.feature_size,
             sensitive_share=LEAKAGE_SENSITIVE_SHARE_3T1D,
+            out=out,
         )
-        return self.nominal_cell_leakage_power() * factor
+        return np.multiply(self.nominal_cell_leakage_power(), factor, out=out)

@@ -17,7 +17,7 @@ voltage.  Two refinements matter for reproducing the paper's leakage
 
 from __future__ import annotations
 
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -45,6 +45,7 @@ def leakage_variation_factor(
     sensitive_share: float = 1.0,
     temperature_c: float = units.SIMULATION_TEMPERATURE_C,
     ideality: float = LEAKAGE_VARIATION_IDEALITY,
+    out: Optional[np.ndarray] = None,
 ) -> ArrayLike:
     """Multiplicative leakage factor relative to the nominal device.
 
@@ -55,7 +56,8 @@ def leakage_variation_factor(
     Vth-sensitive; the remainder is a constant floor.  ``ideality`` sets the
     exponential slope: drain leakage of cache cells uses the DIBL-enhanced
     default, while the 3T1D storage node (drain at low bias, no DIBL) uses
-    the plain subthreshold ideality.
+    the plain subthreshold ideality.  ``out`` receives the factor in place
+    (it may be ``delta_vth`` itself).
     """
     if not 0.0 < sensitive_share <= 1.0:
         raise ConfigurationError(
@@ -64,8 +66,11 @@ def leakage_variation_factor(
     if ideality <= 0:
         raise ConfigurationError(f"ideality must be positive, got {ideality!r}")
     slope = ideality * units.thermal_voltage(temperature_c)
-    effective_shift = np.asarray(delta_vth) + LEAKAGE_ROLLOFF_PER_REL_L * np.asarray(
-        delta_l_rel
+    factor = np.add(
+        delta_vth, LEAKAGE_ROLLOFF_PER_REL_L * np.asarray(delta_l_rel), out=out
     )
-    exponential = np.exp(-effective_shift / slope)
-    return sensitive_share * exponential + (1.0 - sensitive_share)
+    factor = np.negative(factor, out=out)
+    factor = np.divide(factor, slope, out=out)
+    factor = np.exp(factor, out=out)
+    factor = np.multiply(sensitive_share, factor, out=out)
+    return np.add(factor, 1.0 - sensitive_share, out=out)

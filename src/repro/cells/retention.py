@@ -20,7 +20,7 @@ variation (Figure 8).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -62,19 +62,35 @@ class RetentionModel:
         delta_vth_t2: ArrayLike = 0.0,
         delta_l: ArrayLike = 0.0,
         boost_eps: ArrayLike = 0.0,
-    ) -> ArrayLike:
+        out: Optional[np.ndarray] = None,
+        scratch: Optional[np.ndarray] = None,
+        mask: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
         """Retention time in seconds; zero marks a dead cell.
 
         All arguments broadcast, so a whole sub-array's cells can be solved
-        in one vectorised call.
+        in one vectorised call.  A caller solving many same-shaped blocks
+        passes ``out`` and ``scratch`` (float64) and ``mask`` (bool) of the
+        broadcast shape, and the solve then allocates nothing: ``out``
+        receives the result, the other two are overwritten.
         """
-        stored = self.cell.stored_voltage(delta_vth_t1, delta_l)
-        required = self.cell.required_storage_voltage(
-            delta_vth_t2, delta_l, boost_eps
+        if out is None:
+            out = np.empty(np.broadcast_shapes(*map(np.shape, (
+                delta_vth_t1, delta_vth_t2, delta_l, boost_eps
+            ))))
+        cell = self.cell
+        # ``out`` holds the boost derating until the stored level lands in it.
+        required = cell.required_storage_voltage(
+            delta_vth_t2, delta_l, boost_eps, out=scratch, scratch=out
         )
-        margin = np.asarray(stored) - np.asarray(required)
-        rate = np.asarray(self.cell.decay_rate(delta_vth_t1, delta_l))
-        return np.where(margin > 0.0, margin / rate, 0.0)
+        stored = cell.stored_voltage(delta_vth_t1, delta_l, out=out)
+        margin = np.subtract(stored, required, out=out)
+        dead = np.greater(margin, 0.0, out=mask)
+        dead = np.logical_not(dead, out=mask)
+        rate = cell.decay_rate(delta_vth_t1, delta_l, out=scratch)
+        retention = np.divide(margin, rate, out=out)
+        np.copyto(retention, 0.0, where=dead)
+        return retention
 
     def is_dead(
         self,

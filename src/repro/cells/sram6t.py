@@ -25,9 +25,10 @@ paper figure:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -107,45 +108,63 @@ class SRAM6TCell:
         """Ideal array access time in seconds (calibration anchor)."""
         return calibration.nominal_access_time(self.node)
 
+    @functools.lru_cache()
+    def nominal_read_current(self) -> float:
+        """Drive current of the nominal read path in amperes (memoised)."""
+        return self.read_transistor.on_current()
+
     def read_current_factor(
-        self, delta_vth: ArrayLike = 0.0, delta_l: ArrayLike = 0.0
+        self,
+        delta_vth: ArrayLike = 0.0,
+        delta_l: ArrayLike = 0.0,
+        out: Optional[np.ndarray] = None,
     ) -> ArrayLike:
         """Read-path drive current relative to the nominal cell.
 
         Zero (a cell that cannot discharge the bitline at all) is possible
         for extreme corners and is treated by callers as an unusable cell.
+        ``out`` receives the result in place.
         """
-        transistor = self.read_transistor
-        nominal = transistor.on_current()
-        actual = transistor.on_current(delta_vth=delta_vth, delta_l=delta_l)
-        return actual / nominal
+        actual = self.read_transistor.on_current(
+            delta_vth=delta_vth, delta_l=delta_l, out=out
+        )
+        return np.divide(actual, self.nominal_read_current(), out=out)
 
     def access_time(
         self,
         delta_vth: ArrayLike = 0.0,
         delta_l: ArrayLike = 0.0,
         periphery_factor: ArrayLike = 1.0,
-    ) -> ArrayLike:
+        out: Optional[np.ndarray] = None,
+        mask: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
         """Array access time through this cell, in seconds.
 
         The calibrated nominal access time is split into a bitline share
         (scales with this cell's read current), a wordline/decoder share
         (scales with the sub-array ``periphery_factor``), and a fixed
-        sense-amp/output share.  A dead read path yields ``inf``.
+        sense-amp/output share.  A dead read path yields ``inf``.  A
+        caller evaluating many same-shaped blocks passes ``out`` (float64)
+        and ``mask`` (bool) of the broadcast shape, and the evaluation then
+        allocates nothing: ``out`` receives the result, ``mask`` is
+        overwritten.
         """
-        nominal = self.nominal_access_time()
-        current = np.asarray(
-            self.read_current_factor(delta_vth=delta_vth, delta_l=delta_l)
+        current = self.read_current_factor(
+            delta_vth=delta_vth, delta_l=delta_l, out=out
         )
-        with np.errstate(divide="ignore"):
-            bitline = np.where(
-                current > 0.0,
-                calibration.BITLINE_FRACTION / np.maximum(current, 1e-12),
-                np.inf,
-            )
+        if out is None:
+            out = np.empty(np.broadcast_shapes(
+                np.shape(current), np.shape(periphery_factor)
+            ))
+        dead = np.greater(current, 0.0, out=mask)
+        dead = np.logical_not(dead, out=mask)
+        bitline = np.maximum(current, 1e-12, out=out)
+        bitline = np.divide(calibration.BITLINE_FRACTION, bitline, out=out)
+        np.copyto(bitline, np.inf, where=dead)
         wordline = calibration.WORDLINE_FRACTION * np.asarray(periphery_factor)
-        periphery = calibration.PERIPHERY_FRACTION
-        return nominal * (bitline + wordline + periphery)
+        total = np.add(bitline, wordline, out=out)
+        total = np.add(total, calibration.PERIPHERY_FRACTION, out=out)
+        return np.multiply(self.nominal_access_time(), total, out=out)
 
     def periphery_delay_factor(self, delta_l_correlated: ArrayLike) -> ArrayLike:
         """Wordline/decoder delay factor of a sub-array.
@@ -155,10 +174,8 @@ class SRAM6TCell:
         single-device sensitivity to account for the mix of gate and wire
         delay along the path.
         """
-        transistor = self.read_transistor
-        nominal = transistor.on_current()
-        actual = transistor.on_current(delta_l=delta_l_correlated)
-        ratio = np.asarray(actual) / nominal
+        actual = self.read_transistor.on_current(delta_l=delta_l_correlated)
+        ratio = np.asarray(actual) / self.nominal_read_current()
         slowdown = np.where(ratio > 0, 1.0 / np.maximum(ratio, 1e-12), np.inf)
         return 1.0 + PERIPHERY_VARIATION_WEIGHT * (slowdown - 1.0)
 
@@ -202,19 +219,26 @@ class SRAM6TCell:
     # leakage
     # ------------------------------------------------------------------
 
+    @functools.lru_cache()
     def nominal_cell_leakage_power(self) -> float:
-        """Leakage power of one nominal cell in watts (three strong paths)."""
+        """Leakage power of one nominal cell in watts (three strong paths;
+        memoised)."""
         transistor = self.read_transistor
         per_path = transistor.off_current() * self.node.vdd
         return calibration.STRONG_LEAK_PATHS_6T * per_path
 
     def leakage_power(
-        self, delta_vth: ArrayLike = 0.0, delta_l: ArrayLike = 0.0
+        self,
+        delta_vth: ArrayLike = 0.0,
+        delta_l: ArrayLike = 0.0,
+        out: Optional[np.ndarray] = None,
     ) -> ArrayLike:
-        """Cell leakage power in watts under the given variation."""
+        """Cell leakage power in watts under the given variation; ``out``
+        receives the result in place."""
         factor = leakage_variation_factor(
             delta_vth,
             np.asarray(delta_l) / self.node.feature_size,
             sensitive_share=LEAKAGE_SENSITIVE_SHARE_6T,
+            out=out,
         )
-        return self.nominal_cell_leakage_power() * factor
+        return np.multiply(self.nominal_cell_leakage_power(), factor, out=out)

@@ -52,6 +52,7 @@ from repro import units
 from repro.errors import ConfigurationError
 from repro.technology import calibration
 from repro.technology.node import TechnologyNode
+from repro.variation.montecarlo import normal_draws
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.array.geometry import CacheGeometry
@@ -335,10 +336,10 @@ def backend_names() -> Tuple[str, ...]:
 class DRAM3T1DBackend(TechnologyBackend):
     """The paper's 3T1D DRAM cell -- the default backend.
 
-    ``sample_retention_map`` is a verbatim port of the original
-    ``ChipSampler._build_3t1d_sample`` loop: identical rng draw order and
-    identical arithmetic, so chips sampled through the backend are
-    bit-identical to pre-backend outputs.
+    ``sample_retention_map`` keeps the original
+    ``ChipSampler._build_3t1d_sample`` draw order and arithmetic, now
+    evaluated in place in per-map buffers, so chips sampled through the
+    backend are bit-identical to pre-backend outputs.
     """
 
     name: str = "3t1d"
@@ -398,25 +399,25 @@ class DRAM3T1DBackend(TechnologyBackend):
             SRAM6TCell(node).nominal_cell_leakage_power()
             * geometry.total_cells
         )
+        # Every pair is solved in place in these buffers, so a map costs
+        # its draws plus a fixed number of passes over them.
+        shape = (rows, cells)
+        d_t1, d_t2, eps, cell_retention, scratch = (
+            np.empty(shape) for _ in range(5)
+        )
+        dead = np.empty(shape, dtype=bool)
+        # Draw order per pair: T1, T2, then boost mismatch.
         for pair in range(geometry.n_pairs):
             sub_a, sub_b = geometry.subarrays_of_pair(pair)
             delta_l = 0.5 * (
                 chip.delta_l_total(sub_a) + chip.delta_l_total(sub_b)
             )
-            shape = (rows, cells)
-            if sigma_vth > 0:
-                d_t1 = rng.normal(0.0, sigma_vth, size=shape)
-                d_t2 = rng.normal(0.0, sigma_vth, size=shape)
-            else:
-                d_t1 = np.zeros(shape)
-                d_t2 = np.zeros(shape)
-            eps = (
-                rng.normal(0.0, sigma_eps, size=shape)
-                if sigma_eps > 0
-                else np.zeros(shape)
-            )
-            cell_retention = np.asarray(
-                model.retention_time(d_t1, d_t2, delta_l, eps)
+            normal_draws(rng, sigma_vth, out=d_t1)
+            normal_draws(rng, sigma_vth, out=d_t2)
+            normal_draws(rng, sigma_eps, out=eps)
+            model.retention_time(
+                d_t1, d_t2, delta_l, eps,
+                out=cell_retention, scratch=scratch, mask=dead,
             )
             line_retention, data_words = _line_and_word_minima(
                 cell_retention, rows, cells
@@ -425,7 +426,9 @@ class DRAM3T1DBackend(TechnologyBackend):
             retention[line_ids] = line_retention
             word_retention[line_ids] = data_words
             # Supply leakage flows through the read stack; reuse the T2 draw.
-            leakage += float(np.sum(cell.leakage_power(d_t2, delta_l)))
+            leakage += float(
+                np.sum(cell.leakage_power(d_t2, delta_l, out=scratch))
+            )
 
         return RetentionMap(
             retention_by_line=retention,
@@ -591,12 +594,7 @@ class STTRAMBackend(TechnologyBackend):
             correlated = 1.0 + STTRAM_STABILITY_L_COUPLING * (
                 delta_l / node.feature_size
             )
-            shape = (rows, cells)
-            z = (
-                rng.normal(0.0, sigma_delta, size=shape)
-                if sigma_delta > 0
-                else np.zeros(shape)
-            )
+            z = normal_draws(rng, sigma_delta, (rows, cells))
             delta_cells = delta0 * relax * correlated * (1.0 + z)
             # A cell whose barrier collapses retains nothing.
             cell_retention = np.where(
@@ -761,18 +759,9 @@ class VarDRAMBackend(TechnologyBackend):
             correlated = math.exp(
                 -VARDRAM_L_RETENTION_COUPLING * delta_l / node.feature_size
             )
-            jitter = (
-                np.exp(rng.normal(0.0, sigma_lat, size=rows))
-                if sigma_lat > 0
-                else np.ones(rows)
-            )
+            jitter = np.exp(normal_draws(rng, sigma_lat, rows))
             row_latency = position * jitter
-            shape = (rows, cells)
-            z = (
-                rng.normal(0.0, sigma_ret, size=shape)
-                if sigma_ret > 0
-                else np.zeros(shape)
-            )
+            z = normal_draws(rng, sigma_ret, (rows, cells))
             # Distant rows restore less charge each access, so their
             # effective retention shrinks by the same design factor that
             # slows them down (restore truncation, Lee et al. section 5).

@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -125,16 +125,20 @@ class Transistor:
     # --- variation coupling ----------------------------------------------
 
     def effective_vth(
-        self, delta_vth: ArrayLike = 0.0, delta_l: ArrayLike = 0.0
+        self,
+        delta_vth: ArrayLike = 0.0,
+        delta_l: ArrayLike = 0.0,
+        out: Optional[np.ndarray] = None,
     ) -> ArrayLike:
         """Threshold voltage including random dopant shift and L roll-off.
 
         ``delta_vth`` is the random-dopant threshold shift in volts;
         ``delta_l`` the gate-length deviation in meters (positive = longer
-        channel = higher Vth).
+        channel = higher Vth).  ``out`` receives the result in place.
         """
         relative = np.asarray(delta_l) / self.length
-        return self.node.vth + delta_vth + self.vth_rolloff_rel * relative
+        vth = np.add(self.node.vth, delta_vth, out=out)
+        return np.add(vth, self.vth_rolloff_rel * relative, out=out)
 
     def mismatch_sigma_scale(self) -> float:
         """Pelgrom area scaling of random Vth mismatch: sigma ~ 1/sqrt(W*L).
@@ -162,22 +166,27 @@ class Transistor:
         vgs: ArrayLike = None,
         delta_vth: ArrayLike = 0.0,
         delta_l: ArrayLike = 0.0,
+        out: Optional[np.ndarray] = None,
     ) -> ArrayLike:
         """Saturation drive current in amperes (alpha-power law).
 
         ``vgs`` defaults to the full supply voltage.  Overdrive below zero
         (device effectively off) clamps the drive current to zero; callers
-        treating such devices as "dead" should check for zero.
+        treating such devices as "dead" should check for zero.  ``out``
+        receives the result in place.
         """
         if vgs is None:
             vgs = self.node.vdd
-        vth = self.effective_vth(delta_vth, delta_l)
+        vth = self.effective_vth(delta_vth, delta_l, out=out)
         length = self.length + np.asarray(delta_l)
-        overdrive = np.maximum(np.asarray(vgs) - vth, 0.0)
-        return (
-            self.drive_constant()
-            * (self.width / length)
-            * overdrive ** ALPHA_POWER_EXPONENT
+        overdrive = np.subtract(vgs, vth, out=out)
+        overdrive = np.maximum(overdrive, 0.0, out=out)
+        # In place for arrays (``out`` or a fresh temporary); a numpy scalar
+        # rebinds through scalar ``**``, whose libm pow can differ in the
+        # last bit from the ufunc's SIMD pow.
+        overdrive **= ALPHA_POWER_EXPONENT
+        return np.multiply(
+            self.drive_constant() * (self.width / length), overdrive, out=out
         )
 
     def off_current(

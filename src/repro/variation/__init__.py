@@ -20,6 +20,7 @@ from repro.variation.quadtree import QuadTreeSampler
 from repro.variation.montecarlo import (
     ChipVariation,
     VariationSampler,
+    normal_draws,
     validate_chip_count,
 )
 from repro.variation.statistics import (
@@ -34,6 +35,7 @@ __all__ = [
     "QuadTreeSampler",
     "ChipVariation",
     "VariationSampler",
+    "normal_draws",
     "validate_chip_count",
     "DistributionSummary",
     "harmonic_mean",

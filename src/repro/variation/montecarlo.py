@@ -43,6 +43,33 @@ def validate_chip_count(count: int) -> int:
     return int(count)
 
 
+def normal_draws(
+    rng: np.random.Generator,
+    sigma: float,
+    size=None,
+    out: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Zero-mean Gaussian draws with standard deviation ``sigma``.
+
+    The one draw primitive behind every per-cell variation sample.  For
+    ``sigma > 0`` the values and the generator's end state equal
+    ``rng.normal(0.0, sigma, size)``: numpy computes that as
+    ``0.0 + sigma * z`` over the same standard-normal stream, so scaling
+    ``rng.standard_normal`` in place reproduces it (an exact ``-0.0`` draw
+    would keep its sign, which no cell model can observe).  ``sigma <= 0``
+    yields zeros and consumes nothing.  ``out`` (float64, C-contiguous)
+    receives the draws in place instead of a new array of ``size``.
+    """
+    if out is None:
+        out = np.empty(size)
+    if sigma > 0:
+        rng.standard_normal(out=out)
+        out *= sigma
+    else:
+        out.fill(0.0)
+    return out
+
+
 @dataclass
 class ChipVariation:
     """The frozen correlated-variation state of one sampled chip.
@@ -96,9 +123,7 @@ class ChipVariation:
         4x-area devices).
         """
         sigma = self.params.sigma_vth(self.node, sigma_scale)
-        if sigma == 0.0:
-            return np.zeros(size)
-        return self.rng.normal(0.0, sigma, size=size)
+        return normal_draws(self.rng, sigma, size)
 
 
 @dataclass

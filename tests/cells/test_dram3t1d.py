@@ -80,6 +80,38 @@ class TestRequiredVoltage:
         low = DRAM3T1DCell(NODE_32NM.scaled(vdd=0.9))
         assert low.nominal_margin() < DRAM3T1DCell(NODE_32NM).nominal_margin()
 
+    def test_overdrive_is_computed_once_per_node(self, monkeypatch):
+        from repro.technology import TechnologyNode
+
+        node = NODE_45NM.scaled(vdd=1.05)
+        builds = []
+        original = TechnologyNode.from_name
+
+        def counting_from_name(name):
+            builds.append(name)
+            return original(name)
+
+        monkeypatch.setattr(
+            TechnologyNode, "from_name", staticmethod(counting_from_name)
+        )
+        cell = DRAM3T1DCell(node)
+        values = {cell.read_overdrive_required for _ in range(5)}
+        values.add(DRAM3T1DCell(node).read_overdrive_required)
+        assert len(values) == 1
+        assert builds.count("45nm") <= 1
+
+    def test_memoised_cell_keeps_equality_hash_and_pickle(self):
+        import pickle
+
+        fresh = DRAM3T1DCell(NODE_32NM)
+        used = DRAM3T1DCell(NODE_32NM)
+        used.read_overdrive_required
+        used.nominal_decay_rate()
+        used.nominal_cell_leakage_power()
+        assert used == fresh and hash(used) == hash(fresh)
+        assert pickle.dumps(used) == pickle.dumps(fresh)
+        assert pickle.loads(pickle.dumps(used)) == fresh
+
 
 class TestDecayRate:
     def test_nominal_consistent_with_retention_anchor(self, cell):

@@ -323,7 +323,10 @@ def _digest(array):
 class TestRetentionMapGoldens:
     """Every backend's maps equal digests recorded before in-place sampling."""
 
-    @pytest.mark.parametrize("case", sorted(GOLDEN_3T1D_MAPS, key=str))
+    @pytest.mark.parametrize(
+        "case", sorted(GOLDEN_3T1D_MAPS, key=str),
+        ids=lambda case: "-".join(map(str, case)).replace(" ", ""),
+    )
     def test_3t1d_map_matches_golden(self, case):
         node_name, severity, capacity, vdd = case
         node = TechnologyNode.from_name(node_name)
