@@ -43,10 +43,8 @@ from repro.analysis.registry import (
 from repro.analysis.reporters import (
     REPORT_SCHEMA_VERSION,
     render_json,
-    render_sarif,
     render_text,
     report_to_dict,
-    sarif_to_dict,
 )
 from repro.analysis.runner import (
     AnalysisReport,
@@ -70,10 +68,8 @@ __all__ = [
     "get_rule",
     "register_rule",
     "render_json",
-    "render_sarif",
     "render_text",
     "report_to_dict",
     "rule_ids",
     "run_analysis",
-    "sarif_to_dict",
 ]

@@ -24,7 +24,7 @@ from repro.analysis.baseline import (
     DEFAULT_BASELINE_NAME,
 )
 from repro.analysis.registry import all_rules
-from repro.analysis.reporters import render_json, render_sarif, render_text
+from repro.analysis.reporters import render_json, render_text
 from repro.analysis.runner import run_analysis
 
 EXIT_OK = 0
@@ -47,7 +47,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="files or directories to analyze (default: src/repro)",
     )
     parser.add_argument(
-        "--format", choices=("text", "json", "sarif"), default="text",
+        "--format", choices=("text", "json"), default="text",
         help="report format (default: text)",
     )
     parser.add_argument(
@@ -223,8 +223,6 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if args.format == "json":
         output = render_json(report)
-    elif args.format == "sarif":
-        output = render_sarif(report)
     else:
         output = render_text(report)
     print(output)

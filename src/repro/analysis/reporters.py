@@ -1,15 +1,10 @@
-"""Text, JSON, and SARIF renderings of an :class:`AnalysisReport`.
+"""Text and JSON renderings of an :class:`AnalysisReport`.
 
 The JSON schema is versioned and stable -- CI and editor integrations
 parse it -- so additions bump ``REPORT_SCHEMA_VERSION`` and never rename
 existing keys.  Version 2 added ``flow_path`` per finding (the
 interprocedural evidence chain of the FLOW rules), the
 ``stale_suppressions`` section, and their counters.
-
-The SARIF rendering targets SARIF 2.1.0 so CI can upload the report as
-GitHub code-scanning annotations; baselined findings are carried with a
-``suppressions`` entry instead of being dropped, matching SARIF's own
-model of accepted results.
 """
 
 from __future__ import annotations
@@ -17,18 +12,9 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, List
 
-from repro.analysis.registry import all_rules
-from repro.analysis.findings import Finding
-from repro.analysis.runner import AnalysisReport, STALE_SUPPRESSION_RULE
+from repro.analysis.runner import AnalysisReport
 
 REPORT_SCHEMA_VERSION = 2
-
-SARIF_VERSION = "2.1.0"
-SARIF_SCHEMA_URI = (
-    "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/"
-    "Schemata/sarif-schema-2.1.0.json"
-)
-
 
 def render_text(report: AnalysisReport) -> str:
     lines: List[str] = []
@@ -91,114 +77,9 @@ def render_json(report: AnalysisReport) -> str:
     return json.dumps(report_to_dict(report), indent=2, sort_keys=True)
 
 
-# ----------------------------------------------------------------------
-# SARIF
-# ----------------------------------------------------------------------
-
-
-def _sarif_location(finding: Finding) -> Dict[str, Any]:
-    return {
-        "physicalLocation": {
-            "artifactLocation": {
-                "uri": finding.path,
-                "uriBaseId": "SRCROOT",
-            },
-            "region": {
-                "startLine": max(finding.line, 1),
-                "startColumn": max(finding.col + 1, 1),
-            },
-        },
-    }
-
-
-def _sarif_result(
-    finding: Finding, *, baselined: bool = False
-) -> Dict[str, Any]:
-    message = finding.message
-    if finding.flow_path:
-        message += "\nflow: " + " -> ".join(finding.flow_path)
-    result: Dict[str, Any] = {
-        "ruleId": finding.rule,
-        "level": "note" if baselined else "error",
-        "message": {"text": message},
-        "locations": [_sarif_location(finding)],
-    }
-    if finding.snippet:
-        region = result["locations"][0]["physicalLocation"]["region"]
-        region["snippet"] = {"text": finding.snippet}
-    if baselined:
-        result["suppressions"] = [{
-            "kind": "external",
-            "justification": "accepted in analysis-baseline.json",
-        }]
-    return result
-
-
-def sarif_to_dict(report: AnalysisReport) -> Dict[str, Any]:
-    """The full SARIF 2.1.0 log for one analysis run."""
-    described: Dict[str, Dict[str, Any]] = {}
-    for rule in all_rules():
-        described[rule.rule_id] = {
-            "id": rule.rule_id,
-            "name": rule.name,
-            "shortDescription": {"text": rule.description},
-        }
-    described.setdefault(STALE_SUPPRESSION_RULE, {
-        "id": STALE_SUPPRESSION_RULE,
-        "name": "stale-suppression",
-        "shortDescription": {
-            "text": "a '# repro: ignore' comment whose rule no longer "
-                    "fires on that line",
-        },
-    })
-    results: List[Dict[str, Any]] = []
-    for finding in report.new_findings:
-        results.append(_sarif_result(finding))
-    for finding in report.baselined:
-        results.append(_sarif_result(finding, baselined=True))
-    for finding in report.stale_suppressions:
-        result = _sarif_result(finding)
-        result["level"] = "warning"
-        results.append(result)
-    rule_ids_used = sorted({r["ruleId"] for r in results} | set(report.rules_run))
-    rules = [
-        described[rule_id] for rule_id in rule_ids_used
-        if rule_id in described
-    ]
-    index_of = {rule["id"]: i for i, rule in enumerate(rules)}
-    for result in results:
-        if result["ruleId"] in index_of:
-            result["ruleIndex"] = index_of[result["ruleId"]]
-    return {
-        "$schema": SARIF_SCHEMA_URI,
-        "version": SARIF_VERSION,
-        "runs": [{
-            "tool": {
-                "driver": {
-                    "name": "repro-analysis",
-                    "informationUri": (
-                        "https://example.invalid/repro/analysis"
-                    ),
-                    "rules": rules,
-                },
-            },
-            "columnKind": "utf16CodeUnits",
-            "results": results,
-        }],
-    }
-
-
-def render_sarif(report: AnalysisReport) -> str:
-    return json.dumps(sarif_to_dict(report), indent=2, sort_keys=True)
-
-
 __all__ = [
     "REPORT_SCHEMA_VERSION",
-    "SARIF_SCHEMA_URI",
-    "SARIF_VERSION",
     "render_json",
-    "render_sarif",
     "render_text",
     "report_to_dict",
-    "sarif_to_dict",
 ]

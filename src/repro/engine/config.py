@@ -34,6 +34,9 @@ LOCAL_BACKEND = "local"
 #: The durable-queue fleet backend (see :mod:`repro.service.fleet`).
 SUBPROCESS_FLEET_BACKEND = "subprocess-fleet"
 
+#: Every legal ``EngineConfig.backend`` value.
+EXECUTION_BACKENDS = (LOCAL_BACKEND, SUBPROCESS_FLEET_BACKEND)
+
 
 @dataclass(frozen=True)
 class EngineConfig:
@@ -46,14 +49,12 @@ class EngineConfig:
     workers: Optional[int] = None
     """Process-pool width; ``None`` lets the runner use the CPU count."""
     backend: str = LOCAL_BACKEND
-    """Which execution backend fans chip batches out.  ``"local"`` (the
-    default) is the in-process supervised pool and is bit-identical to
-    every historical run; ``"subprocess-fleet"`` routes batches through a
+    """Which execution backend fans chip batches out, one of
+    :data:`EXECUTION_BACKENDS`.  ``"local"`` (the default) runs batches
+    inline or on the in-process pool and is bit-identical to every
+    historical run; ``"subprocess-fleet"`` routes batches through a
     durable on-disk task queue served by persistent worker processes
-    (see :mod:`repro.service.backends`).  Unknown names fail when the
-    runner first resolves them, so third-party backends registered via
-    :func:`repro.service.backends.register_execution_backend` are legal
-    values here."""
+    (see :mod:`repro.service.fleet`)."""
     fleet_size: Optional[int] = None
     """Worker-process count for the subprocess-fleet backend; ``None``
     falls back to :attr:`effective_workers`.  Ignored by ``"local"``."""
@@ -88,10 +89,10 @@ class EngineConfig:
             raise ConfigurationError(
                 f"workers must be >= 1, got {self.workers}"
             )
-        if not self.backend or not isinstance(self.backend, str):
+        if self.backend not in EXECUTION_BACKENDS:
             raise ConfigurationError(
-                f"backend must be a non-empty backend name, got "
-                f"{self.backend!r}"
+                f"backend must be one of {', '.join(EXECUTION_BACKENDS)}; "
+                f"got {self.backend!r}"
             )
         if self.fleet_size is not None and self.fleet_size < 1:
             raise ConfigurationError(
@@ -151,4 +152,9 @@ class EngineConfig:
         return self.retry_backoff_s * (2 ** max(0, failure - 1))
 
 
-__all__ = ["EngineConfig", "LOCAL_BACKEND", "SUBPROCESS_FLEET_BACKEND"]
+__all__ = [
+    "EXECUTION_BACKENDS",
+    "EngineConfig",
+    "LOCAL_BACKEND",
+    "SUBPROCESS_FLEET_BACKEND",
+]

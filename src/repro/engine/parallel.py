@@ -17,6 +17,12 @@ With ``workers <= 1`` the runner executes the very same task functions
 inline, in submission order; because every task is self-contained and
 deterministically seeded, serial and parallel runs return identical
 results -- only wall-clock differs.
+
+:meth:`ParallelChipRunner.map` is the one supervisor over three
+executors -- inline, process pool, and the subprocess fleet
+(:mod:`repro.service.fleet`).  An executor runs one attempt of each item
+it is given and reports the outcome; retries, backoff, fault-plan
+attempt numbering, quarantine and degradation are the supervisor's.
 """
 
 from __future__ import annotations
@@ -47,7 +53,7 @@ from repro.core.evaluation import Evaluator
 from repro.core.schemes import get_scheme
 from repro.engine import trace as trace_mod
 from repro.engine.checkpoint import RunJournal, task_key
-from repro.engine.config import EngineConfig, LOCAL_BACKEND
+from repro.engine.config import EngineConfig, SUBPROCESS_FLEET_BACKEND
 from repro.engine.events import (
     BatchEnded,
     BatchStarted,
@@ -387,32 +393,193 @@ def _supervised_call(
     )
 
 
-_MISSING = object()
+# ----------------------------------------------------------------------
+# Executors: inline and pool here, the subprocess fleet in
+# repro.service.fleet.  Each has ``run_batch(fn, items, notify, label)``,
+# which runs ONE attempt of the items it is given and yields every
+# item's ``(index, outcome)`` exactly once, in any order -- the outcome
+# is the task's value, a TaskFailed, or LOST -- and ``close()``.
+# Executors keep no retry state: budgets, backoff, attempt numbering,
+# quarantine and degradation all live in ParallelChipRunner._supervise.
 
-#: How long the supervisor blocks waiting for completions before it
-#: re-checks task deadlines and due retries.
+
+@dataclass(frozen=True)
+class BatchItem:
+    """One unit of executor work: batch position, content key, payload.
+
+    ``key`` is the content digest of ``(fn, task)`` (empty when nothing
+    needs it); ``attempt`` numbers this try of the item from 0, and is
+    what the fault plan keys on.
+    """
+
+    index: int
+    key: str
+    task: Any
+    attempt: int = 0
+
+
+@dataclass(frozen=True)
+class TaskFailed:
+    """The outcome of one failed attempt, with a reason for the events."""
+
+    reason: str
+    error: Optional[BaseException] = None
+    """The exception the attempt raised, when it raised in this process
+    or came back from a pool worker; chained onto the final error."""
+    broke_pool: bool = False
+    """The executor recycled its workers over this failure (a task
+    timeout): the supervisor counts it as a pool breakdown."""
+
+
+#: The outcome of an item whose pool broke under it.  It may not be the
+#: culprit, so it is resubmitted without being charged a failure.
+LOST = object()
+
+
+class _InlineBatchExecutor:
+    """Runs each item in the calling process, in order."""
+
+    def __init__(self, config: EngineConfig):
+        self.plan = config.fault_plan
+
+    def run_batch(self, fn, items, notify, label="batch"):
+        for item in items:
+            try:
+                outcome = _supervised_call(
+                    fn, item.task, self.plan, item.key, item.attempt, False
+                )
+            except Exception as exc:
+                outcome = TaskFailed(repr(exc), exc)
+            yield item.index, outcome
+
+
+#: How long the pool executor blocks waiting for completions before it
+#: re-checks task deadlines.
 _SUPERVISION_TICK = 0.1
 
 
+class _PoolBatchExecutor:
+    """Runs items on a process pool, each under the config's deadline.
+
+    A crashed worker breaks the pool: every item still in flight comes
+    back :data:`LOST`.  A task past its deadline fails with
+    ``broke_pool`` set, because the only way to reclaim its worker is to
+    recycle the pool.  Either way the pool is torn down, and the next
+    batch starts a fresh one.
+    """
+
+    def __init__(self, config: EngineConfig, workers: int, cache_size: int):
+        self.config = config
+        self.workers = workers
+        self.cache_size = cache_size
+        self._pool: Optional[ProcessPoolExecutor] = None
+
+    def run_batch(self, fn, items, notify, label="batch"):
+        config = self.config
+        if self._pool is None:
+            self._pool = ProcessPoolExecutor(
+                max_workers=self.workers,
+                initializer=_init_worker,
+                initargs=(self.cache_size,),
+            )
+        # Decided once per batch: traced runs ask workers to collect and
+        # ship their spans home alongside each result.
+        collect_spans = trace_mod.tracing_active()
+        pending: Dict[Any, int] = {}
+        deadlines: Dict[Any, float] = {}
+        lost: List[int] = []
+        for item in items:
+            if lost:
+                lost.append(item.index)
+                continue
+            try:
+                future = self._pool.submit(
+                    _supervised_call, fn, item.task, config.fault_plan,
+                    item.key, item.attempt, True, collect_spans,
+                )
+            except BrokenExecutor:
+                lost.append(item.index)
+                continue
+            pending[future] = item.index
+            if config.task_timeout is not None:
+                deadlines[future] = time.monotonic() + config.task_timeout
+        broken = bool(lost)
+        while pending and not broken:
+            done, _ = wait(
+                list(pending), timeout=_SUPERVISION_TICK,
+                return_when=FIRST_COMPLETED,
+            )
+            for future in done:
+                index = pending.pop(future)
+                deadlines.pop(future, None)
+                try:
+                    outcome = future.result()
+                except BrokenExecutor:
+                    broken = True
+                    lost.append(index)
+                    continue
+                except Exception as exc:
+                    outcome = TaskFailed(repr(exc), exc)
+                yield index, outcome
+            now = time.monotonic()
+            for future in [f for f, due in deadlines.items() if due <= now]:
+                index = pending.pop(future)
+                del deadlines[future]
+                broken = True
+                yield index, TaskFailed(
+                    f"task timeout after {config.task_timeout:g}s",
+                    broke_pool=True,
+                )
+        if broken:
+            self.close(force=True)
+            for index in sorted(pending.values()) + lost:
+                yield index, LOST
+
+    def close(self, force: bool = False) -> None:
+        pool = self._pool
+        self._pool = None
+        if pool is None:
+            return
+        if not force:
+            pool.shutdown()
+            return
+        # A broken or hung pool: don't wait for it, and reclaim any
+        # worker still grinding on a timed-out task.  ``_processes`` is
+        # private, so treat the kill as best-effort.
+        processes = getattr(pool, "_processes", None) or {}
+        alive = list(processes.values())
+        pool.shutdown(wait=False, cancel_futures=True)
+        for process in alive:
+            try:
+                process.kill()
+            except Exception:
+                pass
+
+
+_MISSING = object()
+
+
 class ParallelChipRunner:
-    """Schedules chip batches over a supervised process pool.
+    """Schedules chip batches and supervises the executor that runs them.
 
     ``workers=1`` (or a single-item batch) runs inline in the calling
     process; results are always returned in task order, and are
-    bit-identical across worker counts because every task is
-    deterministically seeded and self-contained.
+    bit-identical across worker counts and backends because every task
+    is deterministically seeded and self-contained.
 
     The runner is configured by an :class:`EngineConfig`; the legacy
     ``workers=`` / ``evaluator_cache_size=`` keywords completed their
-    deprecation cycle and were removed.  Beyond scheduling, it supervises the
-    pool: per-task timeouts, bounded retries with deterministic backoff,
-    crashed-worker respawn, poison-task quarantine (a task that exhausts
-    its pool retry budget finishes inline instead), and graceful
-    degradation to serial execution after repeated pool failures.  When
-    the config names a ``checkpoint_dir``, every completed work item is
-    flushed to a :class:`~repro.engine.checkpoint.RunJournal` keyed by
-    the task's content digest, and ``resume=True`` restores completed
-    items instead of recomputing them -- none of which changes results.
+    deprecation cycle and were removed.  :meth:`map` is the one
+    supervisor over three executors (inline, process pool, subprocess
+    fleet): bounded retries with deterministic backoff, pool respawn,
+    per-task timeouts (pool only), poison-task quarantine (a task that
+    exhausts its pool retry budget finishes inline instead), and
+    graceful degradation to serial execution after repeated pool
+    failures.  When the config names a ``checkpoint_dir``, every
+    completed work item is flushed to a
+    :class:`~repro.engine.checkpoint.RunJournal` keyed by the task's
+    content digest, and ``resume=True`` restores completed items
+    instead of recomputing them -- none of which changes results.
     """
 
     def __init__(
@@ -443,8 +610,11 @@ class ParallelChipRunner:
         )
         self.run_key = run_key
         self.stats = RunnerStats()
-        self._executor: Optional[ProcessPoolExecutor] = None
-        self._backend_executor: Optional[Any] = None
+        self._inline = _InlineBatchExecutor(config)
+        self._pool = _PoolBatchExecutor(
+            config, self.workers, self.evaluator_cache_size
+        )
+        self._fleet: Optional[Any] = None
         self._journal: Optional[RunJournal] = None
         self._journal_opened = False
         self._degraded = False
@@ -461,35 +631,6 @@ class ParallelChipRunner:
     def pool_failures(self) -> int:
         """Pool breakdowns (crashes/timeouts) seen so far."""
         return self._pool_failures
-
-    def _ensure_executor(self) -> ProcessPoolExecutor:
-        if self._executor is None:
-            self._executor = ProcessPoolExecutor(
-                max_workers=self.workers,
-                initializer=_init_worker,
-                initargs=(self.evaluator_cache_size,),
-            )
-        return self._executor
-
-    def _shutdown_executor(self, force: bool = False) -> None:
-        executor = self._executor
-        self._executor = None
-        if executor is None:
-            return
-        if not force:
-            executor.shutdown()
-            return
-        # A broken or hung pool: don't wait for it, and reclaim any
-        # worker still grinding on a timed-out task.  ``_processes`` is
-        # private, so treat the kill as best-effort.
-        processes = getattr(executor, "_processes", None) or {}
-        alive = list(processes.values())
-        executor.shutdown(wait=False, cancel_futures=True)
-        for process in alive:
-            try:
-                process.kill()
-            except Exception:
-                pass
 
     def _ensure_journal(self) -> Optional[RunJournal]:
         if not self._journal_opened:
@@ -526,13 +667,9 @@ class ParallelChipRunner:
         dispatch(observer, BatchStarted(label, total))
         start = time.perf_counter()
         journal = self._ensure_journal()
-        plan = self.config.fault_plan
+        fleet = self.config.backend == SUBPROCESS_FLEET_BACKEND
         keys: Optional[List[str]] = None
-        if (
-            journal is not None
-            or plan is not None
-            or self.config.backend != LOCAL_BACKEND
-        ):
+        if journal is not None or self.config.fault_plan is not None or fleet:
             keys = [task_key(fn, task) for task in tasks]
         results: List[Any] = [_MISSING] * total
         if journal is not None:
@@ -547,8 +684,11 @@ class ParallelChipRunner:
             if restored:
                 self.stats.results_resumed += restored
                 dispatch(observer, RunResumed(label, restored))
-        remaining = [i for i in range(total) if results[i] is _MISSING]
-        state = {"completed": total - len(remaining), "flushed": 0}
+        items = [
+            BatchItem(i, keys[i] if keys is not None else "", tasks[i])
+            for i in range(total) if results[i] is _MISSING
+        ]
+        state = {"completed": total - len(items), "flushed": 0}
 
         def finish(index: int, value: Any) -> None:
             results[index] = value
@@ -557,98 +697,6 @@ class ParallelChipRunner:
                 state["flushed"] += 1
             dispatch(observer, ChipCompleted(label, state["completed"], total))
 
-        if remaining:
-            if self.config.backend != LOCAL_BACKEND:
-                self._run_backend(fn, tasks, keys, remaining, finish,
-                                  observer, label)
-            elif self.workers <= 1 or len(remaining) <= 1 or self._degraded:
-                self._run_serial(fn, tasks, keys, remaining, finish,
-                                 observer, label)
-            else:
-                self._run_pool(fn, tasks, keys, remaining, finish,
-                               observer, label)
-                leftovers = [i for i in remaining if results[i] is _MISSING]
-                if leftovers:
-                    # Quarantined tasks and the tail of a degraded run
-                    # finish inline, where a persistent failure surfaces
-                    # as a real traceback.
-                    self._run_serial(fn, tasks, keys, leftovers, finish,
-                                     observer, label)
-        if state["flushed"]:
-            self.stats.results_checkpointed += state["flushed"]
-            dispatch(observer, RunCheckpointed(label, state["flushed"]))
-        dispatch(observer, BatchEnded(label, total,
-                                      time.perf_counter() - start))
-        return results
-
-    # ------------------------------------------------------------------
-
-    def _run_serial(
-        self,
-        fn: Callable[[Any], Any],
-        tasks: List[Any],
-        keys: Optional[List[str]],
-        indices: Sequence[int],
-        finish: Callable[[int, Any], None],
-        observer: Subscriber,
-        label: str,
-    ) -> None:
-        """Inline execution with the same retry budget as the pool."""
-        plan = self.config.fault_plan
-        for index in indices:
-            key = keys[index] if keys is not None else ""
-            failures = 0
-            while True:
-                try:
-                    value = _supervised_call(
-                        fn, tasks[index], plan, key, failures, False
-                    )
-                    if isinstance(value, CorruptedPayload):
-                        raise ExecutionError(
-                            f"corrupted payload from task {index} of "
-                            f"{label!r} (attempt {value.attempt})"
-                        )
-                    break
-                except Exception as exc:
-                    failures += 1
-                    if failures > self.config.max_retries:
-                        raise ExecutionError(
-                            f"task {index} of batch {label!r} failed "
-                            f"{failures} times; giving up"
-                        ) from exc
-                    self.stats.task_retries += 1
-                    dispatch(
-                        observer, TaskRetried(label, index, failures, repr(exc))
-                    )
-                    time.sleep(self.config.retry_backoff(failures))
-            finish(index, value)
-
-    def _run_backend(
-        self,
-        fn: Callable[[Any], Any],
-        tasks: List[Any],
-        keys: Optional[List[str]],
-        remaining: Sequence[int],
-        finish: Callable[[int, Any], None],
-        observer: Subscriber,
-        label: str,
-    ) -> None:
-        """Route a batch through the configured execution backend.
-
-        Non-local backends (``"subprocess-fleet"`` and anything
-        registered via
-        :func:`repro.service.backends.register_execution_backend`) come
-        here; the executor is created lazily on first use and lives
-        until :meth:`close`, so a persistent fleet amortises across
-        batches.  Supervision events the executor reports are folded
-        into :attr:`stats` exactly like the pool path's.
-        """
-        from repro.service.backends import BatchItem, get_execution_backend
-
-        if self._backend_executor is None:
-            backend = get_execution_backend(self.config.backend)
-            self._backend_executor = backend.executor(self.config)
-
         def notify(event: Any) -> None:
             if isinstance(event, TaskRetried):
                 self.stats.task_retries += 1
@@ -656,158 +704,110 @@ class ParallelChipRunner:
                 self.stats.worker_respawns += 1
             dispatch(observer, event)
 
-        items = [BatchItem(i, keys[i], tasks[i]) for i in remaining]
-        for index, value in self._backend_executor.run_batch(
-            fn, items, notify, label=label
-        ):
-            finish(index, value)
+        if fleet:
+            if self._fleet is None:
+                from repro.service.fleet import SubprocessFleetExecutor
 
-    def _run_pool(
-        self,
-        fn: Callable[[Any], Any],
-        tasks: List[Any],
-        keys: Optional[List[str]],
-        remaining: Sequence[int],
-        finish: Callable[[int, Any], None],
-        observer: Subscriber,
-        label: str,
-    ) -> None:
-        """The supervision loop: submit, watch deadlines, retry, respawn."""
-        config = self.config
-        plan = config.fault_plan
-        # Decided once per batch: traced runs ask workers to collect and
-        # ship their spans home alongside each result.
-        collect_spans = trace_mod.tracing_active()
-        attempts: Dict[int, int] = {index: 0 for index in remaining}
-        failures: Dict[int, int] = {index: 0 for index in remaining}
-        pending: Dict[Any, int] = {}
-        deadlines: Dict[Any, float] = {}
-        delayed: List[Tuple[float, int]] = []
-        quarantined: List[int] = []
-
-        def submit(index: int) -> bool:
-            """Submit one task; respawns the pool if submission breaks."""
-            key = keys[index] if keys is not None else ""
-            while not self._degraded:
-                executor = self._ensure_executor()
-                try:
-                    future = executor.submit(
-                        _supervised_call, fn, tasks[index], plan, key,
-                        attempts[index], True, collect_spans,
-                    )
-                except BrokenExecutor:
-                    note_pool_failure()
-                    continue
-                pending[future] = index
-                if config.task_timeout is not None:
-                    deadlines[future] = (
-                        time.monotonic() + config.task_timeout
-                    )
-                return True
-            return False
-
-        def note_pool_failure() -> None:
-            self._pool_failures += 1
-            self.stats.worker_respawns += 1
-            self._shutdown_executor(force=True)
-            dispatch(observer, WorkerRespawned(label, self._pool_failures))
-            if self._pool_failures >= config.max_pool_failures:
-                self._degraded = True
-
-        def task_failed(index: int, reason: str) -> None:
-            failures[index] += 1
-            attempts[index] += 1
-            if failures[index] > config.max_retries:
-                quarantined.append(index)
-                self.stats.tasks_quarantined += 1
-            else:
-                self.stats.task_retries += 1
-                dispatch(
-                    observer,
-                    TaskRetried(label, index, failures[index], reason),
+                self._fleet = SubprocessFleetExecutor(self.config)
+            self._supervise(self._fleet, fn, items, finish, notify, label)
+        else:
+            if self.workers > 1 and len(items) > 1 and not self._degraded:
+                items = self._supervise(
+                    self._pool, fn, items, finish, notify, label
                 )
-                delayed.append((
-                    time.monotonic() + config.retry_backoff(failures[index]),
-                    index,
-                ))
+            # Quarantined tasks and the tail of a degraded run finish
+            # inline, where a persistent failure surfaces as a real
+            # traceback.
+            self._supervise(self._inline, fn, items, finish, notify, label)
+        if state["flushed"]:
+            self.stats.results_checkpointed += state["flushed"]
+            dispatch(observer, RunCheckpointed(label, state["flushed"]))
+        dispatch(observer, BatchEnded(label, total,
+                                      time.perf_counter() - start))
+        return results
 
-        for index in remaining:
-            if not submit(index):
-                return
-        while (pending or delayed) and not self._degraded:
-            now = time.monotonic()
-            for entry in [e for e in delayed if e[0] <= now]:
-                delayed.remove(entry)
-                if not submit(entry[1]):
-                    return
-            if not pending:
-                if not delayed:
-                    break
-                next_due = min(entry[0] for entry in delayed)
-                pause = min(_SUPERVISION_TICK, next_due - time.monotonic())
-                if pause > 0:
-                    time.sleep(pause)
-                continue
-            done, _ = wait(
-                list(pending), timeout=_SUPERVISION_TICK,
-                return_when=FIRST_COMPLETED,
-            )
-            broken = False
-            in_flight_casualties: List[int] = []
-            for future in done:
-                index = pending.pop(future)
-                deadlines.pop(future, None)
-                try:
-                    value = future.result()
-                except BrokenExecutor:
-                    # The pool died under this task; it may or may not
-                    # be the culprit, so it is resubmitted (with a fresh
-                    # attempt number) rather than charged a failure.
-                    broken = True
-                    in_flight_casualties.append(index)
+    def _supervise(
+        self,
+        executor: Any,
+        fn: Callable[[Any], Any],
+        items: List[BatchItem],
+        finish: Callable[[int, Any], None],
+        notify: Callable[[Any], None],
+        label: str,
+    ) -> List[BatchItem]:
+        """The one retry loop: rounds of attempts until every item is done.
+
+        Each round runs one attempt of every item still owed a result.
+        A failed item is charged against ``max_retries`` and retried in
+        the next round, once its deterministic backoff has passed; a
+        lost item is retried uncharged.  An item over budget fails the
+        batch with :class:`ExecutionError` -- except on the pool, which
+        sets it aside (quarantine).  Returns the items set aside for
+        inline execution: quarantined tasks, plus every unfinished item
+        once repeated pool breakdowns degrade the run.
+        """
+        config = self.config
+        failures = dict.fromkeys((item.index for item in items), 0)
+        set_aside: List[BatchItem] = []
+        while items:
+            by_index = {item.index: item for item in items}
+            retry: List[BatchItem] = []
+            resume_at = 0.0
+            broke = False
+            for index, outcome in executor.run_batch(
+                fn, items, notify, label
+            ):
+                item = by_index[index]
+                if outcome is LOST:
+                    broke = True
+                    retry.append(replace(item, attempt=item.attempt + 1))
                     continue
-                except Exception as exc:
-                    task_failed(index, repr(exc))
-                    continue
-                if isinstance(value, trace_mod.TracedResult):
+                if isinstance(outcome, trace_mod.TracedResult):
                     # Unwrap BEFORE journalling/returning: profiling
                     # data must never reach results or checkpoints.
-                    dispatch(observer, SpansCollected(
-                        label, value.spans, value.pid, value.peak_rss_kb,
+                    notify(SpansCollected(
+                        label, outcome.spans, outcome.pid,
+                        outcome.peak_rss_kb,
                     ))
-                    value = value.value
-                if isinstance(value, CorruptedPayload):
-                    task_failed(
-                        index,
-                        f"corrupted payload (attempt {value.attempt})",
+                    outcome = outcome.value
+                if isinstance(outcome, CorruptedPayload):
+                    outcome = TaskFailed(
+                        f"corrupted payload (attempt {outcome.attempt})"
                     )
+                if not isinstance(outcome, TaskFailed):
+                    finish(index, outcome)
                     continue
-                finish(index, value)
-            now = time.monotonic()
-            timed_out = [
-                future for future, deadline in deadlines.items()
-                if deadline <= now
-            ]
-            for future in timed_out:
-                index = pending.pop(future)
-                deadlines.pop(future, None)
-                task_failed(
-                    index, f"task timeout after {config.task_timeout:g}s"
-                )
-                # The worker is still grinding on the hung task; the
-                # only way to reclaim it is to recycle the pool.
-                broken = True
-            if broken:
-                survivors = sorted(pending.values()) + in_flight_casualties
-                pending.clear()
-                deadlines.clear()
-                note_pool_failure()
-                if self._degraded:
-                    return
-                for index in survivors:
-                    attempts[index] += 1
-                    if not submit(index):
-                        return
+                broke = broke or outcome.broke_pool
+                failures[index] += 1
+                item = replace(item, attempt=item.attempt + 1)
+                if failures[index] > config.max_retries:
+                    if executor is not self._pool:
+                        raise ExecutionError(
+                            f"task {index} of batch {label!r} failed "
+                            f"{failures[index]} times; giving up: "
+                            f"{outcome.reason}"
+                        ) from outcome.error
+                    self.stats.tasks_quarantined += 1
+                    set_aside.append(item)
+                    continue
+                notify(TaskRetried(label, index, failures[index],
+                                   outcome.reason))
+                resume_at = max(resume_at, time.monotonic()
+                                + config.retry_backoff(failures[index]))
+                retry.append(item)
+            retry.sort(key=lambda item: item.index)
+            if broke:
+                self._pool_failures += 1
+                notify(WorkerRespawned(label, self._pool_failures))
+                if self._pool_failures >= config.max_pool_failures:
+                    self._degraded = True
+                    return sorted(set_aside + retry,
+                                  key=lambda item: item.index)
+            pause = resume_at - time.monotonic()
+            if pause > 0:
+                time.sleep(pause)
+            items = retry
+        return set_aside
 
     def build_chips(
         self,
@@ -851,15 +851,16 @@ class ParallelChipRunner:
     # ------------------------------------------------------------------
 
     def close(self) -> None:
-        """Shut the worker pool and journal down.
+        """Shut the worker pool, the fleet and the journal down.
 
-        A later batch re-creates the pool; the journal re-opens in
-        resume mode so already-flushed results survive the close.
+        A later batch re-creates the pool and the fleet; the journal
+        re-opens in resume mode so already-flushed results survive the
+        close.
         """
-        self._shutdown_executor()
-        if self._backend_executor is not None:
-            self._backend_executor.close()
-            self._backend_executor = None
+        self._pool.close()
+        if self._fleet is not None:
+            self._fleet.close()
+            self._fleet = None
         if self._journal is not None:
             self._journal.close()
             self._journal = None
@@ -876,9 +877,11 @@ class ParallelChipRunner:
 
 
 __all__ = [
+    "BatchItem",
     "DEFAULT_EVALUATOR_CACHE_SIZE",
     "EvaluatorSpec",
     "EvalTask",
+    "LOST",
     "SchemeOutcome",
     "ParallelChipRunner",
     "RunnerStats",
@@ -887,4 +890,5 @@ __all__ = [
     "run_eval_task",
     "run_build_task",
     "set_evaluator_cache_size",
+    "TaskFailed",
 ]

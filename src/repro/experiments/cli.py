@@ -27,7 +27,11 @@ from typing import Optional, Sequence, Union
 
 from repro.engine import trace as trace_mod
 from repro.engine.cache import ResultCache, resolve_cache
-from repro.engine.config import EngineConfig, LOCAL_BACKEND
+from repro.engine.config import (
+    EXECUTION_BACKENDS,
+    EngineConfig,
+    LOCAL_BACKEND,
+)
 from repro.engine.events import (
     EventStream,
     ExperimentEnded,
@@ -99,11 +103,12 @@ def engine_parent_parser() -> argparse.ArgumentParser:
         "(default: OUT/metrics.json)",
     )
     engine.add_argument(
-        "--backend", type=str, default=LOCAL_BACKEND, metavar="NAME",
-        help="execution backend for chip batches: 'local' (in-process "
-        "pool, the default) or 'subprocess-fleet' (persistent worker "
-        "processes over a durable on-disk queue); results are "
-        "bit-identical across backends",
+        "--backend", default=LOCAL_BACKEND, choices=EXECUTION_BACKENDS,
+        help="execution backend for chip batches: 'local' (inline, or a "
+        "process pool with --workers > 1; the default) or "
+        "'subprocess-fleet' (persistent worker processes over a durable "
+        "on-disk queue).  One supervisor retries failed tasks on either; "
+        "results are bit-identical across backends",
     )
     engine.add_argument(
         "--fleet-size", type=int, default=None,

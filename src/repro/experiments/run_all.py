@@ -37,8 +37,7 @@ from __future__ import annotations
 import argparse
 import pathlib
 import time
-import warnings
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Optional
 
 from repro.engine import trace as trace_mod
 from repro.engine.cache import ResultCache
@@ -132,43 +131,6 @@ def main(argv=None) -> None:
         trace_path = tracer.to_chrome(args.trace)
         print(f"trace written to {trace_path}")
     print(f"combined report: {summary}")
-
-
-def _deprecated_experiments_list() -> List[Tuple[str, object]]:
-    import importlib
-
-    return [
-        (experiment.name, importlib.import_module(experiment.module))
-        for experiment in all_experiments()
-        if experiment.module
-    ]
-
-
-def _write_csv_exports(out_dir: pathlib.Path, name: str, result) -> None:
-    """Deprecated: experiments now export CSV via their ``csv_rows`` hook."""
-    warnings.warn(
-        "_write_csv_exports is deprecated; csv exports are driven by "
-        "Experiment.csv_rows hooks",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.engine.registry import get_experiment
-
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for export in get_experiment(name).csv_exports(result):
-        write_csv(out_dir / export.filename, export.headers, export.rows)
-
-
-def __getattr__(name: str):
-    if name == "EXPERIMENTS":
-        warnings.warn(
-            "run_all.EXPERIMENTS is deprecated; use "
-            "repro.engine.registry.all_experiments()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return _deprecated_experiments_list()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 if __name__ == "__main__":

@@ -7,10 +7,8 @@ multi-client system without changing a single computed bit:
   (``submit``/``status``/``events``/``cancel``/``result``) whose jobs
   share one :class:`~repro.engine.cache.ShardedResultCache` and recover
   from crashes through each job's own run journal.
-* :mod:`~repro.service.backends` -- the pluggable execution-backend
-  registry behind ``EngineConfig.backend`` (``"local"``,
-  ``"subprocess-fleet"``, and the protocol a remote-host backend
-  implements).
+* :mod:`~repro.service.backends` -- :class:`BatchItem`, the unit of
+  work the runner hands every executor.
 * :mod:`~repro.service.queue` / :mod:`~repro.service.worker` /
   :mod:`~repro.service.fleet` -- the durable on-disk task queue, the
   persistent worker loop, and the fleet coordinator.
@@ -19,14 +17,7 @@ multi-client system without changing a single computed bit:
 """
 
 from repro.service.api import ExecutionService
-from repro.service.backends import (
-    BatchExecutor,
-    BatchItem,
-    ExecutionBackend,
-    execution_backend_names,
-    get_execution_backend,
-    register_execution_backend,
-)
+from repro.service.backends import BatchItem
 from repro.service.jobs import (
     JOB_STATES,
     JobHandle,
@@ -37,10 +28,8 @@ from repro.service.jobs import (
 from repro.service.queue import DurableTaskQueue, TaskEnvelope
 
 __all__ = [
-    "BatchExecutor",
     "BatchItem",
     "DurableTaskQueue",
-    "ExecutionBackend",
     "ExecutionService",
     "JOB_STATES",
     "JobHandle",
@@ -48,7 +37,4 @@ __all__ = [
     "JobStatus",
     "TERMINAL_STATES",
     "TaskEnvelope",
-    "execution_backend_names",
-    "get_execution_backend",
-    "register_execution_backend",
 ]

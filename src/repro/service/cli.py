@@ -23,7 +23,11 @@ import time
 from pathlib import Path
 from typing import List, Optional
 
-from repro.engine.config import EngineConfig, LOCAL_BACKEND
+from repro.engine.config import (
+    EXECUTION_BACKENDS,
+    EngineConfig,
+    LOCAL_BACKEND,
+)
 from repro.errors import ReproError
 from repro.service.api import ExecutionService, WAIT_POLL_S
 from repro.service.jobs import QUEUED
@@ -66,8 +70,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     submit.add_argument("--workers", type=int, default=1)
     submit.add_argument(
-        "--backend", type=str, default=LOCAL_BACKEND,
-        help="execution backend for the job (local, subprocess-fleet)",
+        "--backend", default=LOCAL_BACKEND, choices=EXECUTION_BACKENDS,
+        help="execution backend for the job: 'local' (inline or a "
+        "process pool) or 'subprocess-fleet' (persistent queue workers)",
     )
     submit.add_argument("--fleet-size", type=int, default=None)
     submit.add_argument(

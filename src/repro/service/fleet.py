@@ -5,12 +5,12 @@
 ``python -m repro.service.worker`` processes over one
 :class:`~repro.service.queue.DurableTaskQueue`, enqueues each batch item
 under its content-digest task key, and polls for durably recorded
-results.  Supervision mirrors the in-process pool where the queue makes
-it meaningful: a SIGKILLed worker is respawned and its claimed tasks are
-requeued (:class:`~repro.engine.events.WorkerRespawned` fires), and an
-erroring task is re-enqueued up to the config's retry budget
-(:class:`~repro.engine.events.TaskRetried`) before the batch fails with
-:class:`~repro.errors.ExecutionError`.
+results.  Like the runner's other executors it runs one attempt per
+item and reports the outcome; the retry budget is
+:meth:`~repro.engine.parallel.ParallelChipRunner.map`'s.  What it does
+supervise is its own processes: a SIGKILLed worker is respawned and its
+claimed tasks are requeued
+(:class:`~repro.engine.events.WorkerRespawned` fires).
 
 Because results are keyed by content digest, the queue directory *is*
 the fleet-wide memo: a second run -- or a concurrent client sharing the
@@ -27,18 +27,14 @@ import subprocess
 import sys
 import tempfile
 import time
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from dataclasses import replace
+from typing import Any, Callable, Dict, Iterator, List, Tuple
 
 from repro.errors import ConfigurationError, ExecutionError
 from repro.engine.config import EngineConfig
-from repro.engine.events import EngineEvent, TaskRetried, WorkerRespawned
-from repro.service.backends import BatchExecutor
-from repro.service.queue import (
-    DurableTaskQueue,
-    ERROR,
-    OK,
-    TaskEnvelope,
-)
+from repro.engine.events import EngineEvent, WorkerRespawned
+from repro.engine.parallel import BatchItem, TaskFailed
+from repro.service.queue import DurableTaskQueue, OK, TaskEnvelope
 
 #: Coordinator poll period while waiting on queue results.
 RESULT_POLL_S = 0.02
@@ -78,7 +74,7 @@ def resolve_queue_dir(config: EngineConfig) -> Tuple[pathlib.Path, bool]:
     )
 
 
-class SubprocessFleetExecutor(BatchExecutor):
+class SubprocessFleetExecutor:
     """Coordinates persistent worker subprocesses over one durable queue."""
 
     def __init__(self, config: EngineConfig):
@@ -146,15 +142,17 @@ class SubprocessFleetExecutor(BatchExecutor):
     def run_batch(
         self,
         fn: Callable[[Any], Any],
-        items: List[Any],
+        items: List[BatchItem],
         notify: Callable[[EngineEvent], None],
         label: str = "batch",
     ) -> Iterator[Tuple[int, Any]]:
-        """Yield ``(index, result)`` pairs as queue results land.
+        """Run one attempt of each item; yield ``(index, outcome)``.
 
-        ``items`` are :class:`~repro.service.backends.BatchItem`-shaped
-        (``index``/``key``/``task``); identical keys within a batch are
-        computed once and fanned out to every index.
+        Every key is enqueued before any is polled for.  An ``OK`` result
+        yields its value; an ``ERROR`` result is discarded (so the next
+        attempt recomputes it) and yields a
+        :class:`~repro.engine.parallel.TaskFailed`.  Identical keys
+        within a batch are computed once and fanned out to every index.
         """
         if self._closed:
             raise ExecutionError("fleet executor already closed")
@@ -163,24 +161,21 @@ class SubprocessFleetExecutor(BatchExecutor):
         for item in items:
             by_key.setdefault(item.key, []).append(item.index)
             tasks_by_key[item.key] = item.task
-        envelope_fn = TaskEnvelope.for_call(fn, None)
-        failures: Dict[str, int] = {key: 0 for key in by_key}
-        pending: List[str] = []
-        for key in sorted(by_key):
-            if self.queue.read_result(key) is not None:
+        # Built up front so a lambda or closure is rejected before any I/O.
+        envelope = TaskEnvelope.for_call(fn, None)
+        pending = sorted(by_key)
+        for key in pending:
+            recorded = self.queue.read_result(key)
+            if recorded is not None and recorded[0] == OK:
                 self.deduped += len(by_key[key])
-            elif not self.queue.enqueue(
-                key,
-                TaskEnvelope(
-                    envelope_fn.fn_module,
-                    envelope_fn.fn_qualname,
-                    tasks_by_key[key],
-                ),
-            ):
-                # Enqueued (or finished) by a concurrent client between
-                # the read and the offer; either way the result arrives.
-                pass
-            pending.append(key)
+                continue
+            if recorded is not None:
+                # A stale error left by an earlier run is not a failure
+                # of this batch: drop it and recompute.
+                self.queue.discard_result(key)
+            # False when a concurrent client enqueued the key first;
+            # either way its result arrives.
+            self.queue.enqueue(key, replace(envelope, task=tasks_by_key[key]))
         self.ensure_fleet()
         while pending:
             progressed = False
@@ -188,32 +183,14 @@ class SubprocessFleetExecutor(BatchExecutor):
                 recorded = self.queue.read_result(key)
                 if recorded is None:
                     continue
-                status, value = recorded
-                if status == OK:
-                    pending.remove(key)
-                    progressed = True
-                    for index in by_key[key]:
-                        yield index, value
-                    continue
-                failures[key] += 1
-                self.queue.discard_result(key)
-                if failures[key] > self.config.max_retries:
-                    raise ExecutionError(
-                        f"fleet task {key[:12]} of batch {label!r} failed "
-                        f"{failures[key]} times; giving up: {value}"
-                    )
-                notify(TaskRetried(
-                    label, by_key[key][0], failures[key], str(value),
-                ))
-                self.queue.enqueue(
-                    key,
-                    TaskEnvelope(
-                        envelope_fn.fn_module,
-                        envelope_fn.fn_qualname,
-                        tasks_by_key[key],
-                    ),
-                )
+                pending.remove(key)
                 progressed = True
+                status, value = recorded
+                if status != OK:
+                    self.queue.discard_result(key)
+                    value = TaskFailed(str(value))
+                for index in by_key[key]:
+                    yield index, value
             if pending and not progressed:
                 self._supervise_workers(notify, label)
                 time.sleep(RESULT_POLL_S)

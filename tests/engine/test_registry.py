@@ -39,10 +39,15 @@ def test_unknown_experiment_raises():
 
 
 def test_every_experiment_has_uniform_surface():
+    import importlib
+
     for experiment in all_experiments():
         assert callable(experiment.run)
         assert callable(experiment.report)
         assert experiment.module is not None
+        # Each module also keeps the historical run/report surface.
+        module = importlib.import_module(experiment.module)
+        assert callable(module.run) and callable(module.report)
 
 
 def test_plot_shaped_experiments_export_csv():

@@ -1,7 +1,5 @@
 """The run-everything driver (registry-driven, cached, observable)."""
 
-import pytest
-
 from repro.engine.cache import ResultCache
 from repro.engine.observer import JSONMetricsObserver
 from repro.engine.registry import all_experiments, experiment_names
@@ -87,26 +85,3 @@ def test_cli_main_small_scale(tmp_path):
     assert (tmp_path / "reports" / "summary.txt").exists()
     assert (tmp_path / "reports" / "metrics.json").exists()
     assert (tmp_path / "reports" / ".cache").is_dir()
-
-
-def test_deprecated_experiments_alias_warns():
-    from repro.experiments import run_all as run_all_module
-
-    with pytest.warns(DeprecationWarning):
-        pairs = run_all_module.EXPERIMENTS
-    assert [name for name, _ in pairs] == list(experiment_names())
-    # Each module still exposes the historical run/report surface.
-    for _, module in pairs:
-        assert callable(module.run) and callable(module.report)
-
-
-def test_deprecated_write_csv_exports_delegates(tmp_path):
-    from repro.experiments import fig01_reuse
-    from repro.experiments import run_all as run_all_module
-
-    result = fig01_reuse.run(
-        ExperimentContext(n_chips=1, n_references=500, seed=2)
-    )
-    with pytest.warns(DeprecationWarning):
-        run_all_module._write_csv_exports(tmp_path, "fig01_reuse", result)
-    assert (tmp_path / "fig01_reuse.csv").exists()

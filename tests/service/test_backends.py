@@ -1,67 +1,17 @@
-"""The execution-backend registry and the engine's backend routing."""
+"""The closed ``EngineConfig.backend`` choice and its config fields."""
 
 import pytest
 
 from repro.engine.config import (
     EngineConfig,
+    EXECUTION_BACKENDS,
     LOCAL_BACKEND,
     SUBPROCESS_FLEET_BACKEND,
 )
-from repro.engine.events import TaskRetried
 from repro.engine.parallel import ParallelChipRunner
-from repro.errors import ConfigurationError, ExecutionError
-from repro.service.backends import (
-    BatchExecutor,
-    BatchItem,
-    ExecutionBackend,
-    LocalBackend,
-    SubprocessFleetBackend,
-    execution_backend_names,
-    get_execution_backend,
-    register_execution_backend,
-)
-from repro.variation import harmonic_mean
-
-
-class TestRegistry:
-    def test_builtins_are_registered(self):
-        names = execution_backend_names()
-        assert LOCAL_BACKEND in names
-        assert SUBPROCESS_FLEET_BACKEND in names
-
-    def test_lookup_by_name(self):
-        assert isinstance(get_execution_backend(LOCAL_BACKEND), LocalBackend)
-        assert isinstance(
-            get_execution_backend(SUBPROCESS_FLEET_BACKEND),
-            SubprocessFleetBackend,
-        )
-
-    def test_unknown_backend_is_an_error(self):
-        with pytest.raises(ConfigurationError, match="unknown execution"):
-            get_execution_backend("carrier-pigeon")
-
-    def test_custom_backend_registration(self):
-        class Probe(ExecutionBackend):
-            name = "probe-backend"
-
-            def executor(self, config):
-                raise NotImplementedError
-
-        try:
-            register_execution_backend(Probe())
-            assert "probe-backend" in execution_backend_names()
-        finally:
-            from repro.service import backends
-
-            backends._BACKENDS.pop("probe-backend", None)
-
-    def test_empty_name_rejected(self):
-        class Nameless(ExecutionBackend):
-            def executor(self, config):
-                raise NotImplementedError
-
-        with pytest.raises(ConfigurationError, match="non-empty"):
-            register_execution_backend(Nameless())
+from repro.errors import ConfigurationError
+from repro.experiments.cli import engine_parent_parser
+from repro.service.cli import build_parser as build_service_parser
 
 
 class TestEngineConfigBackendField:
@@ -94,41 +44,7 @@ class TestEngineConfigBackendField:
         assert clone.queue_dir == tmp_path / "q"
 
 
-class TestInlineExecutor:
-    def test_local_backend_runs_batches(self):
-        executor = get_execution_backend(LOCAL_BACKEND).executor(
-            EngineConfig()
-        )
-        items = [
-            BatchItem(0, "k0", [2.0, 2.0]),
-            BatchItem(1, "k1", [4.0, 4.0]),
-        ]
-        out = dict(executor.run_batch(harmonic_mean, items, lambda e: None))
-        assert out == {0: 2.0, 1: 4.0}
-        executor.close()
-
-    def test_retry_budget_and_events(self):
-        config = EngineConfig(max_retries=1)
-        executor = get_execution_backend(LOCAL_BACKEND).executor(config)
-        seen = []
-        with pytest.raises(ExecutionError):
-            list(executor.run_batch(
-                harmonic_mean,
-                [BatchItem(0, "k0", None)],
-                seen.append,
-            ))
-        assert any(isinstance(e, TaskRetried) for e in seen)
-
-
 class TestRunnerBackendRouting:
-    def test_unknown_backend_fails_at_resolution(self):
-        # Config accepts any name (third-party backends register later);
-        # the runner fails loudly when it first resolves the name.
-        config = EngineConfig(workers=1, backend="carrier-pigeon")
-        with ParallelChipRunner(config) as runner:
-            with pytest.raises(ConfigurationError, match="carrier-pigeon"):
-                runner.map(harmonic_mean, [[1.0, 2.0]])
-
     def test_empty_backend_name_rejected_by_config(self):
         with pytest.raises(ConfigurationError, match="backend"):
             EngineConfig(backend="")
@@ -138,39 +54,19 @@ class TestRunnerBackendRouting:
         runner.close()
 
 
-class _RecordingExecutor(BatchExecutor):
-    def __init__(self):
-        self.batches = 0
-        self.closed = False
-
-    def run_batch(self, fn, items, notify, label="batch"):
-        self.batches += 1
-        for item in items:
-            yield item.index, fn(item.task)
-
-    def close(self):
-        self.closed = True
-
-
-class TestRunnerUsesRegisteredBackend:
-    def test_map_routes_through_backend_executor(self):
-        recorder = _RecordingExecutor()
-
-        class Recording(ExecutionBackend):
-            name = "recording"
-
-            def executor(self, config):
-                return recorder
-
-        from repro.service import backends
-
-        register_execution_backend(Recording())
-        try:
-            config = EngineConfig(workers=1).replace(backend="recording")
-            with ParallelChipRunner(config) as runner:
-                out = runner.map(harmonic_mean, [[2.0, 2.0], [4.0, 4.0]])
-            assert out == [2.0, 4.0]
-            assert recorder.batches == 1
-            assert recorder.closed
-        finally:
-            backends._BACKENDS.pop("recording", None)
+class TestCliBackendChoices:
+    @pytest.mark.parametrize("make_parser, argv", [
+        (engine_parent_parser, []),
+        (build_service_parser, ["submit", "fig10"]),
+    ])
+    def test_unknown_backend_is_an_argparse_error(
+        self, make_parser, argv, capsys
+    ):
+        parser = make_parser()
+        for name in EXECUTION_BACKENDS:
+            args = parser.parse_args(argv + ["--backend", name])
+            assert args.backend == name
+        with pytest.raises(SystemExit) as excinfo:
+            parser.parse_args(argv + ["--backend", "carrier-pigeon"])
+        assert excinfo.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err

@@ -73,7 +73,7 @@ class TestFleetIdentity:
         # A second runner over the same queue directory never recomputes.
         with ParallelChipRunner(config) as runner:
             runner.map(harmonic_mean, TASKS, label="dedupe")
-            executor = runner._backend_executor
+            executor = runner._fleet
             assert executor.deduped == len(TASKS)
             second = [
                 v for v in runner.map(harmonic_mean, TASKS, label="dedupe")
@@ -85,6 +85,46 @@ class TestFleetIdentity:
         with ParallelChipRunner(fleet_config(tmp_path)) as runner:
             out = runner.map(harmonic_mean, tasks, label="fanout")
         assert out == [2.0, 2.0, 4.0]
+
+
+class TestStaleErrorResults:
+    """An ERROR result already in the queue belongs to an earlier run."""
+
+    @staticmethod
+    def _plant_error(config, key):
+        from repro.service.queue import DurableTaskQueue, ERROR
+
+        DurableTaskQueue(config.queue_dir).complete(
+            "w000", key, ERROR, "ValueError: an earlier run failed"
+        )
+
+    def test_stale_error_is_recomputed_not_deduped(self, tmp_path):
+        from repro.engine.checkpoint import task_key
+        from repro.service.backends import BatchItem
+
+        config = fleet_config(tmp_path, fleet_size=1)
+        key = task_key(abs, -3)
+        self._plant_error(config, key)
+        events = []
+        executor = SubprocessFleetExecutor(config)
+        try:
+            out = list(executor.run_batch(
+                abs, [BatchItem(0, key, -3)], events.append,
+            ))
+        finally:
+            executor.close()
+        assert out == [(0, 3)]
+        assert executor.deduped == 0
+        assert events == []
+
+    def test_stale_error_is_not_charged_to_the_batch(self, tmp_path):
+        from repro.engine.checkpoint import task_key
+
+        config = fleet_config(tmp_path, fleet_size=1, max_retries=0)
+        self._plant_error(config, task_key(abs, -3))
+        with ParallelChipRunner(config) as runner:
+            assert runner.map(abs, [-3]) == [3]
+        assert runner.stats.task_retries == 0
 
 
 SLOW_MODULE = textwrap.dedent(
