@@ -33,11 +33,6 @@ REQUIRED_FACADE_EXPORTS: Tuple[str, ...] = (
 
 FACADE_MODULE = "repro"
 
-#: The private boolean kernel probe; everything outside its home module
-#: must go through the typed :func:`repro.core.kernel_support` instead.
-KERNEL_PROBE_NAME = "_kernel_supported"
-KERNEL_PROBE_HOME = "repro.core.batcheval"
-
 #: The cell-backend protocol (PR 7).  A backend subclass that skips one
 #: of these methods would only fail at sampling/evaluation time; the
 #: static rule moves that failure to lint time.  Kept in sync with
@@ -299,57 +294,6 @@ class FacadeDriftRule(Rule):
 
 
 @register_rule
-class PrivateKernelProbeRule(Rule):
-    """API004: no new imports or uses of the private kernel probe.
-
-    ``_kernel_supported`` is a boolean implementation detail of
-    ``repro.core.batcheval``; the supported surface is the typed
-    :func:`repro.core.kernel_support`, which also reports *which* replay
-    path (flattened / timeline / event) a cache takes and why.
-    """
-
-    rule_id = "API004"
-    name = "private-kernel-probe"
-    description = (
-        "importing or referencing the private _kernel_supported helper "
-        "outside repro.core.batcheval bypasses the typed kernel_support "
-        "surface"
-    )
-
-    def check_module(self, module: SourceModule) -> Iterable[Finding]:
-        if module.module_name == KERNEL_PROBE_HOME:
-            return ()
-        findings: List[Finding] = []
-        for node in ast.walk(module.tree):
-            if isinstance(node, ast.ImportFrom):
-                for alias in node.names:
-                    if alias.name == KERNEL_PROBE_NAME:
-                        findings.append(self.finding(
-                            module, node.lineno, node.col_offset,
-                            f"import of private {KERNEL_PROBE_NAME!r}; use "
-                            "repro.core.kernel_support (typed KernelSupport "
-                            "result) instead",
-                        ))
-            elif isinstance(node, ast.Attribute):
-                if node.attr == KERNEL_PROBE_NAME:
-                    findings.append(self.finding(
-                        module, node.lineno, node.col_offset,
-                        f"reference to private {KERNEL_PROBE_NAME!r}; use "
-                        "repro.core.kernel_support (typed KernelSupport "
-                        "result) instead",
-                    ))
-            elif isinstance(node, ast.Name):
-                if node.id == KERNEL_PROBE_NAME:
-                    findings.append(self.finding(
-                        module, node.lineno, node.col_offset,
-                        f"reference to private {KERNEL_PROBE_NAME!r}; use "
-                        "repro.core.kernel_support (typed KernelSupport "
-                        "result) instead",
-                    ))
-        return findings
-
-
-@register_rule
 class TechnologyBackendConformanceRule(Rule):
     """API005: backend subclasses must satisfy the whole protocol.
 
@@ -358,7 +302,7 @@ class TechnologyBackendConformanceRule(Rule):
     plain or attribute-qualified base name) must define all of the
     protocol's methods.  A partial backend imports cleanly and only
     explodes once a chip is sampled or an evaluator configured; this
-    rule surfaces the gap statically, next to API001-004 in the same
+    rule surfaces the gap statically, next to API001-003 in the same
     baseline/CI gate.
     """
 
@@ -412,9 +356,6 @@ __all__ = [
     "BACKEND_REQUIRED_METHODS",
     "ExportedNameUndefinedRule",
     "FacadeDriftRule",
-    "KERNEL_PROBE_HOME",
-    "KERNEL_PROBE_NAME",
-    "PrivateKernelProbeRule",
     "PublicNameUnexportedRule",
     "REQUIRED_FACADE_EXPORTS",
     "TechnologyBackendConformanceRule",

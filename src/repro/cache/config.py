@@ -13,12 +13,7 @@ the paper:
 Geometry-adjacent scalars live on the geometries, not here: the L1 hit
 latency defaults to ``geometry.access_latency_cycles`` (pass an explicit
 value only to override the derived one), and the backing L2 is a full
-:class:`CacheGeometry` in :attr:`CacheConfig.l2_geometry`.  The historical
-``l2_capacity_bytes``/``l2_ways`` construction keywords completed their
-deprecation cycle and are now hard errors when passed without a matching
-``l2_geometry`` (DESIGN.md section 3h removal ledger); the fields remain
-readable as concrete mirrors of ``l2_geometry``, which is what keeps
-``dataclasses.replace`` round-trips silent.
+:class:`CacheGeometry` in :attr:`CacheConfig.l2_geometry`.
 """
 
 from __future__ import annotations
@@ -74,13 +69,6 @@ class CacheConfig:
     l2_geometry: Optional[CacheGeometry] = None
     """Backing L2 organisation; ``None`` derives the Table 2 default.
     Always concrete after construction."""
-    l2_capacity_bytes: Optional[int] = None
-    """Read-only mirror of ``l2_geometry.size_bytes``.  Passing it
-    without a matching ``l2_geometry`` is a removed legacy spelling and
-    raises :class:`~repro.errors.ConfigurationError`."""
-    l2_ways: Optional[int] = None
-    """Read-only mirror of ``l2_geometry.ways``; same removal rule as
-    ``l2_capacity_bytes``."""
 
     def __post_init__(self) -> None:
         if self.hit_latency_cycles is None:
@@ -113,47 +101,12 @@ class CacheConfig:
             raise ConfigurationError("write_buffer_entries must be >= 1")
         if self.l2_write_interval_cycles < 1:
             raise ConfigurationError("l2_write_interval_cycles must be >= 1")
-        self._resolve_l2()
-
-    def _resolve_l2(self) -> None:
-        """Resolve ``l2_geometry`` and its concrete scalar mirrors.
-
-        After this, ``l2_geometry`` is concrete and the scalar fields
-        mirror it, so readers and ``dataclasses.replace`` round-trips
-        (which re-pass the mirrored values) keep working silently.
-        Passing a bare scalar *without* ``l2_geometry`` completed its
-        deprecation cycle and is now a hard error.
-        """
-        capacity = self.l2_capacity_bytes
-        ways = self.l2_ways
         if self.l2_geometry is None:
-            if capacity is not None or ways is not None:
-                raise ConfigurationError(
-                    "CacheConfig(l2_capacity_bytes=..., l2_ways=...) was "
-                    "removed; pass l2_geometry="
-                    "CacheGeometry.from_capacity(...) instead"
-                )
-            resolved = default_l2_geometry(
-                line_bits=self.geometry.line_bits
+            object.__setattr__(
+                self,
+                "l2_geometry",
+                default_l2_geometry(line_bits=self.geometry.line_bits),
             )
-            object.__setattr__(self, "l2_geometry", resolved)
-        else:
-            if capacity is not None and capacity != self.l2_geometry.size_bytes:
-                raise ConfigurationError(
-                    f"l2_capacity_bytes={capacity} disagrees with "
-                    f"l2_geometry ({self.l2_geometry.size_bytes} bytes); "
-                    "drop the deprecated keyword"
-                )
-            if ways is not None and ways != self.l2_geometry.ways:
-                raise ConfigurationError(
-                    f"l2_ways={ways} disagrees with l2_geometry "
-                    f"({self.l2_geometry.ways} ways); drop the "
-                    "deprecated keyword"
-                )
-        object.__setattr__(
-            self, "l2_capacity_bytes", self.l2_geometry.size_bytes
-        )
-        object.__setattr__(self, "l2_ways", self.l2_geometry.ways)
 
     @property
     def miss_latency_cycles(self) -> float:

@@ -189,9 +189,9 @@ class RetentionAwareCache:
         self.l2_cache: Optional[SetAssociativeCache] = None
         if config.real_l2:
             self.l2_cache = SetAssociativeCache(
-                capacity_bytes=config.l2_capacity_bytes,
+                capacity_bytes=config.l2_geometry.size_bytes,
                 line_bytes=config.geometry.line_bits // 8,
-                ways=config.l2_ways,
+                ways=config.l2_geometry.ways,
             )
         self._tick = 0
         self._last_cycle = 0

@@ -136,17 +136,6 @@ class TokenRefreshEngine:
                 serviced.append((service, set_index, way))
         return serviced
 
-    def earliest_due(self) -> Optional[int]:
-        """Earliest armed deadline across all pairs (``None`` when idle).
-
-        Lazily-cancelled (stale-generation) entries still sitting in the
-        heaps are included, so the value is a *lower bound* on the next
-        cycle at which :meth:`due_refreshes` could service anything --
-        exactly what a replay loop needs to skip guaranteed-no-op drains.
-        """
-        dues = [heap[0][0] for heap in self._heaps if heap]
-        return min(dues) if dues else None
-
     def pending(self, pair: Optional[int] = None) -> int:
         """Requests currently armed (optionally for one pair)."""
         if pair is None:

@@ -15,12 +15,11 @@ module provides the production path:
   configuration takes, and why when it must fall back;
 * :func:`simulate_trace` -- the batched replay dispatcher.  LRU/DSP
   placement under the paper's four closed-form refresh policies runs the
-  flattened kernel in this module; the RSP block-move schemes, the
-  online token-refresh engine, and the real L2 simulator run the
-  timeline kernels in :mod:`repro.core.timeline`.  Both paths are
-  **bit-identical** to ``RetentionAwareCache.run_trace``; only caches
-  with third-party refresh/replacement/device objects fall back to the
-  event controller;
+  flattened kernel in this module; the RSP block-move schemes run the
+  timeline kernel in :mod:`repro.core.timeline`.  Both paths are
+  **bit-identical** to ``RetentionAwareCache.run_trace``.  Caches with
+  a token refresh engine, a real L2, or third-party refresh/replacement
+  objects stay on that event controller;
 * :func:`evaluate_many` / :func:`evaluate` -- the stable batched API the
   engine (:mod:`repro.engine.parallel`) and the fig09/fig10/fig11
   drivers route through.
@@ -53,9 +52,8 @@ from repro.cache.replacement import (
     RSPFIFOPolicy,
     RSPLRUPolicy,
 )
-from repro.cache.setassoc import SetAssociativeCache
 from repro.cache.stats import CacheStats
-from repro.cache.token import TokenRefreshEngine
+from repro.core.timeline import _replay_rsp_sets
 from repro.workloads.generator import MemoryTrace
 
 
@@ -202,7 +200,7 @@ class KernelSupport:
     """Which replay path a cache configuration takes, and why.
 
     ``path`` is ``"flattened"`` (this module's stationary-placement
-    kernel), ``"timeline"`` (the RSP/token/L2 kernels in
+    kernel), ``"timeline"`` (the RSP kernel in
     :mod:`repro.core.timeline`), or ``"event"`` (the per-reference event
     controller, with ``reason`` explaining the fallback).  ``supported``
     is True exactly when :func:`simulate_trace` accepts the cache.
@@ -216,10 +214,12 @@ class KernelSupport:
 def kernel_support(cache: RetentionAwareCache) -> KernelSupport:
     """Classify ``cache`` onto a batched replay path.
 
-    The kernels are specialized for the paper's own policy and device
-    objects; a cache wired with third-party refresh policies, placement
-    policies, refresh engines, or L2 simulators keeps the event
-    controller (the returned ``reason`` says which object forced it).
+    The kernels are specialized for the paper's own refresh and
+    placement policies without devices: a cache wired with a third-party
+    policy, a refresh engine (``online_refresh=True``) or an L2
+    simulator (``real_l2=True``) keeps the event controller (the
+    returned ``reason`` says which object forced it).  ``"timeline"``
+    means RSP placement.
     """
     if type(cache.refresh) not in (
         NoRefresh,
@@ -238,36 +238,14 @@ def kernel_support(cache: RetentionAwareCache) -> KernelSupport:
             f"replacement {cache.replacement.name!r} is not one of the "
             "paper's four placement policies"
         ))
-    if (
-        cache.refresh_engine is not None
-        and type(cache.refresh_engine) is not TokenRefreshEngine
-    ):
+    if cache.refresh_engine is not None or cache.l2_cache is not None:
         return KernelSupport(False, "event", (
-            "third-party refresh engines only run on the event controller"
+            "caches with a refresh engine or an L2 simulator run on the "
+            "event controller"
         ))
-    if (
-        cache.l2_cache is not None
-        and type(cache.l2_cache) is not SetAssociativeCache
-    ):
-        return KernelSupport(False, "event", (
-            "third-party L2 simulators only run on the event controller"
-        ))
-    if (
-        cache.refresh_engine is not None
-        or cache.l2_cache is not None
-        or type(cache.replacement) in (RSPFIFOPolicy, RSPLRUPolicy)
-    ):
+    if type(cache.replacement) in (RSPFIFOPolicy, RSPLRUPolicy):
         return KernelSupport(True, "timeline")
     return KernelSupport(True, "flattened")
-
-
-def _kernel_supported(cache: RetentionAwareCache) -> bool:
-    """Private predicate behind the dispatcher; use :func:`kernel_support`.
-
-    Kept out of the public surface on purpose (linter rule API004): the
-    typed :class:`KernelSupport` result is the supported probe.
-    """
-    return kernel_support(cache).supported
 
 
 def simulate_trace(
@@ -279,10 +257,11 @@ def simulate_trace(
     used as the source of configuration, quantised retention, and policy
     objects, and is not mutated.  Dispatches on
     :func:`kernel_support`: stationary LRU/DSP placement runs the
-    flattened kernel here; RSP placement, the token engine, and the real
-    L2 run the timeline kernels in :mod:`repro.core.timeline`.  The
-    returned :class:`CacheStats` is bit-identical to ``cache.run_trace``
-    on the same trace for every supported configuration.
+    flattened kernel here; RSP placement runs the timeline kernel in
+    :mod:`repro.core.timeline`.  The returned :class:`CacheStats` is
+    bit-identical to ``cache.run_trace`` on the same trace for every
+    supported configuration; an unsupported cache (a device-coupled one,
+    for instance) raises :class:`~repro.errors.ConfigurationError`.
     """
     support = kernel_support(cache)
     if not support.supported:
@@ -299,10 +278,7 @@ def simulate_trace(
             f"cache has {cache.config.geometry.n_sets}"
         )
     if support.path == "timeline":
-        # Deferred: repro.core.timeline imports this module's artifacts.
-        from repro.core.timeline import simulate_trace_timeline
-
-        return simulate_trace_timeline(cache, artifacts)
+        return _replay_rsp_sets(cache, artifacts)
     return _simulate_flattened(cache, artifacts)
 
 

@@ -190,9 +190,10 @@ class Evaluator:
         Routes through the batched kernels (:mod:`repro.core.batcheval`)
         whenever :func:`~repro.core.batcheval.kernel_support` allows --
         bit-identical to the event controller -- and falls back to
-        ``RetentionAwareCache.run_trace`` for caches wired with
-        third-party policy or device objects.  Returns the stats plus the
-        replay path taken (``"flattened"``/``"timeline"``/``"event"``).
+        ``RetentionAwareCache.run_trace`` for caches with a token refresh
+        engine, a real L2, or third-party policy objects.  Returns the
+        stats plus the replay path taken
+        (``"flattened"``/``"timeline"``/``"event"``).
         """
         if self.use_batch_kernel:
             support = kernel_support(cache)

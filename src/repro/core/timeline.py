@@ -1,35 +1,25 @@
-"""Timeline replay kernels for the former fallback schemes.
+"""The RSP timeline replay kernel.
 
 :mod:`repro.core.batcheval`'s flattened kernel covers stationary
-placement (LRU/DSP) with closed-form refresh accounting.  The schemes it
-used to reject -- RSP-FIFO/RSP-LRU block moves, the online token-refresh
-engine, and the real L2 simulator -- run here, through two kernels that
-are **bit-identical** to ``RetentionAwareCache.run_trace``:
+placement (LRU/DSP) with closed-form refresh accounting.  RSP-FIFO and
+RSP-LRU move blocks between ways, which that kernel cannot express, so
+they replay here, **bit-identically** to
+``RetentionAwareCache.run_trace``, in :func:`_replay_rsp_sets`.
 
-* :func:`_replay_rsp_sets` -- RSP placement without devices.  RSP never
-  reads recency and every interaction is set-local, so the trace's
-  columnar form (:meth:`TraceArtifacts.set_streams`) is replayed one set
-  at a time over position-space state (slot ``p`` = the ``p``-th
-  longest-retention live way).  Per-line retention-expiry timelines are
-  precomputed as interval arithmetic: a single ``next_expiry`` bound per
-  set makes the "is this line still alive?" check one compare, and
-  warm-up is a per-set counter snapshot instead of a mid-trace reset.
-  Cross-set effects -- the single shared write buffer -- are reconciled
-  afterwards by replaying the collected write-back events in global
-  program order.
-* :func:`_replay_with_devices` -- any supported placement coupled to the
-  token engine and/or the real L2.  Device interactions are sequential
-  in program order, so this kernel keeps global order but batches the
-  expensive parts: expiry sweeps are skipped until a set's earliest
-  expiry, and token drains are skipped until the engine's earliest
-  armed deadline (:meth:`TokenRefreshEngine.earliest_due`), which is
-  sound because a token service never *shortens* a line's timeline
-  (``can_sustain`` guarantees the post-service expiry exceeds the
-  pre-service one).
+RSP never reads recency and every interaction is set-local, so the
+trace's columnar form (:meth:`TraceArtifacts.set_streams`) is replayed
+one set at a time over position-space state (slot ``p`` = the ``p``-th
+longest-retention live way).  Per-line retention-expiry timelines are
+precomputed as interval arithmetic: a single ``next_expiry`` bound per
+set makes the "is this line still alive?" check one compare, and warm-up
+is a per-set counter snapshot instead of a mid-trace reset.  Cross-set
+effects -- the single shared write buffer -- are reconciled afterwards
+by replaying the collected write-back events in global program order.
 
-Both kernels treat the passed cache as a read-only configuration source,
-exactly like the flattened kernel; fresh engine/L2 device instances are
-built from the cache's own device parameters.
+Like the flattened kernel, this one treats the passed cache as a
+read-only configuration source.  Caches with a token refresh engine or a
+real L2 never reach it: :func:`~repro.core.batcheval.kernel_support`
+sends them to the event controller.
 """
 
 from __future__ import annotations
@@ -39,44 +29,24 @@ from typing import TYPE_CHECKING, List, Tuple
 
 import numpy as np
 
-from repro.errors import ConfigurationError
 from repro.cache.refresh import FullRefresh, GlobalRefresh, PartialRefresh
-from repro.cache.replacement import DSPPolicy, RSPFIFOPolicy, RSPLRUPolicy
-from repro.cache.setassoc import SetAssociativeCache
+from repro.cache.replacement import RSPLRUPolicy
 from repro.cache.stats import CacheStats
-from repro.cache.token import TokenRefreshEngine
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cache.controller import RetentionAwareCache
     from repro.core.batcheval import TraceArtifacts
 
 
-def simulate_trace_timeline(
+def _replay_rsp_sets(
     cache: "RetentionAwareCache", artifacts: "TraceArtifacts"
 ) -> CacheStats:
-    """Replay a trace on the timeline path; called via ``simulate_trace``.
+    """RSP-FIFO / RSP-LRU, one set at a time; called via ``simulate_trace``.
 
-    Validation (support, fresh cache, matching geometry) happens in the
-    dispatcher; this routine only picks the specialized kernel.
+    Validation (RSP placement, no devices, fresh cache, matching
+    geometry) happens in the dispatcher.
     """
-    if cache.refresh_engine is not None or cache.l2_cache is not None:
-        return _replay_with_devices(cache, artifacts)
-    replacement = type(cache.replacement)
-    if replacement not in (RSPFIFOPolicy, RSPLRUPolicy):
-        raise ConfigurationError(
-            "the timeline kernel handles RSP placement or device-coupled "
-            f"(token/L2) caches; {cache.replacement.name!r} without "
-            "devices belongs on the flattened kernel"
-        )
-    return _replay_rsp_sets(
-        cache, artifacts, promote=replacement is RSPLRUPolicy
-    )
-
-
-def _replay_rsp_sets(
-    cache: "RetentionAwareCache", artifacts: "TraceArtifacts", promote: bool
-) -> CacheStats:
-    """RSP-FIFO / RSP-LRU without devices, one set at a time."""
+    promote = type(cache.replacement) is RSPLRUPolicy
     config = cache.config
     geometry = config.geometry
     n_sets = geometry.n_sets
@@ -443,526 +413,3 @@ def _replay_rsp_sets(
         fills=g_fills,
     )
 
-
-def _replay_with_devices(
-    cache: "RetentionAwareCache", artifacts: "TraceArtifacts"
-) -> CacheStats:
-    """Global-order replay coupled to the token engine / real L2.
-
-    Handles all four placement policies.  Fresh device instances are
-    built from the cache's own device parameters (the passed cache stays
-    untouched); drains and sweeps are batched behind earliest-deadline
-    bounds so idle stretches cost nothing.
-    """
-    config = cache.config
-    geometry = config.geometry
-    n_sets = geometry.n_sets
-    n_ways = geometry.ways
-    n_lines = n_sets * n_ways
-    refresh = cache.refresh
-    replacement = type(cache.replacement)
-    rsp = replacement in (RSPFIFOPolicy, RSPLRUPolicy)
-    promote = replacement is RSPLRUPolicy
-    dsp = replacement is DSPPolicy
-    aware = cache.replacement.uses_retention_info
-    write_back = config.write_back
-    refresh_cpl = geometry.refresh_cycles_per_line
-
-    retention: List[int] = [int(r) for r in cache.retention_grid.reshape(-1)]
-    distinct = set(retention)
-
-    engine = None
-    margin = 0
-    if cache.refresh_engine is not None:
-        engine = TokenRefreshEngine(
-            geometry, margin_cycles=cache.refresh_engine.margin_cycles
-        )
-        margin = engine.margin_cycles
-    l2sim = None
-    if cache.l2_cache is not None:
-        source = cache.l2_cache
-        l2sim = SetAssociativeCache(
-            capacity_bytes=source.capacity_bytes,
-            line_bytes=source.line_bytes,
-            ways=source.ways,
-            assume_warm=source.assume_warm,
-        )
-
-    partial = type(refresh) is PartialRefresh
-    threshold = refresh.threshold_cycles if partial else 0
-    maxref_by_r = (
-        {r: refresh.max_refreshes(r) for r in distinct} if partial else {}
-    )
-    if engine is not None:
-        # Between token services the data lives exactly one retention
-        # period; services are counted online, so lazy accounting is off.
-        acc_mode = 0
-        lifetime: List[float] = [float(r) for r in retention]
-    else:
-        life_by_r = {r: refresh.effective_lifetime(r) for r in distinct}
-        lifetime = [life_by_r[r] for r in retention]
-        if type(refresh) is FullRefresh:
-            acc_mode = 1
-        elif partial:
-            acc_mode = 2
-        else:
-            acc_mode = 0
-
-    set_tags: List[List[int]] = [[-1] * n_ways for _ in range(n_sets)]
-    valid = [False] * n_lines
-    dirty = [False] * n_lines
-    stale = [False] * n_lines
-    fill_c = [0] * n_lines
-    expiry = [0.0] * n_lines
-    recency = [0] * n_lines
-    refreshes_done = [0] * n_lines
-    INF = math.inf
-    next_expiry = [INF] * n_sets
-    orders: List[List[int]] = []
-    for s in range(n_sets):
-        base = s * n_ways
-        orders.append(sorted(
-            (w for w in range(n_ways) if retention[base + w] > 0),
-            key=lambda w: (-retention[base + w], w),
-        ))
-
-    loads = stores = hits = misses_cold = misses_expired = 0
-    misses_dead = writebacks = expiry_wb = write_throughs = 0
-    l2_acc = l2_hits = l2_misses = line_refreshes = refresh_blocked = 0
-    line_moves = move_blocked = wb_stall = fills = 0
-    next_due = INF
-
-    wb_queued = 0
-    wb_last = 0.0
-    wb_cap = config.write_buffer_entries
-    wb_drain = config.l2_write_interval_cycles
-
-    def _push(cycle):
-        """WriteBuffer.push: drain lazily, stall when full; returns stall."""
-        nonlocal wb_queued, wb_last
-        if cycle < wb_last:
-            cycle = wb_last
-        drained = int((cycle - wb_last) // wb_drain)
-        if drained:
-            wb_queued -= drained
-            if wb_queued < 0:
-                wb_queued = 0
-        wb_last = cycle
-        if wb_queued >= wb_cap:
-            wb_queued = wb_cap
-            return wb_drain
-        wb_queued += 1
-        return 0
-
-    def _account(age, r):
-        """Lazy refresh accounting (no-op while the engine is online)."""
-        nonlocal line_refreshes, refresh_blocked
-        if not acc_mode or r <= 0:
-            return
-        count = age // r
-        if acc_mode == 2:
-            cap = maxref_by_r[r]
-            if count > cap:
-                count = cap
-        if count:
-            line_refreshes += count
-            refresh_blocked += count * refresh_cpl
-
-    def _sched(s, w, j, cycle):
-        """Controller._maybe_schedule_refresh, tracking the due bound."""
-        nonlocal next_due
-        r = retention[j]
-        if r <= 0:
-            return
-        if partial:
-            if r >= threshold or refreshes_done[j] >= maxref_by_r[r]:
-                return
-        if engine.schedule(s, w, n_ways, cycle, r):
-            due = cycle + r - margin
-            if due < next_due:
-                next_due = due
-
-    def _drain(now):
-        """Controller._service_scheduled_refreshes + due-bound refresh."""
-        nonlocal next_due, line_refreshes, refresh_blocked
-        while True:
-            serviced = engine.due_refreshes(now)
-            if not serviced:
-                break
-            for service, si, w in serviced:
-                j = si * n_ways + w
-                if not valid[j] or stale[j]:
-                    continue
-                r = retention[j]
-                fill_c[j] = service
-                e = service + r
-                expiry[j] = e
-                if e < next_expiry[si]:
-                    next_expiry[si] = e
-                refreshes_done[j] += 1
-                line_refreshes += 1
-                refresh_blocked += refresh_cpl
-                _sched(si, w, j, service)
-        earliest = engine.earliest_due()
-        next_due = earliest if earliest is not None else INF
-
-    def _writeback(s, w, j, cycle, expired):
-        """The dirty write-back half of a line close-out / expiry."""
-        nonlocal writebacks, expiry_wb, wb_stall
-        writebacks += 1
-        if expired:
-            expiry_wb += 1
-        if l2sim is not None:
-            l2sim.fill_dirty(set_tags[s][w] * n_sets + s)
-        wb_stall += _push(cycle)
-        dirty[j] = False
-
-    def _evict(s, w, j, cycle):
-        """Controller.evict_line on a valid way."""
-        if stale[j]:
-            # Expiry already accounted refreshes and any write-back.
-            valid[j] = False
-            stale[j] = False
-            dirty[j] = False
-            set_tags[s][w] = -1
-            return
-        age = cycle - fill_c[j]
-        if age < 0:
-            age = 0
-        _account(age, retention[j])
-        if engine is not None:
-            engine.cancel(s, w)
-        if dirty[j]:
-            _writeback(s, w, j, cycle, False)
-        valid[j] = False
-        set_tags[s][w] = -1
-
-    def _move(s, src, dst, cycle):
-        """Controller.move_line (RSP intrinsic refresh)."""
-        nonlocal line_moves, move_blocked
-        base = s * n_ways
-        jsrc = base + src
-        jdst = base + dst
-        age = cycle - fill_c[jsrc]
-        if age < 0:
-            age = 0
-        _account(age, retention[jsrc])
-        row = set_tags[s]
-        row[dst] = row[src]
-        row[src] = -1
-        dirty[jdst] = dirty[jsrc]
-        dirty[jsrc] = False
-        recency[jdst] = recency[jsrc]
-        fill_c[jdst] = cycle
-        e = cycle + lifetime[jdst]
-        expiry[jdst] = e
-        if e < next_expiry[s]:
-            next_expiry[s] = e
-        valid[jdst] = True
-        valid[jsrc] = False
-        refreshes_done[jdst] = 0
-        if engine is not None:
-            engine.cancel(s, src)
-            _sched(s, dst, jdst, cycle)
-        line_moves += 1
-        move_blocked += refresh_cpl
-
-    def _promote(s, way, j, cycle):
-        """RSPLRUPolicy.on_hit + controller.promote_line."""
-        nonlocal line_moves, move_blocked
-        order = orders[s]
-        if not order or way == order[0]:
-            return
-        try:
-            position = order.index(way)
-        except ValueError:
-            return
-        base = s * n_ways
-        row = set_tags[s]
-        stash_tag = row[way]
-        stash_dirty = dirty[j]
-        stash_rec = recency[j]
-        valid[j] = False
-        row[way] = -1
-        for i in range(position, 0, -1):
-            src, dst = order[i - 1], order[i]
-            if valid[base + src]:
-                _move(s, src, dst, cycle)
-        landing = order[0]
-        jl = base + landing
-        row[landing] = stash_tag
-        dirty[jl] = stash_dirty
-        recency[jl] = stash_rec
-        fill_c[jl] = cycle
-        e = cycle + lifetime[jl]
-        expiry[jl] = e
-        if e < next_expiry[s]:
-            next_expiry[s] = e
-        valid[jl] = True
-        # The landing slot keeps the controller's quirk: no engine
-        # cancel/re-arm and no refreshes_done reset on promotion landing.
-        line_moves += 1
-        move_blocked += refresh_cpl
-
-    cycles = artifacts.cycles
-    sets_in = artifacts.set_indices
-    tags_in = artifacts.tags
-    writes_in = artifacts.is_write
-    n = len(cycles)
-    warm = artifacts.warmup_references
-    tick = 0
-
-    if 0 < warm < n:
-        segments = ((0, warm), (warm, n))
-    else:
-        segments = ((0, n),)
-    for start, stop in segments:
-        if start:
-            # Measurement begins: drop the warmup counts (state persists).
-            loads = stores = hits = misses_cold = misses_expired = 0
-            misses_dead = writebacks = expiry_wb = write_throughs = 0
-            l2_acc = l2_hits = l2_misses = line_refreshes = 0
-            refresh_blocked = line_moves = move_blocked = 0
-            wb_stall = fills = 0
-        for cyc, s, tag, wr in zip(
-            cycles[start:stop],
-            sets_in[start:stop],
-            tags_in[start:stop],
-            writes_in[start:stop],
-        ):
-            tick += 1
-            if engine is not None and cyc >= next_due:
-                _drain(cyc)
-
-            base = s * n_ways
-            row = set_tags[s]
-
-            # Lazy per-set expiry sweep, in controller way order.
-            recent = None
-            if cyc >= next_expiry[s]:
-                nxt = INF
-                for w in range(n_ways):
-                    j = base + w
-                    if valid[j] and not stale[j]:
-                        e = expiry[j]
-                        if cyc >= e:
-                            t = row[w]
-                            if recent is None:
-                                recent = {t}
-                            else:
-                                recent.add(t)
-                            ecyc = int(e)
-                            age = ecyc - fill_c[j]
-                            if age < 0:
-                                age = 0
-                            _account(age, retention[j])
-                            if engine is not None:
-                                engine.cancel(s, w)
-                            if dirty[j]:
-                                _writeback(s, w, j, ecyc, True)
-                            if aware:
-                                valid[j] = False
-                                row[w] = -1
-                            else:
-                                stale[j] = True
-                        elif e < nxt:
-                            nxt = e
-                next_expiry[s] = nxt
-
-            if wr and not write_back:
-                # Write-through, no-write-allocate store path.
-                write_throughs += 1
-                if l2sim is not None:
-                    l2sim.fill_dirty(tag * n_sets + s)
-                wb_stall += _push(cyc)
-                try:
-                    w = row.index(tag)
-                except ValueError:
-                    w = -1
-                if w >= 0:
-                    j = base + w
-                    if not stale[j]:
-                        recency[j] = tick
-                        hits += 1
-                        if promote:
-                            _promote(s, w, j, cyc)
-                        continue
-                misses_cold += 1
-                continue
-
-            # Hits vastly outnumber misses, so a single ``index`` scan
-            # with an exception fallback beats ``in`` + ``index``.
-            try:
-                w = row.index(tag)
-            except ValueError:
-                w = -1
-            if w >= 0:
-                j = base + w
-                if stale[j]:
-                    # Expired miss: the line refills in place from the L2.
-                    misses_expired += 1
-                    l2_acc += 1
-                    if l2sim is not None:
-                        if l2sim.access(tag * n_sets + s, is_write=False):
-                            l2_hits += 1
-                        else:
-                            l2_misses += 1
-                    stale[j] = False
-                    dirty[j] = wr
-                    fill_c[j] = cyc
-                    e = cyc + lifetime[j]
-                    expiry[j] = e
-                    if e < next_expiry[s]:
-                        next_expiry[s] = e
-                    recency[j] = tick
-                    fills += 1
-                    # Controller quirk preserved: an in-place refill does
-                    # not re-arm the engine or reset refreshes_done.
-                    continue
-                hits += 1
-                recency[j] = tick
-                if wr:
-                    dirty[j] = True
-                if promote:
-                    _promote(s, w, j, cyc)
-                continue
-
-            # Miss: classify by whether the tag was resident-but-expired.
-            expired = recent is not None and tag in recent
-            l2_acc += 1
-            if l2sim is not None:
-                if l2sim.access(tag * n_sets + s, is_write=False):
-                    l2_hits += 1
-                else:
-                    l2_misses += 1
-            if rsp:
-                order = orders[s]
-                if not order:
-                    misses_dead += 1
-                    continue
-                depth = len(order) - 1
-                for position in range(depth, -1, -1):
-                    if not valid[base + order[position]]:
-                        depth = position
-                        break
-                else:
-                    tail = order[-1]
-                    _evict(s, tail, base + tail, cyc)
-                    depth = len(order) - 1
-                for position in range(depth, 0, -1):
-                    src, dst = order[position - 1], order[position]
-                    if valid[base + src]:
-                        _move(s, src, dst, cyc)
-                victim = order[0]
-            elif dsp:
-                order = orders[s]
-                if not order:
-                    misses_dead += 1
-                    continue
-                victim = -1
-                for w in order:
-                    if not valid[base + w]:
-                        victim = w
-                        break
-                if victim < 0:
-                    best = -1
-                    best_r = 0
-                    for w in order:
-                        r_ = recency[base + w]
-                        if best < 0 or r_ < best_r:
-                            best = w
-                            best_r = r_
-                    victim = best
-                    _evict(s, victim, base + victim, cyc)
-            else:  # LRU, retention-blind
-                victim = -1
-                for w in range(n_ways):
-                    if not valid[base + w]:
-                        victim = w
-                        break
-                if victim < 0:
-                    best = 0
-                    best_r = recency[base]
-                    for w in range(1, n_ways):
-                        r_ = recency[base + w]
-                        if r_ < best_r:
-                            best = w
-                            best_r = r_
-                    victim = best
-                    _evict(s, victim, base + victim, cyc)
-            if expired:
-                misses_expired += 1
-            else:
-                misses_cold += 1
-            j = base + victim
-            row[victim] = tag
-            valid[j] = True
-            stale[j] = False
-            dirty[j] = wr
-            fill_c[j] = cyc
-            e = cyc + lifetime[j]
-            expiry[j] = e
-            if e < next_expiry[s]:
-                next_expiry[s] = e
-            recency[j] = tick
-            refreshes_done[j] = 0
-            fills += 1
-            if engine is not None:
-                _sched(s, victim, j, cyc)
-
-    if warm and n <= warm:
-        loads = stores = hits = misses_cold = misses_expired = 0
-        misses_dead = writebacks = expiry_wb = write_throughs = 0
-        l2_acc = l2_hits = l2_misses = line_refreshes = 0
-        refresh_blocked = line_moves = move_blocked = 0
-        wb_stall = fills = 0
-    else:
-        # loads/stores are state-independent: count them from the columnar
-        # write flags instead of branching once per access in the loop.
-        measured_from = warm if 0 < warm < n else 0
-        writes_col = artifacts.columnar()["write"]
-        stores = int(np.count_nonzero(writes_col[measured_from:]))
-        loads = (n - measured_from) - stores
-
-    # Finalize: refreshes still owed by resident lines, then the global
-    # scheme's whole-cache passes.
-    end_cycle = artifacts.end_cycle
-    if acc_mode:
-        for j in range(n_lines):
-            if valid[j] and not stale[j]:
-                e = expiry[j]
-                cutoff = end_cycle if e > end_cycle else e
-                age = int(cutoff) - fill_c[j]
-                if age < 0:
-                    age = 0
-                _account(age, retention[j])
-    if type(refresh) is GlobalRefresh:
-        passes = refresh.passes_in_window(end_cycle)
-        line_refreshes += passes * n_lines
-        refresh_blocked += passes * refresh.pass_cycles
-
-    return CacheStats(
-        loads=loads,
-        stores=stores,
-        hits=hits,
-        misses_cold=misses_cold,
-        misses_expired=misses_expired,
-        misses_dead_bypass=misses_dead,
-        writebacks=writebacks,
-        expiry_writebacks=expiry_wb,
-        write_throughs=write_throughs,
-        l2_accesses=l2_acc,
-        l2_hits=l2_hits,
-        l2_misses=l2_misses,
-        line_refreshes=line_refreshes,
-        refresh_blocked_cycles=refresh_blocked,
-        line_moves=line_moves,
-        move_blocked_cycles=move_blocked,
-        write_buffer_stall_cycles=wb_stall,
-        fills=fills,
-    )
-
-
-__all__ = [
-    "simulate_trace_timeline",
-]

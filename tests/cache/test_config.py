@@ -60,25 +60,19 @@ class TestGeometryDerivedFields:
     def test_l2_geometry_concrete_by_default(self):
         config = CacheConfig()
         assert config.l2_geometry == default_l2_geometry()
-        assert config.l2_capacity_bytes == DEFAULT_L2_CAPACITY_BYTES
-        assert config.l2_ways == DEFAULT_L2_WAYS
+        assert config.l2_geometry.size_bytes == DEFAULT_L2_CAPACITY_BYTES
+        assert config.l2_geometry.ways == DEFAULT_L2_WAYS
 
 
 class TestRemovedL2Keywords:
+    # The scalar L2 fields are gone; passing them is an unknown keyword.
     def test_legacy_keywords_are_hard_errors(self):
-        with pytest.raises(ConfigurationError, match="l2_geometry"):
+        with pytest.raises(TypeError):
             CacheConfig(l2_capacity_bytes=1024 * 1024, l2_ways=8)
 
     def test_single_legacy_keyword_is_a_hard_error(self):
-        with pytest.raises(ConfigurationError, match="l2_geometry"):
+        with pytest.raises(TypeError):
             CacheConfig(l2_ways=8)
-
-    def test_mirrors_stay_readable(self):
-        config = CacheConfig(
-            l2_geometry=CacheGeometry.from_capacity(1024 * 1024, 8)
-        )
-        assert config.l2_capacity_bytes == 1024 * 1024
-        assert config.l2_ways == 8
 
     def test_l2_geometry_keyword_is_silent(self):
         with warnings.catch_warnings():
@@ -86,23 +80,15 @@ class TestRemovedL2Keywords:
             config = CacheConfig(
                 l2_geometry=CacheGeometry.from_capacity(1024 * 1024, 8)
             )
-        assert config.l2_ways == 8
+        assert config.l2_geometry.ways == 8
 
     def test_replace_round_trip_is_silent(self):
-        # The concrete mirrors written back after resolution must not
-        # re-trigger the deprecation shim on dataclasses.replace.
+        # The resolved l2_geometry is passed back by dataclasses.replace.
         config = CacheConfig()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             replaced = dataclasses.replace(config, counter_bits=4)
         assert replaced.l2_geometry == config.l2_geometry
-
-    def test_disagreeing_legacy_value_raises(self):
-        with pytest.raises(ConfigurationError, match="deprecated keyword"):
-            CacheConfig(
-                l2_geometry=CacheGeometry.from_capacity(1024 * 1024, 8),
-                l2_ways=4,
-            )
 
 
 class TestValidation:

@@ -110,7 +110,7 @@ class _ThirdPartyRefresh(NoRefresh):
 
 
 class TestKernelSupport:
-    """The typed path classifier and its deprecated boolean shims."""
+    """The typed path classifier (the boolean probes are gone)."""
 
     def test_every_paper_scheme_supported(self, chips, kernel_evaluator):
         for scheme in ALL_SCHEMES:
@@ -125,17 +125,29 @@ class TestKernelSupport:
             else:
                 assert support.path == "flattened"
 
-    def test_real_l2_takes_timeline_path(self):
-        cache = RetentionAwareCache(CacheConfig(real_l2=True))
+    @staticmethod
+    def _assert_event_only(cache, evaluator):
         support = kernel_support(cache)
-        assert support == KernelSupport(True, "timeline")
+        assert support.supported is False
+        assert support.path == "event"
+        assert support.reason
+        artifacts = evaluator.trace_artifacts(
+            evaluator.benchmarks[0], cache.config.geometry.n_sets
+        )
+        with pytest.raises(ConfigurationError):
+            simulate_trace(cache, artifacts)
 
-    def test_online_refresh_takes_timeline_path(self):
+    def test_real_l2_takes_event_path(self, kernel_evaluator):
+        cache = RetentionAwareCache(CacheConfig(real_l2=True))
+        assert cache.l2_cache is not None
+        self._assert_event_only(cache, kernel_evaluator)
+
+    def test_online_refresh_takes_event_path(self, kernel_evaluator):
         cache = RetentionAwareCache(
             CacheConfig(), refresh=PartialRefresh(), online_refresh=True
         )
         assert cache.refresh_engine is not None
-        assert kernel_support(cache) == KernelSupport(True, "timeline")
+        self._assert_event_only(cache, kernel_evaluator)
 
     def test_third_party_refresh_keeps_event_controller(self):
         cache = RetentionAwareCache(

@@ -148,6 +148,8 @@ class TestOptionalFidelityModes:
         )
         stats = result.results["gcc"].stats
         assert stats.l2_hits + stats.l2_misses == stats.misses
+        # The real L2 replays on the event controller.
+        assert result.results["gcc"].kernel_path == "event"
         assert 0.0 < result.normalized_performance <= 1.0
 
     def test_write_through_mode_evaluates(self, typical_chip):

@@ -1,11 +1,12 @@
-"""The timeline kernels: RSP/token/L2 bit-identity and edge semantics.
+"""The RSP timeline kernel: bit-identity and edge semantics.
 
 The full-suite identity sweep (all nine schemes x eight benchmarks,
-which routes the RSP schemes through these kernels) lives in
-``test_batcheval.py``; this module drives the timeline paths directly
-on crafted micro-traces where the awkward interleavings -- same-cycle
-expiry, refreshes on the warmup boundary, unsustainable retention --
-are guaranteed to occur.
+which routes the RSP schemes through this kernel) lives in
+``test_batcheval.py``, and a property test in
+``tests/property/test_cache_properties.py`` compares both kernels with
+the controller on generated inputs.  This module drives the timeline
+path directly on crafted micro-traces where the awkward interleavings --
+same-cycle expiry, the warmup split -- are guaranteed to occur.
 """
 
 import numpy as np
@@ -15,7 +16,7 @@ from repro.technology import NODE_32NM
 from repro.variation import VariationParams
 from repro.array import ChipSampler
 from repro.cache import CacheConfig, RetentionAwareCache
-from repro.cache.refresh import NoRefresh, PartialRefresh
+from repro.cache.refresh import NoRefresh
 from repro.core import (
     Cache3T1DArchitecture,
     Evaluator,
@@ -42,11 +43,9 @@ def _micro_trace(cycles, addresses, writes, warmup=0):
     )
 
 
-def _run_both(
-    grid, replacement, refresh, trace, config=None, online_refresh=False
-):
+def _run_both(grid, replacement, refresh, trace):
     """(controller stats, kernel stats) on identical fresh caches."""
-    config = config or CacheConfig()
+    config = CacheConfig()
 
     def build():
         return RetentionAwareCache(
@@ -55,7 +54,6 @@ def _run_both(
             replacement=replacement,
             refresh=refresh,
             quantize=False,
-            online_refresh=online_refresh,
         )
 
     via_controller = build().run_trace(
@@ -84,7 +82,7 @@ def _busy_trace(n_sets, tags=6, repeats=20, stride=250):
 
 
 class TestTimelineIdentityMicro:
-    """Each timeline subsystem against the controller on micro-traces."""
+    """The RSP kernel against the controller on micro-traces."""
 
     @pytest.mark.parametrize("replacement", ["RSP-FIFO", "RSP-LRU"])
     def test_rsp_placement_identity(self, replacement):
@@ -98,32 +96,6 @@ class TestTimelineIdentityMicro:
         assert ctrl == kern
         assert kern.hits > 0
         assert kern.misses > 0
-
-    def test_token_engine_identity(self):
-        geometry = CacheConfig().geometry
-        grid = _full_grid(3000)
-        trace = _busy_trace(geometry.n_sets, tags=3, repeats=40)
-        ctrl, kern = _run_both(
-            grid, "LRU",
-            PartialRefresh(
-                threshold_cycles=CacheConfig()
-                .partial_refresh_threshold_cycles
-            ),
-            trace, online_refresh=True,
-        )
-        assert ctrl == kern
-        assert kern.line_refreshes > 0
-
-    def test_real_l2_identity(self):
-        config = CacheConfig(real_l2=True)
-        geometry = config.geometry
-        trace = _busy_trace(geometry.n_sets, tags=8, repeats=15)
-        ctrl, kern = _run_both(
-            _full_grid(), "LRU", NoRefresh(), trace, config=config
-        )
-        assert ctrl == kern
-        assert kern.l2_accesses > 0
-        assert kern.l2_hits > 0
 
     def test_warmup_split_identity(self):
         geometry = CacheConfig().geometry
@@ -156,45 +128,6 @@ class TestTimelineEdges:
         assert ctrl == kern
         assert kern.expiry_writebacks == 1
         assert kern.misses_expired == 1
-
-    def test_refresh_on_warmup_boundary(self):
-        # Retention 2100 with the paper's 2048-cycle margin means the
-        # engine requests a refresh 52 cycles after each fill.  The warmup
-        # boundary is placed exactly on that service cycle, so the
-        # refresh and the counter reset land on the same reference.
-        grid = _full_grid(2100)
-        trace = _micro_trace(
-            cycles=[0, 52, 100, 2200, 4200],
-            addresses=[0, 0, 0, 0, 0],
-            writes=[True, False, False, False, False],
-            warmup=2,
-        )
-        ctrl, kern = _run_both(
-            grid, "LRU", PartialRefresh(threshold_cycles=6000), trace,
-            online_refresh=True,
-        )
-        assert ctrl == kern
-        assert kern.hits > 0
-
-    def test_token_exhaustion_inside_epoch(self):
-        geometry = CacheConfig().geometry
-        # Retention 2056 <= margin (2048) + refresh op (8): can_sustain
-        # is False, so the engine never schedules these lines and they
-        # expire mid-epoch even though online refresh is armed.
-        grid = _full_grid()
-        grid[0, :] = 2056
-        trace = _micro_trace(
-            cycles=[0, 1000, 3000, 5000],
-            addresses=[0, 0, 0, 0],
-            writes=[True, False, False, False],
-        )
-        ctrl, kern = _run_both(
-            grid, "LRU", PartialRefresh(threshold_cycles=6000), trace,
-            online_refresh=True,
-        )
-        assert ctrl == kern
-        assert kern.line_refreshes == 0
-        assert kern.misses_expired > 0
 
 
 class TestKernelPathReporting:

@@ -3,9 +3,10 @@
 The ideal cache is checked access-by-access against an executable
 reference model (a dict-based LRU cache); retention caches are checked
 against global invariants that must hold for *any* trace and *any*
-retention map.
+retention map, and the batched replay kernels against the controller.
 """
 
+import dataclasses
 from collections import OrderedDict
 
 import numpy as np
@@ -13,7 +14,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.cache import AccessOutcome, RetentionAwareCache
-from repro.cache.refresh import FullRefresh, NoRefresh, PartialRefresh
+from repro.cache.refresh import (
+    FullRefresh,
+    GlobalRefresh,
+    NoRefresh,
+    PartialRefresh,
+)
+from repro.core import TraceArtifacts, kernel_support, simulate_trace
+from repro.workloads.generator import MemoryTrace
 
 N_SETS = 8
 N_WAYS = 4
@@ -249,3 +257,69 @@ def test_online_refresh_with_zero_margin_matches_lazy(
     online_stats = online.finalize(cycle)
     assert online_stats.hits == lazy_stats.hits
     assert online_stats.misses == lazy_stats.misses
+
+
+def _refresh_policy(name, config):
+    if name == "partial":
+        return PartialRefresh(
+            threshold_cycles=config.partial_refresh_threshold_cycles
+        )
+    if name == "full":
+        return FullRefresh()
+    if name == "global":
+        return GlobalRefresh(chip_retention_cycles=10_000, pass_cycles=256)
+    return NoRefresh()
+
+
+@settings(
+    max_examples=200,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    accesses=accesses,
+    retention=retention_grids,
+    replacement=st.sampled_from(["LRU", "DSP", "RSP-FIFO", "RSP-LRU"]),
+    refresh=st.sampled_from(["none", "partial", "full", "global"]),
+    write_back=st.booleans(),
+    data=st.data(),
+)
+def test_kernels_match_controller(
+    tiny_config, accesses, retention, replacement, refresh, write_back, data
+):
+    """``simulate_trace`` (flattened or RSP timeline kernel) equals
+    ``RetentionAwareCache.run_trace`` on every stats field."""
+    config = dataclasses.replace(tiny_config, write_back=write_back)
+    grid = np.array(retention).reshape(N_SETS, N_WAYS)
+    gaps, lines, writes = zip(*accesses)
+    trace = MemoryTrace(
+        cycles=np.cumsum(gaps, dtype=np.int64),
+        line_addresses=np.asarray(lines, dtype=np.int64),
+        is_write=np.asarray(writes, dtype=bool),
+        name="generated",
+        instructions=len(accesses),
+        warmup_references=data.draw(
+            st.integers(min_value=0, max_value=len(accesses)), label="warmup"
+        ),
+    )
+
+    def build():
+        return RetentionAwareCache(
+            config, grid, replacement=replacement,
+            refresh=_refresh_policy(refresh, config), quantize=False,
+        )
+
+    cache = build()
+    assert kernel_support(cache).path == (
+        "timeline" if replacement.startswith("RSP") else "flattened"
+    )
+    via_kernel = simulate_trace(
+        cache, TraceArtifacts.from_trace(trace, N_SETS)
+    )
+    via_controller = build().run_trace(
+        trace.cycles, trace.line_addresses, trace.is_write,
+        warmup_references=trace.warmup_references,
+    )
+    assert dataclasses.asdict(via_kernel) == dataclasses.asdict(
+        via_controller
+    )
