@@ -24,7 +24,9 @@ from repro.array.chip import (
     ChipBuildTask,
     ChipSampler,
     DRAM3T1DChipSample,
+    OperatingPoint,
     SRAMChipSample,
+    merge_build_batches,
 )
 
 __all__ = [
@@ -39,12 +41,14 @@ __all__ = [
     "BISTResult",
     "ChipSampler",
     "DRAM3T1DChipSample",
+    "OperatingPoint",
     "SRAMChipSample",
     "access_time_factor",
     "bank_leakage_overhead_factor",
     "derived_access_latency_cycles",
     "derived_tag_bits",
     "leakage_factor",
+    "merge_build_batches",
     "read_energy_factor",
     "reference_metrics",
 ]

@@ -15,8 +15,8 @@ architecture study consumes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Union
+from dataclasses import dataclass, field, replace
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -24,8 +24,10 @@ from repro.errors import ConfigurationError
 from repro.technology.node import TechnologyNode
 from repro.variation.montecarlo import (
     ChipVariation,
+    SharedNormalField,
     VariationSampler,
-    normal_draws,
+    continue_from,
+    shared_generator,
     validate_chip_count,
 )
 from repro.variation.parameters import VariationParams
@@ -224,6 +226,16 @@ class DRAM3T1DChipSample:
 
 
 @dataclass(frozen=True)
+class OperatingPoint:
+    """One (node, variation scenario, 6T cell size) a chip is solved at."""
+
+    node: TechnologyNode
+    params: VariationParams
+    size_factor: float = 1.0
+    """6T cell size factor; ignored for 3T1D builds."""
+
+
+@dataclass(frozen=True)
 class ChipBuildTask:
     """A reserved chip draw that can be realized in any process.
 
@@ -232,37 +244,205 @@ class ChipBuildTask:
     (see :meth:`ChipSampler.reserve_build_tasks`), so realizing tasks in
     parallel -- in any order, on any process -- reproduces the exact chip
     sequence a serial ``sample_*_chips`` loop would have drawn.
+
+    ``points`` are the operating points the chip is solved at.  Reserved
+    tasks carry one; :meth:`merge` joins tasks that reserved the same
+    chip, so that one build draws the chip's per-cell fields once and
+    solves every point from them, bit-identically to building each
+    point on its own.
     """
 
-    node: TechnologyNode
-    params: VariationParams
+    points: Tuple[OperatingPoint, ...]
     geometry: CacheGeometry
     kind: str
     """``"3t1d"`` or ``"sram"``."""
     chip_id: int
     chip_seed: int
-    size_factor: float = 1.0
-    """6T cell size factor; ignored for 3T1D builds."""
     technology: str = DEFAULT_TECHNOLOGY
     """Backend name used for ``kind == "3t1d"`` (retention-map) builds."""
 
-    def build(self) -> Union["DRAM3T1DChipSample", "SRAMChipSample"]:
-        """Realize the reserved chip sample."""
-        sampler = ChipSampler(
-            self.node,
-            self.params,
-            seed=0,
-            geometry=self.geometry,
-            technology=self.technology,
+    def __post_init__(self) -> None:
+        if self.kind not in ("3t1d", "sram"):
+            raise ConfigurationError(
+                f"unknown chip kind {self.kind!r}; expected '3t1d' or 'sram'"
+            )
+        if not self.points:
+            raise ConfigurationError("a chip build needs an operating point")
+        if len(self.points) > 1 and any(
+            point.params.sigma_vth_rel <= 0 for point in self.points
+        ):
+            # A zero sigma draws nothing, so such a point cannot share
+            # the other points' fields.
+            raise ConfigurationError(
+                "operating points of one build need per-cell variation "
+                "(sigma_vth_rel > 0) each"
+            )
+
+    @staticmethod
+    def merge(tasks: Sequence["ChipBuildTask"]) -> "ChipBuildTask":
+        """One task solving every given task's points from one chip draw.
+
+        The tasks must have reserved the same chip: equal chip id, chip
+        seed, geometry, kind and technology.
+        """
+        if not tasks:
+            raise ConfigurationError("nothing to merge")
+        first = tasks[0]
+        for task in tasks[1:]:
+            for name in ("chip_id", "chip_seed", "geometry", "kind",
+                         "technology"):
+                if getattr(task, name) != getattr(first, name):
+                    raise ConfigurationError(
+                        f"cannot merge chip builds with different {name}: "
+                        f"{getattr(first, name)!r} vs {getattr(task, name)!r}"
+                    )
+        return replace(
+            first, points=tuple(p for task in tasks for p in task.points)
         )
-        chip = sampler._sampler.chip_from_seed(self.chip_id, self.chip_seed)
+
+    def build(self) -> Tuple[Union[DRAM3T1DChipSample, SRAMChipSample], ...]:
+        """Realize the reserved chip: one sample per operating point."""
+        chips = [
+            ChipSampler(
+                point.node, point.params, geometry=self.geometry,
+            )._sampler.chip_from_seed(self.chip_id, self.chip_seed)
+            for point in self.points
+        ]
         if self.kind == "3t1d":
-            return sampler._build_3t1d_sample(chip)
-        if self.kind == "sram":
-            return sampler._build_sram_sample(chip, self.size_factor)
+            return tuple(_dram_samples(
+                chips, self.geometry, get_backend(self.technology)
+            ))
+        return tuple(_sram_samples(
+            chips, [point.size_factor for point in self.points],
+            self.geometry,
+        ))
+
+
+def merge_build_batches(
+    batches: Sequence[Sequence[ChipBuildTask]],
+) -> List[ChipBuildTask]:
+    """Merge equal-length batches chip by chip (:meth:`ChipBuildTask.merge`).
+
+    Task ``k`` of the result carries batch ``b``'s point as its point
+    ``b``, so building it yields every batch's chip ``k``.
+    """
+    if len({len(batch) for batch in batches}) > 1:
         raise ConfigurationError(
-            f"unknown chip kind {self.kind!r}; expected '3t1d' or 'sram'"
+            "merged batches must reserve the same number of chips"
         )
+    return [ChipBuildTask.merge(group) for group in zip(*batches)]
+
+
+def _sram_samples(
+    chips: Sequence[ChipVariation],
+    size_factors: Sequence[float],
+    geometry: CacheGeometry,
+) -> List[SRAMChipSample]:
+    """6T samples of one chip seed at each point, sharing its draws.
+
+    The pair loop is outer and the point loop inner; each pair's two
+    Vth fields are drawn once (see :class:`SharedNormalField`).
+    """
+    rng = shared_generator(chips)
+    cells_6t = [
+        SRAM6TCell(chip.node, size_factor=size_factor)
+        for chip, size_factor in zip(chips, size_factors)
+    ]
+    sigma_vth_min = [chip.params.sigma_vth(chip.node) for chip in chips]
+    rows = geometry.rows_per_pair
+    cells = geometry.cells_per_line
+
+    access_by_line = [np.empty(geometry.n_lines) for _ in chips]
+    leakage = [0.0 for _ in chips]
+    # Every pair is evaluated in place in these buffers.  Draw order per
+    # pair: the access-path Vth, then the leakage-path Vth, both into
+    # the one field.
+    shape = (rows, cells)
+    vth = SharedNormalField(shape, [
+        sigma * cell.mismatch_scale
+        for sigma, cell in zip(sigma_vth_min, cells_6t)
+    ])
+    cell_values = np.empty(shape)
+    dead = np.empty(shape, dtype=bool)
+    for pair in range(geometry.n_pairs):
+        sub_a, sub_b = geometry.subarrays_of_pair(pair)
+        line_ids = np.arange(rows) * geometry.n_pairs + pair
+        delta_l = [
+            0.5 * (chip.delta_l_total(sub_a) + chip.delta_l_total(sub_b))
+            for chip in chips
+        ]
+        vth.draw(rng)
+        for i, cell in enumerate(cells_6t):
+            periphery = float(cell.periphery_delay_factor(delta_l[i]))
+            access = cell.access_time(
+                delta_vth=vth.scaled(i), delta_l=delta_l[i],
+                periphery_factor=periphery, out=cell_values, mask=dead,
+            )
+            access_by_line[i][line_ids] = np.max(access, axis=1)
+        vth.draw(rng)
+        for i, cell in enumerate(cells_6t):
+            leakage[i] += float(np.sum(cell.leakage_power(
+                vth.scaled(i), delta_l[i], out=cell_values
+            )))
+    continue_from(chips, rng)
+
+    samples = []
+    for i, (chip, cell) in enumerate(zip(chips, cells_6t)):
+        p_flip = cell.flip_probability(sigma_vth_min[i])
+        samples.append(SRAMChipSample(
+            node=chip.node,
+            cell_label=cell.label,
+            chip_id=chip.chip_id,
+            worst_access_time=float(np.max(access_by_line[i])),
+            nominal_access_time=cell.nominal_access_time(),
+            # Banking periphery leakage (sense columns, row drivers,
+            # control) relative to the paper layout; an exact no-op for
+            # the paper's organisation, so default-geometry chips stay
+            # bit-identical.
+            leakage_power=cactimodel.scale_chip_leakage(
+                leakage[i], geometry
+            ),
+            golden_leakage_power=cactimodel.scale_chip_leakage(
+                cell.nominal_cell_leakage_power() * geometry.total_cells,
+                geometry,
+            ),
+            # Each point's generator continues from the shared draws.
+            flip_count=(
+                int(chip.rng.binomial(geometry.total_cells, p_flip))
+                if p_flip > 0
+                else 0
+            ),
+            total_cells=geometry.total_cells,
+            access_time_by_line=access_by_line[i],
+        ))
+    return samples
+
+
+def _dram_samples(
+    chips: Sequence[ChipVariation],
+    geometry: CacheGeometry,
+    backend: TechnologyBackend,
+) -> List[DRAM3T1DChipSample]:
+    """3T1D samples of one chip seed at each point, through ``backend``."""
+    maps = backend.sample_retention_maps(chips, geometry)
+    return [
+        DRAM3T1DChipSample(
+            node=chip.node,
+            geometry=geometry,
+            chip_id=chip.chip_id,
+            retention_by_line=rmap.retention_by_line,
+            leakage_power=cactimodel.scale_chip_leakage(
+                rmap.leakage_power, geometry
+            ),
+            golden_leakage_power=cactimodel.scale_chip_leakage(
+                rmap.golden_leakage_power, geometry
+            ),
+            retention_by_word=rmap.retention_by_word,
+            technology=backend.name,
+            latency_factor_by_line=rmap.latency_factor_by_line,
+        )
+        for chip, rmap in zip(chips, maps)
+    ]
 
 
 @dataclass
@@ -313,9 +493,10 @@ class ChipSampler:
         """Reserve ``count`` upcoming draws as self-contained build tasks.
 
         Reservation consumes the root generator exactly like serial
-        sampling, so ``[t.build() for t in tasks]`` -- or realizing the
-        tasks across worker processes -- equals ``sample_3t1d_chips`` /
-        ``sample_sram_chips`` bit for bit.
+        sampling, so ``[t.build()[0] for t in tasks]`` -- or realizing
+        the tasks across worker processes -- equals ``sample_3t1d_chips``
+        / ``sample_sram_chips`` bit for bit.  Each task has one operating
+        point; see :func:`merge_build_batches` to share draws.
         """
         if kind not in ("3t1d", "sram"):
             raise ConfigurationError(
@@ -323,13 +504,11 @@ class ChipSampler:
             )
         return [
             ChipBuildTask(
-                node=self.node,
-                params=self.params,
+                points=(OperatingPoint(self.node, self.params, size_factor),),
                 geometry=self.geometry,
                 kind=kind,
                 chip_id=chip_id,
                 chip_seed=chip_seed,
-                size_factor=size_factor,
                 technology=self.technology,
             )
             for chip_id, chip_seed in self._sampler.reserve_chip_seeds(count)
@@ -356,65 +535,7 @@ class ChipSampler:
     def _build_sram_sample(
         self, chip: ChipVariation, size_factor: float
     ) -> SRAMChipSample:
-        cell = SRAM6TCell(self.node, size_factor=size_factor)
-        sigma_vth_min = self.params.sigma_vth(self.node)
-        sigma_vth_cell = sigma_vth_min * cell.mismatch_scale
-        geometry = self.geometry
-        rows = geometry.rows_per_pair
-        cells = geometry.cells_per_line
-
-        access_by_line = np.empty(geometry.n_lines)
-        leakage = 0.0
-        golden_cell_leak = cell.nominal_cell_leakage_power()
-        # Every pair is evaluated in place in these buffers.  Draw order
-        # per pair: the access-path Vth, then the leakage-path Vth.
-        shape = (rows, cells)
-        delta_vth, cell_values = np.empty(shape), np.empty(shape)
-        dead = np.empty(shape, dtype=bool)
-        for pair in range(geometry.n_pairs):
-            sub_a, sub_b = geometry.subarrays_of_pair(pair)
-            delta_l = 0.5 * (
-                chip.delta_l_total(sub_a) + chip.delta_l_total(sub_b)
-            )
-            periphery = float(cell.periphery_delay_factor(delta_l))
-            normal_draws(chip.rng, sigma_vth_cell, out=delta_vth)
-            access = cell.access_time(
-                delta_vth=delta_vth, delta_l=delta_l,
-                periphery_factor=periphery, out=cell_values, mask=dead,
-            )
-            line_ids = np.arange(rows) * geometry.n_pairs + pair
-            access_by_line[line_ids] = np.max(access, axis=1)
-            leak_vth = normal_draws(chip.rng, sigma_vth_cell, out=delta_vth)
-            leakage += float(
-                np.sum(cell.leakage_power(leak_vth, delta_l, out=cell_values))
-            )
-        # Banking periphery leakage (sense columns, row drivers, control)
-        # relative to the paper layout; an exact no-op for the paper's
-        # organisation, so default-geometry chips stay bit-identical.
-        leakage = cactimodel.scale_chip_leakage(leakage, geometry)
-        golden_chip_leak = cactimodel.scale_chip_leakage(
-            golden_cell_leak * geometry.total_cells, geometry
-        )
-        worst_access = float(np.max(access_by_line))
-
-        p_flip = cell.flip_probability(sigma_vth_min)
-        flip_count = (
-            int(chip.rng.binomial(self.geometry.total_cells, p_flip))
-            if p_flip > 0
-            else 0
-        )
-        return SRAMChipSample(
-            node=self.node,
-            cell_label=cell.label,
-            chip_id=chip.chip_id,
-            worst_access_time=worst_access,
-            nominal_access_time=cell.nominal_access_time(),
-            leakage_power=leakage,
-            golden_leakage_power=golden_chip_leak,
-            flip_count=flip_count,
-            total_cells=self.geometry.total_cells,
-            access_time_by_line=access_by_line,
-        )
+        return _sram_samples((chip,), (size_factor,), self.geometry)[0]
 
     # ------------------------------------------------------------------
     # 3T1D sampling
@@ -433,22 +554,7 @@ class ChipSampler:
         ]
 
     def _build_3t1d_sample(self, chip: ChipVariation) -> DRAM3T1DChipSample:
-        rmap = self._backend.sample_retention_map(chip, self.geometry)
-        return DRAM3T1DChipSample(
-            node=self.node,
-            geometry=self.geometry,
-            chip_id=chip.chip_id,
-            retention_by_line=rmap.retention_by_line,
-            leakage_power=cactimodel.scale_chip_leakage(
-                rmap.leakage_power, self.geometry
-            ),
-            golden_leakage_power=cactimodel.scale_chip_leakage(
-                rmap.golden_leakage_power, self.geometry
-            ),
-            retention_by_word=rmap.retention_by_word,
-            technology=self.technology,
-            latency_factor_by_line=rmap.latency_factor_by_line,
-        )
+        return _dram_samples((chip,), self.geometry, self._backend)[0]
 
     # ------------------------------------------------------------------
     # golden references

@@ -6,7 +6,7 @@ processes:
 * **chip builds** -- :class:`~repro.array.chip.ChipBuildTask` items whose
   per-chip seeds were reserved *serially* from the sampler's root
   generator, so a parallel batch reproduces the serial chip sequence
-  bit for bit;
+  bit for bit (a task may solve its chip at several operating points);
 * **chip evaluations** -- :class:`EvalTask` items that rebuild a worker-
   local :class:`~repro.core.evaluation.Evaluator` from an
   :class:`EvaluatorSpec` (traces are seeded, hence identical in every
@@ -336,7 +336,8 @@ def run_eval_task(task: EvalTask):
 def run_build_task(task: ChipBuildTask):
     """Execute one chip-build task (in a worker or inline)."""
     with trace_mod.span(
-        "build_chip", cat="build", chip_id=getattr(task, "chip_id", -1)
+        "build_chip", cat="build", chip_id=getattr(task, "chip_id", -1),
+        points=len(getattr(task, "points", ())),
     ):
         return task.build()
 
@@ -815,8 +816,10 @@ class ParallelChipRunner:
         observer: Subscriber = NULL_OBSERVER,
         label: str = "sample chips",
     ) -> List[Any]:
-        """Realize reserved chip-build tasks (order = reservation order)."""
-        return self.map(run_build_task, tasks, observer=observer, label=label)
+        """Realize reserved chip-build tasks: one sample per operating
+        point, in task (reservation) order, then point order."""
+        built = self.map(run_build_task, tasks, observer=observer, label=label)
+        return [sample for samples in built for sample in samples]
 
     def evaluate(
         self,

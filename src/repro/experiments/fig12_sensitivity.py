@@ -30,7 +30,11 @@ from repro.technology.node import (
     TechnologyNode,
 )
 from repro.variation.parameters import VariationParams
-from repro.array.chip import ChipSampler, DRAM3T1DChipSample
+from repro.array.chip import (
+    ChipSampler,
+    DRAM3T1DChipSample,
+    merge_build_batches,
+)
 from repro.array.geometry import CacheGeometry
 from repro.cells.sram6t import SRAM6TCell
 from repro.core.schemes import HEADLINE_SCHEMES, RetentionScheme
@@ -130,13 +134,21 @@ def locate_design_points(
             VariationParams.severe(),
         ),
     ]
+    # The six points reserve the same chip seeds: each chip is one task
+    # that draws its fields once and is solved at all six points.
+    tasks = merge_build_batches([
+        ChipSampler(node, params, seed=seed).reserve_build_tasks(
+            n_chips, kind="3t1d"
+        )
+        for _, node, params in cases
+    ])
+    built = [task.build() for task in tasks]
     points = []
-    for label, node, params in cases:
-        sampler = ChipSampler(node, params, seed=seed)
+    for i, (label, node, _) in enumerate(cases):
         mus = []
         ratios = []
-        for chip in sampler.sample_3t1d_chips(n_chips):
-            cycles = chip.retention_by_line * node.frequency
+        for samples in built:
+            cycles = samples[i].retention_by_line * node.frequency
             mean = float(np.mean(cycles))
             if mean <= 0:
                 continue

@@ -19,7 +19,13 @@ from repro.technology import calibration
 from repro.technology.node import ALL_NODES, TechnologyNode
 from repro.variation.parameters import VariationParams
 from repro.variation.statistics import harmonic_mean, median_chip_index
-from repro.array.chip import ChipSampler, DRAM3T1DChipSample, SRAMChipSample
+from repro.array.chip import (
+    ChipBuildTask,
+    ChipSampler,
+    DRAM3T1DChipSample,
+    SRAMChipSample,
+    merge_build_batches,
+)
 from repro.array.power import CachePowerModel
 from repro.core.schemes import SCHEME_GLOBAL
 from repro.engine.parallel import EvalTask, EvaluatorSpec, SchemeOutcome
@@ -150,29 +156,32 @@ def run(context: Optional[ExperimentContext] = None) -> Table3Result:
     nodes = [ALL_NODES[name] for name in NODE_ORDER]
 
     # Phase 1: every node's 6T and 3T1D chip batch, one parallel batch.
-    build_tasks: List = []
-    slices = {}
-    for node in nodes:
-        sram_sampler = ChipSampler(
-            node, VariationParams.typical(), seed=context.seed
-        )
-        dram_sampler = ChipSampler(
-            node, VariationParams.typical(), seed=context.seed + 5
-        )
-        start = len(build_tasks)
-        build_tasks.extend(
-            sram_sampler.reserve_build_tasks(
-                context.n_chips, kind="sram", size_factor=1.0
-            )
-        )
-        mid = len(build_tasks)
-        build_tasks.extend(
-            dram_sampler.reserve_build_tasks(context.n_chips, kind="3t1d")
-        )
-        slices[node.name] = (slice(start, mid), slice(mid, len(build_tasks)))
+    # The nodes reserve the same chip seeds, so each chip is one task
+    # that draws its fields once and is solved at all three nodes.
+    def merged_batch(seed: int, kind: str) -> List[ChipBuildTask]:
+        return merge_build_batches([
+            ChipSampler(
+                node, VariationParams.typical(), seed=seed
+            ).reserve_build_tasks(context.n_chips, kind=kind)
+            for node in nodes
+        ])
+
+    sram_tasks = merged_batch(context.seed, "sram")
+    dram_tasks = merged_batch(context.seed + 5, "3t1d")
     chips = context.runner.build_chips(
-        build_tasks, observer=context.observer, label="table3: chip batches"
+        sram_tasks + dram_tasks,
+        observer=context.observer,
+        label="table3: chip batches",
     )
+    # One sample per (chip, node), chip-major: node i's chips are every
+    # k-th sample from offset i.
+    k = len(nodes)
+    n_sram = len(sram_tasks) * k
+    sram_chips, dram_chips = chips[:n_sram], chips[n_sram:]
+    batches = {
+        node.name: (sram_chips[i::k], dram_chips[i::k])
+        for i, node in enumerate(nodes)
+    }
 
     # Phase 2: per-node ideal IPC + median-3T1D evaluation, one batch.
     specs = {
@@ -183,8 +192,7 @@ def run(context: Optional[ExperimentContext] = None) -> Table3Result:
     }
     eval_tasks = []
     for node in nodes:
-        _, dram_slice = slices[node.name]
-        dram_chips = chips[dram_slice]
+        _, dram_chips = batches[node.name]
         retentions = [c.chip_retention_time for c in dram_chips]
         median_chip = dram_chips[median_chip_index(retentions)]
         eval_tasks.append(
@@ -207,14 +215,10 @@ def run(context: Optional[ExperimentContext] = None) -> Table3Result:
     for i, node in enumerate(nodes):
         ideal_ipcs = list(evaluations[2 * i])
         (median_outcome,) = evaluations[2 * i + 1]
-        sram_slice, dram_slice = slices[node.name]
+        sram_chips, dram_chips = batches[node.name]
         rows.extend(
             _node_rows(
-                node,
-                chips[sram_slice],
-                chips[dram_slice],
-                ideal_ipcs,
-                median_outcome,
+                node, sram_chips, dram_chips, ideal_ipcs, median_outcome
             )
         )
     return Table3Result(rows=rows)

@@ -44,7 +44,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -52,7 +52,12 @@ from repro import units
 from repro.errors import ConfigurationError
 from repro.technology import calibration
 from repro.technology.node import TechnologyNode
-from repro.variation.montecarlo import normal_draws
+from repro.variation.montecarlo import (
+    SharedNormalField,
+    continue_from,
+    normal_draws,
+    shared_generator,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.array.geometry import CacheGeometry
@@ -251,6 +256,21 @@ class TechnologyBackend(ABC):
         reproduces the map bit for bit.
         """
 
+    def sample_retention_maps(
+        self,
+        chips: Sequence["ChipVariation"],
+        geometry: "CacheGeometry",
+    ) -> List[RetentionMap]:
+        """One map per operating point of one chip seed.
+
+        ``chips`` are the same chip seed realised at several operating
+        points (see :class:`~repro.array.chip.ChipBuildTask`); each map
+        equals ``sample_retention_map(chip, geometry)`` bit for bit.  The
+        default samples the points one after another; a backend may
+        override it to draw the shared per-cell fields once.
+        """
+        return [self.sample_retention_map(chip, geometry) for chip in chips]
+
     @abstractmethod
     def refresh_cost(
         self, node: TechnologyNode, geometry: "CacheGeometry"
@@ -340,6 +360,8 @@ class DRAM3T1DBackend(TechnologyBackend):
     ``ChipSampler._build_3t1d_sample`` draw order and arithmetic, now
     evaluated in place in per-map buffers, so chips sampled through the
     backend are bit-identical to pre-backend outputs.
+    ``sample_retention_maps`` solves every operating point of a chip seed
+    from one draw of each pair's fields, with the same result.
     """
 
     name: str = "3t1d"
@@ -377,65 +399,106 @@ class DRAM3T1DBackend(TechnologyBackend):
         geometry: "CacheGeometry",
         rng: Optional[np.random.Generator] = None,
     ) -> RetentionMap:
+        rng = chip.rng if rng is None else rng
+        return self._solve_maps((chip,), geometry, rng)[0]
+
+    def sample_retention_maps(
+        self,
+        chips: Sequence["ChipVariation"],
+        geometry: "CacheGeometry",
+    ) -> List[RetentionMap]:
+        # A one-point group is one ``sample_retention_map`` call.
+        if len(chips) == 1:
+            return [self.sample_retention_map(chips[0], geometry)]
+        rng = shared_generator(chips)
+        maps = self._solve_maps(chips, geometry, rng)
+        continue_from(chips, rng)
+        return maps
+
+    def _solve_maps(
+        self,
+        chips: Sequence["ChipVariation"],
+        geometry: "CacheGeometry",
+        rng: np.random.Generator,
+    ) -> List[RetentionMap]:
+        """Every point's map, drawing each pair's fields once from ``rng``.
+
+        The pair loop is outer and the point loop inner, so only one
+        pair's fields are live at a time.
+        """
         import repro.cells.dram3t1d as dram3t1d
         from repro.cells.dram3t1d import DRAM3T1DCell
         from repro.cells.retention import RetentionModel
         from repro.cells.sram6t import SRAM6TCell
 
-        rng = chip.rng if rng is None else rng
-        node = chip.node
-        params = chip.params
-        cell = DRAM3T1DCell(node)
-        model = RetentionModel(cell)
-        sigma_vth = params.sigma_vth(node) * dram3t1d.DEVICE_AREA_SIGMA_SCALE
-        sigma_eps = dram3t1d.DIODE_BOOST_SIGMA_FACTOR * params.sigma_vth_rel
+        dram_cells = [DRAM3T1DCell(chip.node) for chip in chips]
+        models = [RetentionModel(cell) for cell in dram_cells]
+        sigma_vth = [
+            chip.params.sigma_vth(chip.node) * dram3t1d.DEVICE_AREA_SIGMA_SCALE
+            for chip in chips
+        ]
+        sigma_eps = [
+            dram3t1d.DIODE_BOOST_SIGMA_FACTOR * chip.params.sigma_vth_rel
+            for chip in chips
+        ]
         rows = geometry.rows_per_pair
         cells = geometry.cells_per_line
 
-        retention = np.empty(geometry.n_lines)
-        word_retention = np.empty((geometry.n_lines, WORDS_PER_LINE))
-        leakage = 0.0
-        sram_golden = (
-            SRAM6TCell(node).nominal_cell_leakage_power()
-            * geometry.total_cells
-        )
+        retention = [np.empty(geometry.n_lines) for _ in chips]
+        word_retention = [
+            np.empty((geometry.n_lines, WORDS_PER_LINE)) for _ in chips
+        ]
+        leakage = [0.0 for _ in chips]
         # Every pair is solved in place in these buffers, so a map costs
         # its draws plus a fixed number of passes over them.
         shape = (rows, cells)
-        d_t1, d_t2, eps, cell_retention, scratch = (
-            np.empty(shape) for _ in range(5)
-        )
-        dead = np.empty(shape, dtype=bool)
         # Draw order per pair: T1, T2, then boost mismatch.
+        fields = (
+            SharedNormalField(shape, sigma_vth),
+            SharedNormalField(shape, sigma_vth),
+            SharedNormalField(shape, sigma_eps),
+        )
+        cell_retention, scratch = np.empty(shape), np.empty(shape)
+        dead = np.empty(shape, dtype=bool)
         for pair in range(geometry.n_pairs):
             sub_a, sub_b = geometry.subarrays_of_pair(pair)
-            delta_l = 0.5 * (
-                chip.delta_l_total(sub_a) + chip.delta_l_total(sub_b)
-            )
-            normal_draws(rng, sigma_vth, out=d_t1)
-            normal_draws(rng, sigma_vth, out=d_t2)
-            normal_draws(rng, sigma_eps, out=eps)
-            model.retention_time(
-                d_t1, d_t2, delta_l, eps,
-                out=cell_retention, scratch=scratch, mask=dead,
-            )
-            line_retention, data_words = _line_and_word_minima(
-                cell_retention, rows, cells
-            )
             line_ids = np.arange(rows) * geometry.n_pairs + pair
-            retention[line_ids] = line_retention
-            word_retention[line_ids] = data_words
-            # Supply leakage flows through the read stack; reuse the T2 draw.
-            leakage += float(
-                np.sum(cell.leakage_power(d_t2, delta_l, out=scratch))
-            )
+            for field in fields:
+                field.draw(rng)
+            for i, chip in enumerate(chips):
+                delta_l = 0.5 * (
+                    chip.delta_l_total(sub_a) + chip.delta_l_total(sub_b)
+                )
+                d_t1, d_t2, eps = (field.scaled(i) for field in fields)
+                models[i].retention_time(
+                    d_t1, d_t2, delta_l, eps,
+                    out=cell_retention, scratch=scratch, mask=dead,
+                )
+                line_retention, data_words = _line_and_word_minima(
+                    cell_retention, rows, cells
+                )
+                retention[i][line_ids] = line_retention
+                word_retention[i][line_ids] = data_words
+                # Supply leakage flows through the read stack; reuse the
+                # T2 draw.
+                leakage[i] += float(
+                    np.sum(dram_cells[i].leakage_power(
+                        d_t2, delta_l, out=scratch
+                    ))
+                )
 
-        return RetentionMap(
-            retention_by_line=retention,
-            retention_by_word=word_retention,
-            leakage_power=leakage,
-            golden_leakage_power=sram_golden,
-        )
+        return [
+            RetentionMap(
+                retention_by_line=retention[i],
+                retention_by_word=word_retention[i],
+                leakage_power=leakage[i],
+                golden_leakage_power=(
+                    SRAM6TCell(chip.node).nominal_cell_leakage_power()
+                    * geometry.total_cells
+                ),
+            )
+            for i, chip in enumerate(chips)
+        ]
 
     def refresh_cost(
         self, node: TechnologyNode, geometry: "CacheGeometry"

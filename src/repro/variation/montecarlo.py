@@ -11,7 +11,7 @@ in vectorised form.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -29,8 +29,7 @@ def validate_chip_count(count: int) -> int:
     """Validate a Monte-Carlo batch size; returns it for chaining.
 
     The one shared count check behind every batch-sampling entry point
-    (:meth:`VariationSampler.sample_chips`,
-    :meth:`~repro.array.chip.ChipSampler.sample_3t1d_chips`,
+    (:meth:`~repro.array.chip.ChipSampler.sample_3t1d_chips`,
     :meth:`~repro.array.chip.ChipSampler.sample_sram_chips`, seed
     reservation), so they all reject bad sizes with the same error.
     """
@@ -51,15 +50,21 @@ def normal_draws(
 ) -> np.ndarray:
     """Zero-mean Gaussian draws with standard deviation ``sigma``.
 
-    The one draw primitive behind every per-cell variation sample.  For
-    ``sigma > 0`` the values and the generator's end state equal
+    The one draw primitive behind every per-cell variation sample.  Pass
+    exactly one of ``size`` (a new array of that shape) or ``out``
+    (float64, C-contiguous, filled in place); anything else is a
+    :class:`~repro.errors.ConfigurationError`.  For ``sigma > 0`` the
+    values and the generator's end state equal
     ``rng.normal(0.0, sigma, size)``: numpy computes that as
     ``0.0 + sigma * z`` over the same standard-normal stream, so scaling
     ``rng.standard_normal`` in place reproduces it (an exact ``-0.0`` draw
     would keep its sign, which no cell model can observe).  ``sigma <= 0``
-    yields zeros and consumes nothing.  ``out`` (float64, C-contiguous)
-    receives the draws in place instead of a new array of ``size``.
+    yields zeros and consumes nothing.
     """
+    if (size is None) == (out is None):
+        raise ConfigurationError(
+            "normal_draws needs exactly one of size or out"
+        )
     if out is None:
         out = np.empty(size)
     if sigma > 0:
@@ -68,6 +73,80 @@ def normal_draws(
     else:
         out.fill(0.0)
     return out
+
+
+class SharedNormalField:
+    """One per-cell Gaussian field shared by every operating point of a chip.
+
+    A chip seed realised at several operating points (node, scenario,
+    supply, 6T cell size) consumes the same standard-normal stream at
+    each; only sigma differs.  :meth:`draw` consumes the field once and
+    :meth:`scaled` hands point ``i`` the product
+    ``np.multiply(z, sigmas[i])`` -- the IEEE operation
+    :func:`normal_draws` performs -- so every point's values equal its
+    own ``normal_draws`` call bit for bit.  A one-point field *is* that
+    call, in one buffer (so it may have ``sigma <= 0``); a shared field
+    adds one output buffer and needs every sigma ``> 0``, since
+    ``normal_draws`` consumes nothing at sigma 0.  Call :meth:`scaled`
+    once per point after each :meth:`draw`.
+    """
+
+    def __init__(self, shape, sigmas: Sequence[float]):
+        self.sigmas = tuple(float(sigma) for sigma in sigmas)
+        if not self.sigmas:
+            raise ConfigurationError("a field needs at least one point")
+        if len(self.sigmas) > 1 and min(self.sigmas) <= 0:
+            raise ConfigurationError(
+                "operating points that share a field need sigma > 0 each, "
+                f"got {self.sigmas}"
+            )
+        self._z = np.empty(shape)
+        self._out = self._z if len(self.sigmas) == 1 else np.empty(shape)
+
+    def draw(self, rng: np.random.Generator) -> None:
+        """Consume the next field of ``rng``'s stream."""
+        if self._out is self._z:
+            normal_draws(rng, self.sigmas[0], out=self._z)
+        else:
+            rng.standard_normal(out=self._z)
+
+    def scaled(self, point: int) -> np.ndarray:
+        """Point ``point``'s draws of the current field."""
+        if self._out is not self._z:
+            np.multiply(self._z, self.sigmas[point], out=self._out)
+        return self._out
+
+
+def shared_generator(chips: Sequence["ChipVariation"]) -> np.random.Generator:
+    """The generator one chip's operating points draw their fields from.
+
+    ``chips`` are one chip seed realised at several operating points.
+    Sharing their per-cell draws is exact only if every generator stands
+    at the same state after the chip-level draws (die-to-die and
+    quad-tree), so that is checked, never assumed.  Returns the first
+    point's generator; :func:`continue_from` then hands its end state on.
+    """
+    rng = chips[0].rng
+    state = rng.bit_generator.state
+    for chip in chips[1:]:
+        if chip.rng.bit_generator.state != state:
+            raise ConfigurationError(
+                f"chip {chip.chip_id}: operating points can share draws "
+                "only from one generator state; this point's chip-level "
+                "draws left it elsewhere"
+            )
+    return rng
+
+
+def continue_from(
+    chips: Sequence["ChipVariation"], rng: np.random.Generator
+) -> None:
+    """Move every point's generator to ``rng``'s state after shared draws,
+    so each continues as if it had drawn the fields itself."""
+    state = rng.bit_generator.state
+    for chip in chips:
+        if chip.rng is not rng:
+            chip.rng.bit_generator.state = state
 
 
 @dataclass
@@ -112,18 +191,6 @@ class ChipVariation:
                 f"subarray index {subarray} out of range [0, {self.n_subarrays})"
             )
         return self.delta_l_d2d + float(self.delta_l_subarray[subarray])
-
-    def sample_vth(
-        self, size, sigma_scale: float = 1.0
-    ) -> np.ndarray:
-        """Draw independent random-dopant Vth deviations in volts.
-
-        ``sigma_scale`` is the Pelgrom area factor of the device being
-        sampled (1.0 for a minimum-size device, 0.5 for the 2X cell's
-        4x-area devices).
-        """
-        sigma = self.params.sigma_vth(self.node, sigma_scale)
-        return normal_draws(self.rng, sigma, size)
 
 
 @dataclass
@@ -209,46 +276,3 @@ class VariationSampler:
         """
         ((chip_id, chip_seed),) = self.reserve_chip_seeds(1)
         return self.chip_from_seed(chip_id, chip_seed)
-
-    def sample_chips(self, count: int) -> List[ChipVariation]:
-        """``count`` consecutive chip draws, as a list.
-
-        Earlier revisions returned a lazy generator here while the
-        :class:`~repro.array.chip.ChipSampler` batch methods returned
-        lists; the trio is now consistent (list-returning, shared count
-        validation), so batch call sites compose without surprises --
-        a generator silently consumed twice yields zero chips the
-        second time.
-        """
-        return [
-            self.sample_chip() for _ in range(validate_chip_count(count))
-        ]
-
-    @staticmethod
-    def golden(
-        node: TechnologyNode,
-        seed: int = 0,
-        n_subarrays: Optional[int] = None,
-    ) -> ChipVariation:
-        """The no-variation (golden) chip at ``node``.
-
-        Used as the normalisation reference for every distribution plot.
-        ``seed`` feeds the chip's (otherwise unused) RNG; the default
-        keeps golden chips bit-identical across every caller.
-        ``n_subarrays`` sizes the (all-zero) correlated deviation vector
-        for non-paper geometries; the default is the paper's 8.
-        """
-        params = VariationParams.none()
-        n_sub = (
-            DEFAULT_SUBARRAY_ROWS * DEFAULT_SUBARRAY_COLS
-            if n_subarrays is None
-            else n_subarrays
-        )
-        return ChipVariation(
-            node=node,
-            params=params,
-            delta_l_d2d=0.0,
-            delta_l_subarray=np.zeros(n_sub),
-            rng=np.random.default_rng(seed),
-            chip_id=-1,
-        )

@@ -269,14 +269,19 @@ class TestBitIdentity:
         }
         if traced:
             assert tracer.spans(), "traced run must record spans"
-        return report, exports
+        return (report, exports), tracer
 
     def test_fig10_identical_with_and_without_tracing(self):
-        baseline = self._run("fig10_hundred_chips", traced=False)
-        traced = self._run("fig10_hundred_chips", traced=True)
+        baseline, _ = self._run("fig10_hundred_chips", traced=False)
+        traced, _ = self._run("fig10_hundred_chips", traced=True)
         assert traced == baseline
 
     def test_table3_identical_with_and_without_tracing(self):
-        baseline = self._run("table3", traced=False)
-        traced = self._run("table3", traced=True)
+        baseline, _ = self._run("table3", traced=False)
+        traced, tracer = self._run("table3", traced=True)
         assert traced == baseline
+        # Each build draws one chip's fields and solves it at all three
+        # nodes; the span says how many points the draw served.
+        builds = [s for s in tracer.spans() if s.name == "build_chip"]
+        assert builds
+        assert all(dict(s.args)["points"] == 3 for s in builds)

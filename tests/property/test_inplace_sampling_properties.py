@@ -15,17 +15,26 @@ reassociation, reordering or lost select shows up.
     time), extreme gate-length deviation, and widths that are not a
     multiple of the 64-bit word.
 (c) whole retention maps and 6T chips versus the old per-pair loops.
+(d) one chip seed built at several operating points at once versus one
+    build per point.
 """
 
 import copy
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro import units
-from repro.array import CacheGeometry, ChipSampler, cactimodel
+from repro.array import CacheGeometry, ChipBuildTask, ChipSampler, cactimodel
+from repro.array.chip import (
+    SRAMChipSample,
+    _dram_samples,
+    _sram_samples,
+    merge_build_batches,
+)
 from repro.cells import DRAM3T1DCell, RetentionModel, SRAM6TCell
 from repro.cells import dram3t1d, sram6t
 from repro.cells.leakage import (
@@ -39,6 +48,7 @@ from repro.technology.backends import (
     get_backend,
 )
 from repro.technology.transistor import ALPHA_POWER_EXPONENT
+from repro.errors import ConfigurationError
 from repro.variation import VariationParams, normal_draws
 
 PROPERTY_SETTINGS = settings(
@@ -275,7 +285,8 @@ class TestNormalDraws:
         draw_rng = np.random.default_rng(seed)
         state_before = copy.deepcopy(draw_rng.bit_generator.state)
         out = np.full(shape, np.nan) if into_buffer else None
-        draws = normal_draws(draw_rng, sigma, shape, out=out)
+        size = None if into_buffer else shape
+        draws = normal_draws(draw_rng, sigma, size, out=out)
         if into_buffer:
             assert draws is out
         if sigma > 0:
@@ -298,17 +309,21 @@ class TestNormalDraws:
         assert np.all(draws != 0.0)
         assert same_bits(draws, expected)
 
-    def test_scalar_size_and_sample_vth_route(self):
-        from repro.variation import VariationSampler
-
-        chip = VariationSampler(
-            NODE_32NM, VariationParams.typical(), seed=3
-        ).sample_chip()
-        twin = copy.deepcopy(chip)
-        sigma = chip.params.sigma_vth(chip.node)
+    def test_scalar_size_route(self):
+        rng_a, rng_b = np.random.default_rng(3), np.random.default_rng(3)
         assert same_bits(
-            chip.sample_vth(17) + 0.0, twin.rng.normal(0.0, sigma, size=17)
+            normal_draws(rng_a, 0.03, 17) + 0.0,
+            rng_b.normal(0.0, 0.03, size=17),
         )
+
+    def test_needs_exactly_one_of_size_or_out(self):
+        rng = np.random.default_rng(3)
+        state = copy.deepcopy(rng.bit_generator.state)
+        with pytest.raises(ConfigurationError):
+            normal_draws(rng, 0.03)
+        with pytest.raises(ConfigurationError):
+            normal_draws(rng, 0.03, (2, 3), out=np.empty((2, 3)))
+        assert rng.bit_generator.state == state
 
 
 # ---------------------------------------------------------------------------
@@ -462,3 +477,144 @@ class TestWholeChipsMatchOldLoops:
         )
         assert sample.flip_count == flips
         assert chip.rng.bit_generator.state == twin.rng.bit_generator.state
+
+
+# ---------------------------------------------------------------------------
+# (d) grouped builds: one draw of a chip's fields serves every point
+# ---------------------------------------------------------------------------
+
+GROUP_GEOMETRIES = st.sampled_from([
+    CacheGeometry(),
+    CacheGeometry.from_capacity(16 * 1024, 4, banks=2),
+])
+#: (node, scenario, supply, 6T size factor) of one operating point.
+OPERATING_POINTS = st.tuples(
+    st.sampled_from([NODE_65NM, NODE_45NM, NODE_32NM]),
+    st.sampled_from(["typical", "severe"]),
+    st.sampled_from([1.1, 1.0]),
+    st.sampled_from([1.0, 2.0]),
+)
+
+
+def point_tasks(seed, geometry, kind, points, count=1):
+    """Each point's reserved one-point tasks (same seeds at every point)."""
+    return [
+        ChipSampler(
+            node.scaled(vdd=vdd), getattr(VariationParams, scenario)(),
+            seed=seed, geometry=geometry,
+        ).reserve_build_tasks(count, kind=kind, size_factor=size_factor)
+        for node, scenario, vdd, size_factor in points
+    ]
+
+
+def realize(task):
+    """Each point's sampler and freshly realised chip."""
+    samplers = [
+        ChipSampler(point.node, point.params, geometry=task.geometry)
+        for point in task.points
+    ]
+    return samplers, [
+        sampler._sampler.chip_from_seed(task.chip_id, task.chip_seed)
+        for sampler in samplers
+    ]
+
+
+def assert_same_sample(a, b):
+    assert a.chip_id == b.chip_id and a.node == b.node
+    assert a.leakage_power == b.leakage_power
+    assert a.golden_leakage_power == b.golden_leakage_power
+    if isinstance(a, SRAMChipSample):
+        assert same_bits(a.access_time_by_line, b.access_time_by_line)
+        assert a.worst_access_time == b.worst_access_time
+        assert a.flip_count == b.flip_count
+    else:
+        assert same_bits(a.retention_by_line, b.retention_by_line)
+        assert same_bits(a.retention_by_word, b.retention_by_word)
+
+
+class TestGroupedBuilds:
+    @settings(
+        deadline=None,
+        max_examples=8,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        seed=st.integers(0, 2 ** 31),
+        geometry=GROUP_GEOMETRIES,
+        kind=st.sampled_from(["3t1d", "sram"]),
+        points=st.lists(OPERATING_POINTS, min_size=2, max_size=6),
+    )
+    def test_grouped_build_equals_per_point_builds(
+        self, seed, geometry, kind, points
+    ):
+        (merged,) = merge_build_batches(
+            point_tasks(seed, geometry, kind, points)
+        )
+        assert len(merged.points) == len(points)
+        # One build per point, each drawing from its own generator.
+        samplers, chips = realize(merged)
+        singles = [
+            sampler._build_3t1d_sample(chip) if kind == "3t1d"
+            else sampler._build_sram_sample(chip, point.size_factor)
+            for sampler, chip, point in zip(samplers, chips, merged.points)
+        ]
+        # The grouped solve the build runs, on fresh chips.
+        _, shared = realize(merged)
+        grouped = (
+            _dram_samples(shared, geometry, samplers[0]._backend)
+            if kind == "3t1d"
+            else _sram_samples(
+                shared, [p.size_factor for p in merged.points], geometry
+            )
+        )
+        for single, chip, grouped_sample, shared_chip in zip(
+            singles, chips, grouped, shared
+        ):
+            assert_same_sample(grouped_sample, single)
+            assert (
+                shared_chip.rng.bit_generator.state
+                == chip.rng.bit_generator.state
+            )
+        built = merged.build()
+        assert len(built) == len(points)
+        for sample, single in zip(built, singles):
+            assert_same_sample(sample, single)
+
+    def test_point_without_per_cell_variation_does_not_merge(self):
+        typical, none = point_tasks(
+            3, CacheGeometry(), "3t1d",
+            [(NODE_32NM, "typical", 1.1, 1.0), (NODE_32NM, "none", 1.1, 1.0)],
+        )
+        with pytest.raises(ConfigurationError):
+            ChipBuildTask.merge([typical[0], none[0]])
+
+    def test_different_chip_seeds_do_not_merge(self):
+        first = ChipSampler(NODE_32NM, VariationParams.typical(), seed=3)
+        second = ChipSampler(NODE_45NM, VariationParams.typical(), seed=4)
+        with pytest.raises(ConfigurationError):
+            ChipBuildTask.merge([
+                first.reserve_build_tasks(1)[0],
+                second.reserve_build_tasks(1)[0],
+            ])
+        with pytest.raises(ConfigurationError):
+            merge_build_batches([
+                first.reserve_build_tasks(2), second.reserve_build_tasks(1),
+            ])
+
+    def test_points_at_different_generator_states_do_not_share(self):
+        # Without die-to-die variation the chip-level draws consume one
+        # normal less, so the per-cell streams start elsewhere.
+        no_d2d = VariationParams(
+            sigma_l_wid_rel=0.05, sigma_vth_rel=0.10, sigma_l_d2d_rel=0.0
+        )
+        tasks = [
+            ChipSampler(NODE_32NM, params, seed=3).reserve_build_tasks(
+                1, kind=kind
+            )[0]
+            for params in (VariationParams.typical(), no_d2d)
+            for kind in ("3t1d", "sram")
+        ]
+        for kind_index in (0, 1):
+            merged = ChipBuildTask.merge(tasks[kind_index::2])
+            with pytest.raises(ConfigurationError):
+                merged.build()

@@ -5,7 +5,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.technology import NODE_32NM
-from repro.variation import VariationParams, VariationSampler
+from repro.variation import VariationParams, VariationSampler, normal_draws
 
 
 @pytest.fixture
@@ -41,12 +41,14 @@ class TestSampler:
         second_clean = b.sample_chip()
         assert second_after_use.delta_l_d2d == second_clean.delta_l_d2d
 
-    def test_sample_chips_count(self, sampler):
-        assert len(list(sampler.sample_chips(5))) == 5
+    def test_reserve_chip_seeds_count(self, sampler):
+        assert [chip_id for chip_id, _ in sampler.reserve_chip_seeds(5)] == [
+            0, 1, 2, 3, 4
+        ]
 
-    def test_sample_chips_rejects_negative(self, sampler):
+    def test_reserve_chip_seeds_rejects_negative(self, sampler):
         with pytest.raises(ConfigurationError):
-            list(sampler.sample_chips(-1))
+            sampler.reserve_chip_seeds(-1)
 
     def test_d2d_spread_matches_sigma(self):
         sampler = VariationSampler(NODE_32NM, VariationParams.typical(), seed=3)
@@ -74,22 +76,10 @@ class TestChipVariation:
         with pytest.raises(ConfigurationError):
             chip.delta_l_total(99)
 
-    def test_sample_vth_shape_and_sigma(self, sampler):
-        chip = sampler.sample_chip()
-        draws = chip.sample_vth(20000)
-        assert draws.shape == (20000,)
-        assert np.std(draws) == pytest.approx(0.03, rel=0.05)
-
-    def test_sample_vth_pelgrom_scale(self, sampler):
-        chip = sampler.sample_chip()
-        draws = chip.sample_vth(20000, sigma_scale=0.5)
-        assert np.std(draws) == pytest.approx(0.015, rel=0.05)
-
     def test_zero_variation_chip_is_all_zeros(self):
-        golden = VariationSampler.golden(NODE_32NM)
-        assert golden.delta_l_d2d == 0.0
-        assert np.all(golden.delta_l_subarray == 0.0)
-        assert np.all(golden.sample_vth(100) == 0.0)
-
-    def test_golden_chip_id_is_sentinel(self):
-        assert VariationSampler.golden(NODE_32NM).chip_id == -1
+        params = VariationParams.none()
+        chip = VariationSampler(NODE_32NM, params, seed=4).sample_chip()
+        assert chip.delta_l_d2d == 0.0
+        assert np.all(chip.delta_l_subarray == 0.0)
+        sigma = params.sigma_vth(chip.node)
+        assert np.all(normal_draws(chip.rng, sigma, size=100) == 0.0)
