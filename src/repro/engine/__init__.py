@@ -14,10 +14,11 @@ The engine has six pieces:
   deterministic backoff, crashed-worker respawn, poison-task quarantine,
   and graceful degradation to serial execution.  Serial, parallel, and
   recovered runs are bit-identical.
-* :mod:`repro.engine.checkpoint` -- :class:`RunJournal`, the write-ahead
-  run journal.  Every completed work item is flushed durably under its
-  content digest (:func:`task_key`), so an interrupted run restarted
-  with ``--resume`` recomputes only what is missing.
+* :mod:`repro.engine.checkpoint` -- :class:`RunJournal`, the task
+  store.  Every completed work item is written durably under its
+  content digest (:func:`task_key`), one entry file per key, so an
+  interrupted run restarted with ``--resume`` recomputes only what is
+  missing.
 * :mod:`repro.engine.faults` -- :class:`FaultPlan`, seeded deterministic
   fault injection (worker crashes, errors, hangs, corrupted payloads)
   that makes the recovery paths testable in CI, gated on output

@@ -29,10 +29,8 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import importlib
-import os
 import pathlib
 import pickle
-import tempfile
 from dataclasses import dataclass
 from typing import Any, Iterator, Optional
 
@@ -42,6 +40,7 @@ except ImportError:  # pragma: no cover - non-POSIX platforms
     fcntl = None  # type: ignore[assignment]
 
 from repro.errors import ConfigurationError
+from repro.engine.checkpoint import durable_write
 from repro.engine.trace import span as trace_span
 
 
@@ -154,21 +153,9 @@ class ResultCache:
         """Store ``value`` under ``key`` (atomic replace)."""
         path = self.path_for(key)
         with trace_span("cache_put", cat="cache_io", key=key[:12]):
-            fd, tmp_name = tempfile.mkstemp(
-                dir=self.directory, suffix=".tmp"
+            durable_write(
+                path, pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
             )
-            try:
-                with os.fdopen(fd, "wb") as handle:
-                    pickle.dump(
-                        value, handle, protocol=pickle.HIGHEST_PROTOCOL
-                    )
-                os.replace(tmp_name, path)
-            except BaseException:
-                try:
-                    os.unlink(tmp_name)
-                except OSError:
-                    pass
-                raise
         self.stats.puts += 1
         return path
 

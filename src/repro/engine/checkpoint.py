@@ -1,51 +1,48 @@
-"""Write-ahead run journal: durable per-task results for resumable runs.
+"""The task store: durable per-task results for resumable runs.
 
-A :class:`RunJournal` is an append-only file of ``(key, value)`` records,
-where the key is the content digest of one engine task
+A :class:`RunJournal` maps the content digest of one engine task
 (:func:`task_key`: the task function's qualified name plus the pickled
-task payload) and the value is that task's result.  The
-:class:`~repro.engine.parallel.ParallelChipRunner` flushes every
-completed work item to the journal as soon as it arrives, so a run
-killed at any point -- including mid-write -- restarts with ``--resume``
-and recomputes only the missing items.
+task payload) to that task's result.  The
+:class:`~repro.engine.parallel.ParallelChipRunner` records every
+completed work item as soon as it arrives, and subprocess-fleet workers
+record theirs into the same store, so a run killed at any point --
+including mid-write -- restarts with ``--resume`` and recomputes only the
+missing items.
 
-Because keys are content digests, resumed entries are only ever reused
+Because keys are content digests, stored entries are only ever reused
 for *byte-identical* task payloads executed by the same function: any
 change to the context (seed, scale, node, schemes) changes the task
-bytes and misses the journal, which is what keeps resumed runs
+bytes and misses the store, which is what keeps resumed runs
 bit-identical to uninterrupted ones.
 
-Record format (after a magic header)::
+Layout under one store root (a run's ``checkpoint_dir``)::
 
-    <u64 little-endian blob length> <16-byte sha256 prefix> <pickle blob>
+    results/<key[:2]>/<key>.result
 
-Each record is flushed and fsynced before the runner reports the item
-complete (write-ahead with respect to downstream consumers).  On load,
-the first record whose length or digest does not check out -- a torn
-tail from a SIGKILL mid-write -- is dropped along with everything after
-it, and the file is truncated back to the last durable record.
+holding ``<16-byte sha256 prefix of the blob> <blob>``, where the blob
+is the pickle of ``(key, value)``.  Each entry is written by
+:func:`durable_write`: temp file, fsync, ``os.replace``, fsync of the
+shard directory.  An entry is therefore either absent or complete; a
+leftover ``*.tmp`` file is never read, and an unreadable or
+digest-mismatched entry is a miss that gets recomputed.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import io
 import os
 import pathlib
 import pickle
-import struct
+import tempfile
 from typing import Any, Callable, Dict
 
 from repro.engine.trace import span as trace_span
 
-MAGIC = b"REPRO-JOURNAL-1\n"
-
-_LENGTH = struct.Struct("<Q")
 _DIGEST_BYTES = 16
 
-#: Cap on a single record's pickle blob; a longer length prefix is
-#: treated as corruption rather than an allocation request.
-MAX_RECORD_BYTES = 1 << 31
+_MISSING = object()
 
 
 def canonical_dumps(task: Any) -> bytes:
@@ -71,7 +68,7 @@ def task_key(fn: Callable[..., Any], task: Any) -> str:
 
     Two keys are equal exactly when the same module-level function would
     run over a value-identical pickled payload -- the precondition for
-    reusing a journalled result.
+    reusing a stored result.
     """
     ident = "{}:{}".format(
         getattr(fn, "__module__", ""), getattr(fn, "__qualname__", repr(fn))
@@ -81,125 +78,123 @@ def task_key(fn: Callable[..., Any], task: Any) -> str:
     ).hexdigest()
 
 
-class RunJournal:
-    """Append-only durable store of completed task results for one run.
+def durable_write(path: pathlib.Path, payload: bytes) -> None:
+    """Atomically and durably replace ``path`` with ``payload``.
 
-    ``resume=True`` loads every intact record from an existing file
-    (truncating a torn tail); ``resume=False`` starts the journal fresh.
-    The journal is an engine-internal durability layer: entries are keyed
-    by :func:`task_key` digests, never inspected by experiments.
+    The bytes go to a uniquely named ``*.tmp`` sibling, are fsynced, and
+    are renamed over ``path``; the directory is fsynced last so the
+    rename itself survives a crash.  A reader sees the old file or the
+    new one, never a torn one.
+    """
+    path = pathlib.Path(path)
+    fd, tmp_name = tempfile.mkstemp(
+        dir=path.parent, prefix=f"{path.name}.", suffix=".tmp"
+    )
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(payload)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp_name, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp_name)
+        raise
+    dir_fd = os.open(path.parent, os.O_RDONLY)
+    try:
+        os.fsync(dir_fd)
+    finally:
+        os.close(dir_fd)
+
+
+class RunJournal:
+    """Content-addressed durable store of completed task results.
+
+    The trust rule: with ``resume=True`` every intact entry under the
+    root is a hit; with ``resume=False`` only the keys this instance
+    recorded (or :meth:`load`-ed) are, and its writes replace older
+    entries.  The store is an engine-internal durability layer: entries
+    are keyed by :func:`task_key` digests, never inspected by
+    experiments.
     """
 
-    def __init__(self, path: pathlib.Path, resume: bool = False):
-        self.path = pathlib.Path(path)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
+    def __init__(self, root: pathlib.Path, resume: bool = False):
+        self.root = pathlib.Path(root)
+        self.resume = resume
         self._entries: Dict[str, Any] = {}
-        self.restored = 0
-        """Number of intact records loaded from a pre-existing journal."""
-        durable_end = 0
-        if resume and self.path.exists():
-            durable_end = self._load()
-            self.restored = len(self._entries)
-        if durable_end >= len(MAGIC):
-            self._handle = open(self.path, "r+b")
-            self._handle.seek(durable_end)
-            self._handle.truncate()
-        else:
-            # Fresh start -- including over a file whose header did not
-            # verify, which must be rewritten, not appended to.
-            self._handle = open(self.path, "wb")
-            self._handle.write(MAGIC)
-            self._handle.flush()
 
-    @staticmethod
-    def path_for(directory: pathlib.Path, run_key: str) -> pathlib.Path:
-        """Journal file for one run, named by the run key's digest."""
-        digest = hashlib.sha256(run_key.encode()).hexdigest()[:16]
-        return pathlib.Path(directory) / f"run-{digest}.journal"
+    def entry_path(self, key: str) -> pathlib.Path:
+        """File holding ``key``'s entry, sharded by key prefix."""
+        return self.root / "results" / key[:2] / f"{key}.result"
 
     # ------------------------------------------------------------------
 
-    def _load(self) -> int:
-        """Read intact records; returns the offset of the durable end."""
-        with trace_span("journal_load", cat="checkpoint"), \
-                open(self.path, "rb") as handle:
-            header = handle.read(len(MAGIC))
-            if header != MAGIC:
-                # Not a journal (or a torn header): start over.
-                return 0
-            durable_end = handle.tell()
-            while True:
-                raw_length = handle.read(_LENGTH.size)
-                if len(raw_length) < _LENGTH.size:
-                    break
-                (length,) = _LENGTH.unpack(raw_length)
-                if length > MAX_RECORD_BYTES:
-                    break
-                digest = handle.read(_DIGEST_BYTES)
-                if len(digest) < _DIGEST_BYTES:
-                    break
-                blob = handle.read(length)
-                if len(blob) < length:
-                    break
-                if hashlib.sha256(blob).digest()[:_DIGEST_BYTES] != digest:
-                    break
-                try:
-                    key, value = pickle.loads(blob)
-                except Exception:
-                    break
-                self._entries[key] = value
-                durable_end = handle.tell()
-            return durable_end
+    def load(self, key: str, default: Any = None) -> Any:
+        """Read ``key``'s entry whatever the trust rule says.
 
-    # ------------------------------------------------------------------
+        An intact entry joins this instance's trusted set; a missing,
+        unreadable or digest-mismatched one returns ``default``.
+        """
+        try:
+            data = self.entry_path(key).read_bytes()
+        except OSError:
+            return default
+        blob = data[_DIGEST_BYTES:]
+        if hashlib.sha256(blob).digest()[:_DIGEST_BYTES] != data[
+            :_DIGEST_BYTES
+        ]:
+            return default
+        try:
+            stored_key, value = pickle.loads(blob)
+        except Exception:
+            return default
+        if stored_key != key:
+            return default
+        self._entries[key] = value
+        return value
 
     def __contains__(self, key: str) -> bool:
-        return key in self._entries
-
-    def __len__(self) -> int:
-        return len(self._entries)
+        if key in self._entries:
+            return True
+        return self.resume and self.load(key, _MISSING) is not _MISSING
 
     def get(self, key: str, default: Any = None) -> Any:
-        """The journalled result for ``key``, or ``default``."""
-        return self._entries.get(key, default)
+        """The stored result for ``key`` under the trust rule, or
+        ``default``."""
+        if key in self:
+            return self._entries[key]
+        return default
 
     def record(self, key: str, value: Any) -> bool:
-        """Durably append one completed result; False if already stored.
+        """Durably store one completed result; False if already stored.
 
-        The record is flushed and fsynced before returning, so a crash
-        immediately after cannot lose it.
+        The entry is on disk (and its rename fsynced) before this
+        returns, so a crash immediately after cannot lose it.  A trusted
+        key whose entry was discarded since is written again.
         """
-        if key in self._entries:
+        path = self.entry_path(key)
+        if key in self._entries and path.exists():
             return False
         with trace_span("journal_record", cat="checkpoint"):
             blob = pickle.dumps(
                 (key, value), protocol=pickle.HIGHEST_PROTOCOL
             )
-            self._handle.write(_LENGTH.pack(len(blob)))
-            self._handle.write(hashlib.sha256(blob).digest()[:_DIGEST_BYTES])
-            self._handle.write(blob)
-            self._handle.flush()
-            os.fsync(self._handle.fileno())
+            path.parent.mkdir(parents=True, exist_ok=True)
+            durable_write(
+                path, hashlib.sha256(blob).digest()[:_DIGEST_BYTES] + blob
+            )
         self._entries[key] = value
         return True
 
-    def close(self) -> None:
-        """Flush and close the underlying file."""
-        if not self._handle.closed:
-            self._handle.flush()
-            self._handle.close()
-
-    def __enter__(self) -> "RunJournal":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+    def discard(self, key: str) -> None:
+        """Drop ``key``'s entry, on disk and in this instance."""
+        self._entries.pop(key, None)
+        self.entry_path(key).unlink(missing_ok=True)
 
 
 __all__ = [
-    "MAGIC",
-    "MAX_RECORD_BYTES",
     "RunJournal",
     "canonical_dumps",
+    "durable_write",
     "task_key",
 ]

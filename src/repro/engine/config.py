@@ -60,19 +60,23 @@ class EngineConfig:
     falls back to :attr:`effective_workers`.  Ignored by ``"local"``."""
     queue_dir: Optional[pathlib.Path] = None
     """Durable task-queue directory for queue-based backends; ``None``
-    derives ``checkpoint_dir / "fleet-queue"`` (a private temporary
-    directory when no checkpoint dir is configured either).  Sharing one
-    queue directory across runs and clients dedupes work fleet-wide:
-    queue results are keyed by content-digest task keys, exactly like
-    the run journal."""
+    uses ``checkpoint_dir`` itself, so fleet workers record into the
+    run's task store (a private temporary directory when no checkpoint
+    dir is configured either).  An explicit queue directory dedupes
+    work fleet-wide, whatever ``resume`` says: every result in its
+    store is reused by any run or client sharing it."""
     cache_dir: Optional[pathlib.Path] = None
     """Result-cache directory (experiment-level memoisation)."""
     evaluator_cache_size: Optional[int] = None
     """Per-process evaluator LRU capacity; ``None`` keeps the default."""
     checkpoint_dir: Optional[pathlib.Path] = None
-    """Run-journal directory; ``None`` disables chip-level checkpoints."""
+    """Task-store directory: every completed task's result is stored
+    under ``results/`` by its content digest; ``None`` disables
+    chip-level checkpoints."""
     resume: bool = False
-    """Load an existing run journal instead of starting it fresh."""
+    """Reuse every result already in the task store.  Without it a run
+    reuses only results it recorded itself, and its writes replace
+    older entries."""
     task_timeout: Optional[float] = None
     """Seconds a pooled task may run before it is failed and retried."""
     max_retries: int = 2

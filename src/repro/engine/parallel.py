@@ -577,18 +577,13 @@ class ParallelChipRunner:
     exhausts its pool retry budget finishes inline instead), and
     graceful degradation to serial execution after repeated pool
     failures.  When the config names a ``checkpoint_dir``, every
-    completed work item is flushed to a
+    completed work item is recorded in that directory's task store (a
     :class:`~repro.engine.checkpoint.RunJournal` keyed by the task's
-    content digest, and ``resume=True`` restores completed items
-    instead of recomputing them -- none of which changes results.
+    content digest), and ``resume=True`` restores stored items instead
+    of recomputing them -- none of which changes results.
     """
 
-    def __init__(
-        self,
-        config: Optional[EngineConfig] = None,
-        *,
-        run_key: str = "",
-    ):
+    def __init__(self, config: Optional[EngineConfig] = None):
         if config is None:
             config = EngineConfig()
         elif not isinstance(config, EngineConfig):
@@ -609,15 +604,16 @@ class ParallelChipRunner:
             if config.evaluator_cache_size is not None
             else _EVALUATOR_CACHE_MAX
         )
-        self.run_key = run_key
         self.stats = RunnerStats()
         self._inline = _InlineBatchExecutor(config)
         self._pool = _PoolBatchExecutor(
             config, self.workers, self.evaluator_cache_size
         )
         self._fleet: Optional[Any] = None
-        self._journal: Optional[RunJournal] = None
-        self._journal_opened = False
+        self._journal = (
+            RunJournal(config.checkpoint_dir, resume=config.resume)
+            if config.checkpoint_dir is not None else None
+        )
         self._degraded = False
         self._pool_failures = 0
 
@@ -632,16 +628,6 @@ class ParallelChipRunner:
     def pool_failures(self) -> int:
         """Pool breakdowns (crashes/timeouts) seen so far."""
         return self._pool_failures
-
-    def _ensure_journal(self) -> Optional[RunJournal]:
-        if not self._journal_opened:
-            self._journal_opened = True
-            if self.config.checkpoint_dir is not None:
-                path = RunJournal.path_for(
-                    self.config.checkpoint_dir, self.run_key
-                )
-                self._journal = RunJournal(path, resume=self.config.resume)
-        return self._journal
 
     # ------------------------------------------------------------------
 
@@ -667,7 +653,7 @@ class ParallelChipRunner:
         total = len(tasks)
         dispatch(observer, BatchStarted(label, total))
         start = time.perf_counter()
-        journal = self._ensure_journal()
+        journal = self._journal
         fleet = self.config.backend == SUBPROCESS_FLEET_BACKEND
         keys: Optional[List[str]] = None
         if journal is not None or self.config.fault_plan is not None or fleet:
@@ -689,13 +675,16 @@ class ParallelChipRunner:
             BatchItem(i, keys[i] if keys is not None else "", tasks[i])
             for i in range(total) if results[i] is _MISSING
         ]
-        state = {"completed": total - len(items), "flushed": 0}
+        state = {"completed": total - len(items)}
+        flushed = set()
 
         def finish(index: int, value: Any) -> None:
             results[index] = value
             state["completed"] += 1
-            if journal is not None and journal.record(keys[index], value):
-                state["flushed"] += 1
+            if journal is not None:
+                # A no-op for a fleet result: its worker stored it here.
+                journal.record(keys[index], value)
+                flushed.add(keys[index])
             dispatch(observer, ChipCompleted(label, state["completed"], total))
 
         def notify(event: Any) -> None:
@@ -709,7 +698,7 @@ class ParallelChipRunner:
             if self._fleet is None:
                 from repro.service.fleet import SubprocessFleetExecutor
 
-                self._fleet = SubprocessFleetExecutor(self.config)
+                self._fleet = SubprocessFleetExecutor(self.config, journal)
             self._supervise(self._fleet, fn, items, finish, notify, label)
         else:
             if self.workers > 1 and len(items) > 1 and not self._degraded:
@@ -720,9 +709,9 @@ class ParallelChipRunner:
             # inline, where a persistent failure surfaces as a real
             # traceback.
             self._supervise(self._inline, fn, items, finish, notify, label)
-        if state["flushed"]:
-            self.stats.results_checkpointed += state["flushed"]
-            dispatch(observer, RunCheckpointed(label, state["flushed"]))
+        if flushed:
+            self.stats.results_checkpointed += len(flushed)
+            dispatch(observer, RunCheckpointed(label, len(flushed)))
         dispatch(observer, BatchEnded(label, total,
                                       time.perf_counter() - start))
         return results
@@ -854,23 +843,15 @@ class ParallelChipRunner:
     # ------------------------------------------------------------------
 
     def close(self) -> None:
-        """Shut the worker pool, the fleet and the journal down.
+        """Shut the worker pool and the fleet down.
 
-        A later batch re-creates the pool and the fleet; the journal
-        re-opens in resume mode so already-flushed results survive the
-        close.
+        A later batch re-creates the pool and the fleet; the task store
+        keeps every result this runner recorded.
         """
         self._pool.close()
         if self._fleet is not None:
             self._fleet.close()
             self._fleet = None
-        if self._journal is not None:
-            self._journal.close()
-            self._journal = None
-        if self._journal_opened and self.config.checkpoint_dir is not None:
-            # Re-open on next use without discarding flushed entries.
-            self.config = self.config.replace(resume=True)
-        self._journal_opened = False
 
     def __enter__(self) -> "ParallelChipRunner":
         return self

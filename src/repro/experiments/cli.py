@@ -118,9 +118,9 @@ def engine_parent_parser() -> argparse.ArgumentParser:
     engine.add_argument(
         "--queue-dir", type=pathlib.Path, default=None,
         help="durable task-queue directory for the subprocess-fleet "
-        "backend; share it across runs for fleet-wide dedupe "
-        "(default: CHECKPOINT_DIR/fleet-queue, else a private "
-        "temporary directory)",
+        "backend; share it across runs for fleet-wide dedupe, with or "
+        "without --resume (default: CHECKPOINT_DIR, whose task store "
+        "the workers then fill, else a private temporary directory)",
     )
     engine.add_argument(
         "--trace", type=pathlib.Path, default=None, metavar="PATH",
@@ -131,13 +131,13 @@ def engine_parent_parser() -> argparse.ArgumentParser:
     robustness = parent.add_argument_group("robustness")
     robustness.add_argument(
         "--checkpoint-dir", type=pathlib.Path, default=None,
-        help="run-journal directory for chip-level checkpoints "
-        "(default: OUT/.checkpoints)",
+        help="task-store directory for chip-level checkpoints, one "
+        "results/ entry per completed task (default: OUT/.checkpoints)",
     )
     robustness.add_argument(
         "--resume", action="store_true",
-        help="restore completed chips from an existing run journal "
-        "instead of starting it fresh",
+        help="restore every completed task already in the task store "
+        "(without it, a run recomputes and replaces earlier entries)",
     )
     robustness.add_argument(
         "--task-timeout", type=float, default=None,

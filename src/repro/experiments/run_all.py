@@ -8,7 +8,7 @@ Usage::
 
 The flags are the shared engine surface from
 :mod:`repro.experiments.cli`; every per-experiment ``__main__`` accepts
-the same set.  Chip-level results are journalled under
+the same set.  Chip-level results are stored in the task store under
 ``OUT/.checkpoints`` as they complete, so an interrupted run (crash,
 SIGKILL, Ctrl-C) restarted with ``--resume`` recomputes only what is
 missing and still emits byte-identical outputs.

@@ -155,14 +155,11 @@ class ExperimentContext:
     def runner(self) -> ParallelChipRunner:
         """The (lazily created) chip-batch scheduler for this context.
 
-        The runner's checkpoint journal is keyed by this context's
-        :meth:`cache_fingerprint`, so a resumed run only restores
-        results journalled under an identical configuration.
+        Its task store is keyed by task content digests, so a resumed
+        run only restores results of byte-identical tasks.
         """
         if self._runner is None:
-            self._runner = ParallelChipRunner(
-                config=self.engine, run_key=self.cache_fingerprint()
-            )
+            self._runner = ParallelChipRunner(config=self.engine)
         return self._runner
 
     def close(self) -> None:

@@ -38,6 +38,7 @@ from typing import Any, Dict, Iterator, List, Optional, Union
 
 from repro.errors import ConfigurationError, ExecutionError, JobCancelled
 from repro.engine.cache import ShardedResultCache
+from repro.engine.checkpoint import durable_write
 from repro.engine.config import EngineConfig
 from repro.engine.events import (
     EngineEvent,
@@ -322,10 +323,10 @@ class ExecutionService:
     def _write_result(
         self, job_dir: pathlib.Path, experiment: Experiment, result: Any
     ) -> None:
-        tmp = job_dir / "result.pkl.tmp"
-        with open(tmp, "wb") as handle:
-            pickle.dump(result, handle, protocol=pickle.HIGHEST_PROTOCOL)
-        os.replace(tmp, job_dir / "result.pkl")
+        durable_write(
+            job_dir / "result.pkl",
+            pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL),
+        )
         (job_dir / "report.txt").write_text(
             experiment.report(result) + "\n"
         )

@@ -12,10 +12,13 @@ supervise is its own processes: a SIGKILLed worker is respawned and its
 claimed tasks are requeued
 (:class:`~repro.engine.events.WorkerRespawned` fires).
 
-Because results are keyed by content digest, the queue directory *is*
-the fleet-wide memo: a second run -- or a concurrent client sharing the
-same ``queue_dir`` -- never recomputes a key any worker has finished,
-and :attr:`SubprocessFleetExecutor.deduped` counts exactly those skips.
+Workers record results in the queue root's task store (layout in
+:mod:`repro.service.queue`).  By default that root is the run's
+``checkpoint_dir``, so the store and its trust rule are the runner's
+own.  An explicit ``queue_dir`` is the fleet-wide memo: a second run --
+or a concurrent client sharing it -- never recomputes a key any worker
+has finished, and :attr:`SubprocessFleetExecutor.deduped` counts exactly
+those skips.
 """
 
 from __future__ import annotations
@@ -28,19 +31,22 @@ import sys
 import tempfile
 import time
 from dataclasses import replace
-from typing import Any, Callable, Dict, Iterator, List, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import ConfigurationError, ExecutionError
+from repro.engine.checkpoint import RunJournal
 from repro.engine.config import EngineConfig
 from repro.engine.events import EngineEvent, WorkerRespawned
 from repro.engine.parallel import BatchItem, TaskFailed
-from repro.service.queue import DurableTaskQueue, OK, TaskEnvelope
+from repro.service.queue import DurableTaskQueue, TaskEnvelope
 
 #: Coordinator poll period while waiting on queue results.
 RESULT_POLL_S = 0.02
 
 #: Seconds a stopping fleet worker gets before it is killed.
 SHUTDOWN_GRACE_S = 5.0
+
+_MISSING = object()
 
 
 def _worker_env() -> Dict[str, str]:
@@ -61,14 +67,14 @@ def resolve_queue_dir(config: EngineConfig) -> Tuple[pathlib.Path, bool]:
     """The queue directory for ``config``; True when it is private.
 
     An explicit ``queue_dir`` (shared fleet-wide dedupe) wins; otherwise
-    the queue rides next to the run journal under ``checkpoint_dir``;
-    with neither, a private temporary directory is created (and removed
-    when the executor closes).
+    the queue lives in ``checkpoint_dir`` itself, around the run's task
+    store; with neither, a private temporary directory is created (and
+    removed when the executor closes).
     """
     if config.queue_dir is not None:
         return config.queue_dir, False
     if config.checkpoint_dir is not None:
-        return config.checkpoint_dir / "fleet-queue", False
+        return config.checkpoint_dir, False
     return (
         pathlib.Path(tempfile.mkdtemp(prefix="repro-fleet-queue-")), True
     )
@@ -77,7 +83,9 @@ def resolve_queue_dir(config: EngineConfig) -> Tuple[pathlib.Path, bool]:
 class SubprocessFleetExecutor:
     """Coordinates persistent worker subprocesses over one durable queue."""
 
-    def __init__(self, config: EngineConfig):
+    def __init__(
+        self, config: EngineConfig, journal: Optional[RunJournal] = None
+    ):
         if config.task_timeout is not None:
             raise ConfigurationError(
                 "task_timeout is not supported by the subprocess-fleet "
@@ -88,8 +96,14 @@ class SubprocessFleetExecutor:
         self.fleet_size = config.effective_fleet_size
         self.queue_dir, self._private_queue = resolve_queue_dir(config)
         self.queue = DurableTaskQueue(self.queue_dir)
+        if config.queue_dir is None and journal is not None:
+            # The queue root is the checkpoint dir: share the runner's
+            # store, and with it the trust rule and this run's records.
+            self.store = journal
+        else:
+            self.store = RunJournal(self.queue_dir, resume=True)
         self.deduped = 0
-        """Batch items served from pre-existing queue results."""
+        """Batch items served from results already in the store."""
         self._workers: Dict[str, subprocess.Popen] = {}
         self._respawns = 0
         self._closed = False
@@ -148,11 +162,11 @@ class SubprocessFleetExecutor:
     ) -> Iterator[Tuple[int, Any]]:
         """Run one attempt of each item; yield ``(index, outcome)``.
 
-        Every key is enqueued before any is polled for.  An ``OK`` result
-        yields its value; an ``ERROR`` result is discarded (so the next
-        attempt recomputes it) and yields a
-        :class:`~repro.engine.parallel.TaskFailed`.  Identical keys
-        within a batch are computed once and fanned out to every index.
+        Every key is enqueued before any is polled for.  A recorded
+        result yields its value; a recorded failure is consumed and
+        yields a :class:`~repro.engine.parallel.TaskFailed`.  Identical
+        keys within a batch are computed once and fanned out to every
+        index.
         """
         if self._closed:
             raise ExecutionError("fleet executor already closed")
@@ -165,14 +179,13 @@ class SubprocessFleetExecutor:
         envelope = TaskEnvelope.for_call(fn, None)
         pending = sorted(by_key)
         for key in pending:
-            recorded = self.queue.read_result(key)
-            if recorded is not None and recorded[0] == OK:
+            if key in self.store:
                 self.deduped += len(by_key[key])
                 continue
-            if recorded is not None:
-                # A stale error left by an earlier run is not a failure
-                # of this batch: drop it and recompute.
-                self.queue.discard_result(key)
+            # A stale failure belongs to an earlier attempt, and an
+            # untrusted entry must not answer for this one.
+            self.queue.take_failure(key)
+            self.store.discard(key)
             # False when a concurrent client enqueued the key first;
             # either way its result arrives.
             self.queue.enqueue(key, replace(envelope, task=tasks_by_key[key]))
@@ -180,15 +193,14 @@ class SubprocessFleetExecutor:
         while pending:
             progressed = False
             for key in list(pending):
-                recorded = self.queue.read_result(key)
-                if recorded is None:
-                    continue
+                value = self.store.load(key, _MISSING)
+                if value is _MISSING:
+                    reason = self.queue.take_failure(key)
+                    if reason is None:
+                        continue
+                    value = TaskFailed(reason)
                 pending.remove(key)
                 progressed = True
-                status, value = recorded
-                if status != OK:
-                    self.queue.discard_result(key)
-                    value = TaskFailed(str(value))
                 for index in by_key[key]:
                     yield index, value
             if pending and not progressed:

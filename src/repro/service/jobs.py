@@ -9,15 +9,18 @@ under the service root::
     jobs/<job_id>/claim          O_EXCL pid file of the running process
     jobs/<job_id>/cancel         cancellation marker (presence = cancel)
     jobs/<job_id>/events.jsonl   encoded typed engine events, in order
-    jobs/<job_id>/checkpoints/   the job's RunJournal directory
+    jobs/<job_id>/checkpoints/   the job's checkpoint dir: its task store
+                                 (results/<key[:2]>/<key>.result) and,
+                                 on the fleet backend, its task queue
     jobs/<job_id>/result.pkl     the pickled experiment result
     jobs/<job_id>/report.txt     the paper-style text report
 
 Specs are deliberately *values*, not pickled contexts: a service
 restarted after a crash rebuilds the identical
 :class:`~repro.experiments.runner.ExperimentContext` from ``spec.json``,
-and the journal under ``checkpoints/`` plus the content-keyed caches
-make the re-run bit-identical to an uninterrupted one.
+and the task store under ``checkpoints/`` (read with ``resume=True``)
+plus the content-keyed caches make the re-run bit-identical to an
+uninterrupted one.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, Optional, TYPE_CHECKING
 
 from repro.errors import ConfigurationError
+from repro.engine.checkpoint import durable_write
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.events import EngineEvent
@@ -162,10 +166,10 @@ class JobHandle:
 
 def write_status(job_dir: pathlib.Path, status: JobStatus) -> None:
     """Atomically replace the job's status snapshot."""
-    payload = json.dumps(status.to_dict(), indent=2) + "\n"
-    tmp = job_dir / "status.json.tmp"
-    tmp.write_text(payload)
-    os.replace(tmp, job_dir / "status.json")
+    durable_write(
+        job_dir / "status.json",
+        (json.dumps(status.to_dict(), indent=2) + "\n").encode(),
+    )
 
 
 def read_status(job_dir: pathlib.Path) -> JobStatus:

@@ -4,21 +4,22 @@ The queue is a directory protocol, not a server: producers atomically
 rename task envelopes into ``tasks/``, workers atomically rename them
 into a per-worker ``claims/<worker-id>/`` directory (rename is the
 mutual-exclusion primitive -- exactly one claimant wins), and completed
-results land in ``results/<key>.result`` via the same tmp-file +
-``os.replace`` pattern the :class:`~repro.engine.cache.ResultCache`
-uses.  Because every filename is the :func:`repro.engine.checkpoint.
-task_key` content digest of its payload, the queue dedupes fleet-wide
-for free: enqueueing work that any client already completed is a no-op,
-and a crashed worker's claims can be requeued without ever recomputing
-a finished key.
+results land in the task store under ``results/`` through
+:meth:`repro.engine.checkpoint.RunJournal.record`.  Because every
+filename is the :func:`repro.engine.checkpoint.task_key` content digest
+of its payload, the queue dedupes fleet-wide for free: enqueueing work
+that any client already completed is a no-op, and a crashed worker's
+claims can be requeued without ever recomputing a finished key.
 
-Layout under one queue root::
+Layout under one queue root (by default the run's ``checkpoint_dir``,
+so ``results/`` is the runner's own task store)::
 
-    tasks/<key>.task          ready work (pickled TaskEnvelope)
-    claims/<worker-id>/       tasks a live worker is executing
-    results/<key>.result      pickled ("ok" | "error", value)
-    workers/<worker-id>.pid   liveness breadcrumb, written by workers
-    stop                      sentinel: workers drain and exit
+    tasks/<key>.task                  ready work (pickled TaskEnvelope)
+    claims/<worker-id>/               tasks a live worker is executing
+    results/<key[:2]>/<key>.result    OK results (the RunJournal layout)
+    failed/<key>                      failure reason, consumed once
+    workers/<worker-id>.pid           liveness breadcrumb
+    stop                              sentinel: workers drain and exit
 
 Envelope functions are referenced by ``module:qualname`` (never pickled
 by value), mirroring the engine's rule that task functions cross
@@ -30,11 +31,11 @@ from __future__ import annotations
 import os
 import pathlib
 import pickle
-import tempfile
 from dataclasses import dataclass
 from typing import Any, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
+from repro.engine.checkpoint import RunJournal, durable_write
 
 OK = "ok"
 ERROR = "error"
@@ -65,21 +66,6 @@ class TaskEnvelope:
         return cls(fn_module=module, fn_qualname=qualname, task=task)
 
 
-def _atomic_write(path: pathlib.Path, payload: bytes) -> None:
-    """Write ``payload`` to ``path`` via tmp file + atomic replace."""
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(payload)
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
-
-
 class DurableTaskQueue:
     """Filesystem work queue shared by clients and fleet workers."""
 
@@ -87,13 +73,15 @@ class DurableTaskQueue:
         self.root = pathlib.Path(root)
         self.tasks_dir = self.root / "tasks"
         self.claims_dir = self.root / "claims"
-        self.results_dir = self.root / "results"
+        self.failed_dir = self.root / "failed"
         self.workers_dir = self.root / "workers"
         for directory in (
-            self.tasks_dir, self.claims_dir, self.results_dir,
+            self.tasks_dir, self.claims_dir, self.failed_dir,
             self.workers_dir,
         ):
             directory.mkdir(parents=True, exist_ok=True)
+        self.results = RunJournal(self.root)
+        """The task store workers record OK results in."""
 
     # -- paths ---------------------------------------------------------
 
@@ -103,8 +91,8 @@ class DurableTaskQueue:
     def claim_path(self, worker_id: str, key: str) -> pathlib.Path:
         return self.claims_dir / worker_id / f"{key}.task"
 
-    def result_path(self, key: str) -> pathlib.Path:
-        return self.results_dir / f"{key}.result"
+    def failure_path(self, key: str) -> pathlib.Path:
+        return self.failed_dir / key
 
     @property
     def stop_path(self) -> pathlib.Path:
@@ -118,34 +106,26 @@ class DurableTaskQueue:
         The result check is the fleet-wide dedupe: a key any client ever
         completed through this queue is never recomputed.
         """
-        if self.result_path(key).exists() or self.task_path(key).exists():
+        if (
+            self.results.entry_path(key).exists()
+            or self.task_path(key).exists()
+        ):
             return False
-        _atomic_write(
+        durable_write(
             self.task_path(key),
             pickle.dumps(envelope, protocol=pickle.HIGHEST_PROTOCOL),
         )
         return True
 
-    def read_result(self, key: str) -> Optional[Tuple[str, Any]]:
-        """The completed ``(status, value)`` for ``key``, or ``None``.
-
-        An unreadable entry (torn by a crash before the atomic replace,
-        which cannot happen, or hand-damaged) reads as missing.
-        """
+    def take_failure(self, key: str) -> Optional[str]:
+        """Consume the recorded failure reason for ``key``, or ``None``."""
+        path = self.failure_path(key)
         try:
-            with open(self.result_path(key), "rb") as handle:
-                return pickle.load(handle)
+            reason = path.read_text()
         except FileNotFoundError:
             return None
-        except Exception:
-            return None
-
-    def discard_result(self, key: str) -> None:
-        """Drop a completed result (the retry path for error results)."""
-        try:
-            self.result_path(key).unlink()
-        except FileNotFoundError:
-            pass
+        path.unlink(missing_ok=True)
+        return reason
 
     # -- worker side ---------------------------------------------------
 
@@ -182,14 +162,15 @@ class DurableTaskQueue:
     ) -> None:
         """Durably record one outcome, then release the claim.
 
-        Result-before-claim-release ordering means a crash between the
-        two steps leaves a stale claim whose requeue is harmless: the
-        re-enqueued task dedupes against the already-written result.
+        An ``OK`` value goes to the task store, an ``ERROR`` reason to
+        ``failed/<key>``.  Outcome-before-claim-release ordering means a
+        crash between the two steps leaves a stale claim whose requeue
+        skips the already-recorded key.
         """
-        _atomic_write(
-            self.result_path(key),
-            pickle.dumps((status, value), protocol=pickle.HIGHEST_PROTOCOL),
-        )
+        if status == OK:
+            self.results.record(key, value)
+        else:
+            durable_write(self.failure_path(key), str(value).encode())
         try:
             self.claim_path(worker_id, key).unlink()
         except FileNotFoundError:
@@ -197,7 +178,7 @@ class DurableTaskQueue:
 
     def write_worker_pid(self, worker_id: str, pid: int) -> None:
         """Leave the worker's liveness breadcrumb."""
-        _atomic_write(
+        durable_write(
             self.workers_dir / f"{worker_id}.pid", str(pid).encode()
         )
 
@@ -211,7 +192,10 @@ class DurableTaskQueue:
             return requeued
         for path in sorted(claim_dir.glob("*.task")):
             key = path.stem
-            if self.result_path(key).exists():
+            if (
+                self.results.entry_path(key).exists()
+                or self.failure_path(key).exists()
+            ):
                 # Completed just before the crash: nothing to redo.
                 path.unlink()
                 continue
@@ -228,7 +212,7 @@ class DurableTaskQueue:
 
     def request_stop(self) -> None:
         """Ask every worker on this queue to exit after its current task."""
-        _atomic_write(self.stop_path, b"stop\n")
+        durable_write(self.stop_path, b"stop\n")
 
     def clear_stop(self) -> None:
         try:

@@ -148,15 +148,16 @@ class TestLegacyKwargsRemoved:
         finally:
             context.close()
 
-    def test_runner_keyed_by_context_fingerprint(self, tmp_path):
+    def test_runner_stores_in_checkpoint_dir(self, tmp_path):
         engine = EngineConfig(workers=1, checkpoint_dir=tmp_path)
         context = ExperimentContext(
             n_chips=1, n_references=600, engine=engine
         )
         try:
-            assert context.runner.run_key == context.cache_fingerprint()
+            context.chips_3t1d("typical")
         finally:
             context.close()
+        assert list((tmp_path / "results").rglob("*.result"))
 
     def test_engine_knobs_not_in_fingerprint(self):
         plain = ExperimentContext(n_chips=1, n_references=600)

@@ -173,16 +173,14 @@ class TestCheckpointAndResume:
         observer = _EventLog()
         config = _fast_config(checkpoint_dir=tmp_path)
         _CALLS["count"] = 0
-        with ParallelChipRunner(config=config, run_key="run") as runner:
+        with ParallelChipRunner(config=config) as runner:
             first = runner.map(_counted, [1, 2, 3], observer=observer)
         assert _CALLS["count"] == 3
         assert runner.stats.results_checkpointed == 3
         assert observer.checkpointed == [("batch", 3)]
 
         resumed_config = config.replace(resume=True)
-        with ParallelChipRunner(
-            config=resumed_config, run_key="run"
-        ) as runner:
+        with ParallelChipRunner(config=resumed_config) as runner:
             second = runner.map(_counted, [1, 2, 3], observer=observer)
         assert second == first
         assert _CALLS["count"] == 3  # nothing recomputed
@@ -190,13 +188,12 @@ class TestCheckpointAndResume:
         assert observer.resumed == [("batch", 3)]
 
     def test_partial_journal_resumes_missing_only(self, tmp_path):
-        path = RunJournal.path_for(tmp_path, "run")
-        with RunJournal(path) as journal:
-            journal.record(task_key(_counted, 1), 101)
-            journal.record(task_key(_counted, 3), 103)
+        journal = RunJournal(tmp_path)
+        journal.record(task_key(_counted, 1), 101)
+        journal.record(task_key(_counted, 3), 103)
         _CALLS["count"] = 0
         config = _fast_config(checkpoint_dir=tmp_path, resume=True)
-        with ParallelChipRunner(config=config, run_key="run") as runner:
+        with ParallelChipRunner(config=config) as runner:
             results = runner.map(_counted, [1, 2, 3])
         assert results == [101, 102, 103]
         assert _CALLS["count"] == 1  # only the missing middle task ran
@@ -205,26 +202,27 @@ class TestCheckpointAndResume:
 
     def test_changed_payload_misses_journal(self, tmp_path):
         config = _fast_config(checkpoint_dir=tmp_path)
-        with ParallelChipRunner(config=config, run_key="run") as runner:
+        with ParallelChipRunner(config=config) as runner:
             runner.map(_square, [1, 2])
         resumed = config.replace(resume=True)
-        with ParallelChipRunner(config=resumed, run_key="run") as runner:
+        with ParallelChipRunner(config=resumed) as runner:
             assert runner.map(_square, [1, 9]) == [1, 81]
             assert runner.stats.results_resumed == 1
 
-    def test_distinct_run_keys_use_distinct_journals(self, tmp_path):
+    def test_fresh_run_recomputes_what_an_earlier_run_stored(self, tmp_path):
         config = _fast_config(checkpoint_dir=tmp_path)
-        with ParallelChipRunner(config=config, run_key="a") as runner:
-            runner.map(_square, [1])
-        resumed = config.replace(resume=True)
-        with ParallelChipRunner(config=resumed, run_key="b") as runner:
-            runner.map(_square, [1])
+        with ParallelChipRunner(config=config) as runner:
+            runner.map(_counted, [1, 2])
+        _CALLS["count"] = 0
+        with ParallelChipRunner(config=config) as runner:
+            assert runner.map(_counted, [1, 2]) == [101, 102]
             assert runner.stats.results_resumed == 0
-        assert len(list(tmp_path.glob("run-*.journal"))) == 2
+            assert runner.stats.results_checkpointed == 2
+        assert _CALLS["count"] == 2
 
     def test_close_reopens_in_resume_mode(self, tmp_path):
         config = _fast_config(checkpoint_dir=tmp_path)
-        runner = ParallelChipRunner(config=config, run_key="run")
+        runner = ParallelChipRunner(config=config)
         try:
             runner.map(_square, [1, 2])
             runner.close()

@@ -17,8 +17,6 @@ import time
 
 import pytest
 
-from repro.engine.checkpoint import MAGIC
-
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
 
 CASES = {
@@ -45,18 +43,17 @@ def _wait(process, timeout=300):
 
 
 def _kill_once_journal_grows(process, checkpoint_dir, timeout=300):
-    """SIGKILL the run as soon as its journal holds durable bytes.
+    """SIGKILL the run as soon as its task store holds a durable entry.
 
     Returns True if the process was killed mid-run; False if it finished
-    first (the journal is then complete, and resume restores everything,
+    first (the store is then complete, and resume restores everything,
     which still exercises the restore path).
     """
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
         if process.poll() is not None:
             return False
-        journals = list(checkpoint_dir.glob("run-*.journal"))
-        if any(j.stat().st_size > len(MAGIC) for j in journals):
+        if any(checkpoint_dir.glob("results/*/*.result")):
             process.send_signal(signal.SIGKILL)
             process.wait(timeout=30)
             return True

@@ -40,7 +40,7 @@ class TestQueueDirResolution:
             checkpoint_dir=tmp_path / "ckpt",
         )
         path, private = resolve_queue_dir(config)
-        assert path == tmp_path / "ckpt" / "fleet-queue"
+        assert path == tmp_path / "ckpt"
         assert private is False
 
     def test_fallback_is_a_private_tempdir(self):
@@ -129,11 +129,18 @@ class TestStaleErrorResults:
 
 SLOW_MODULE = textwrap.dedent(
     """
+    import os
+    import tempfile
     import time
 
     def slow_square(task):
         delay, value = task
         time.sleep(delay)
+        return value * value
+
+    def marked_square(task):
+        marker_dir, value = task
+        os.close(tempfile.mkstemp(dir=marker_dir)[0])
         return value * value
     """
 )
@@ -208,3 +215,57 @@ class TestCrashRecovery:
         with ParallelChipRunner(config) as runner:
             out = runner.map(slow_helper.slow_square, tasks, label="ident")
         assert pickle.dumps(out) == pickle.dumps(reference)
+
+
+class TestOneTaskStore:
+    """The fleet shares the runner's task store under ``checkpoint_dir``."""
+
+    @staticmethod
+    def _run(helper, config, tasks):
+        with ParallelChipRunner(config) as runner:
+            out = runner.map(helper.marked_square, tasks, label="store")
+        return out, runner
+
+    def test_fresh_runs_over_one_checkpoint_dir_both_execute(
+        self, tmp_path, slow_helper
+    ):
+        markers = tmp_path / "markers"
+        markers.mkdir()
+        tasks = [(str(markers), n) for n in range(3)]
+        config = EngineConfig(
+            workers=1, backend=SUBPROCESS_FLEET_BACKEND, fleet_size=1,
+            checkpoint_dir=tmp_path / "ckpt",
+        )
+        first, _ = self._run(slow_helper, config, tasks)
+        second, runner = self._run(slow_helper, config, tasks)
+        # Without --resume the second run recomputes every task ...
+        assert len(list(markers.iterdir())) == 2 * len(tasks)
+        assert runner.stats.results_resumed == 0
+        assert second == first == [0, 1, 4]
+        # ... and with it, a third run restores them all.
+        third, runner = self._run(
+            slow_helper, config.replace(resume=True), tasks
+        )
+        assert runner.stats.results_resumed == len(tasks)
+        assert len(list(markers.iterdir())) == 2 * len(tasks)
+        assert third == first
+
+    def test_local_resume_restores_what_the_fleet_stored(
+        self, tmp_path, slow_helper
+    ):
+        markers = tmp_path / "markers"
+        markers.mkdir()
+        tasks = [(str(markers), n) for n in range(4)]
+        fleet = EngineConfig(
+            workers=1, backend=SUBPROCESS_FLEET_BACKEND, fleet_size=1,
+            checkpoint_dir=tmp_path / "ckpt",
+        )
+        stored, _ = self._run(slow_helper, fleet, tasks)
+        assert len(list(markers.iterdir())) == len(tasks)
+        local = EngineConfig(
+            workers=1, checkpoint_dir=tmp_path / "ckpt", resume=True
+        )
+        restored, runner = self._run(slow_helper, local, tasks)
+        assert runner.stats.results_resumed == len(tasks)
+        assert len(list(markers.iterdir())) == len(tasks)  # never called
+        assert restored == stored

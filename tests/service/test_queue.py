@@ -1,10 +1,9 @@
 """The durable task queue: claims, results, dedupe, requeue."""
 
-import pickle
-
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.engine.checkpoint import RunJournal
 from repro.service.queue import DurableTaskQueue, ERROR, OK, TaskEnvelope
 from repro.variation import harmonic_mean
 
@@ -50,7 +49,8 @@ class TestEnqueueClaimComplete:
         assert key == "k1"
         assert env.task == [1.0, 2.0]
         queue.complete("w0", "k1", OK, 42.0)
-        assert queue.read_result("k1") == (OK, 42.0)
+        # OK results land in the queue root's task store.
+        assert RunJournal(tmp_path / "q", resume=True).get("k1") == 42.0
         # The claim was released after the result landed.
         assert not queue.claim_path("w0", "k1").exists()
 
@@ -84,21 +84,24 @@ class TestEnqueueClaimComplete:
         queue.enqueue("k1", envelope([1.0]))
         key, _ = queue.claim("w0")
         queue.complete("w0", key, ERROR, "ValueError: boom")
-        assert queue.read_result("k1") == (ERROR, "ValueError: boom")
-        queue.discard_result("k1")
-        assert queue.read_result("k1") is None
+        assert "k1" not in queue.results
+        assert not queue.results.entry_path("k1").exists()
+        # A failure is consumed once.
+        assert queue.take_failure("k1") == "ValueError: boom"
+        assert queue.take_failure("k1") is None
 
     def test_unreadable_result_is_a_miss(self, tmp_path):
         queue = DurableTaskQueue(tmp_path / "q")
-        queue.result_path("k1").write_bytes(b"not a pickle")
-        assert queue.read_result("k1") is None
+        path = queue.results.entry_path("k1")
+        path.parent.mkdir(parents=True)
+        path.write_bytes(b"not a pickle")
+        assert "k1" not in RunJournal(tmp_path / "q", resume=True)
 
     def test_unreadable_task_completes_with_error(self, tmp_path):
         queue = DurableTaskQueue(tmp_path / "q")
         queue.task_path("kbad").write_bytes(b"garbage")
         assert queue.claim("w0") is None
-        status, value = queue.read_result("kbad")
-        assert status == ERROR
+        assert queue.take_failure("kbad") == "unreadable envelope"
 
 
 class TestRequeueAndStop:
@@ -119,8 +122,7 @@ class TestRequeueAndStop:
         key, _ = queue.claim("w0")
         # Result written but claim never released (worker died between):
         # the stale claim must not resurrect finished work.
-        pickle_path = queue.result_path(key)
-        pickle_path.write_bytes(pickle.dumps((OK, 1.5)))
+        queue.results.record(key, 1.5)
         requeued = queue.requeue_worker("w0")
         assert requeued == []
         assert queue.pending_tasks() == []

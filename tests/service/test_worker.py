@@ -5,7 +5,8 @@ import os
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.service.queue import DurableTaskQueue, ERROR, OK, TaskEnvelope
+from repro.engine.checkpoint import RunJournal
+from repro.service.queue import DurableTaskQueue, TaskEnvelope
 from repro.service.worker import resolve_function, serve
 from repro.variation import harmonic_mean
 
@@ -31,8 +32,8 @@ class TestServe:
         queue.enqueue("k2", TaskEnvelope.for_call(harmonic_mean, [4.0, 4.0]))
         executed = serve(tmp_path / "q", "w0", max_tasks=2)
         assert executed == 2
-        assert queue.read_result("k1") == (OK, 2.0)
-        assert queue.read_result("k2") == (OK, 4.0)
+        assert queue.results.load("k1") == 2.0
+        assert queue.results.load("k2") == 4.0
 
     def test_records_worker_pid(self, tmp_path):
         queue = DurableTaskQueue(tmp_path / "q")
@@ -47,9 +48,8 @@ class TestServe:
         )
         executed = serve(tmp_path / "q", "w0", max_tasks=1)
         assert executed == 1
-        status, reason = queue.read_result("kbad")
-        assert status == ERROR
-        assert reason  # the exception text survives
+        assert "kbad" not in RunJournal(tmp_path / "q", resume=True)
+        assert queue.take_failure("kbad")  # the exception text survives
 
     def test_unresolvable_function_becomes_error_result(self, tmp_path):
         queue = DurableTaskQueue(tmp_path / "q")
@@ -58,8 +58,7 @@ class TestServe:
             TaskEnvelope("repro.variation", "no_such_function", 1),
         )
         serve(tmp_path / "q", "w0", max_tasks=1)
-        status, reason = queue.read_result("kmissing")
-        assert status == ERROR
+        assert "no_such_function" in queue.take_failure("kmissing")
 
     def test_stop_sentinel_ends_the_loop(self, tmp_path):
         queue = DurableTaskQueue(tmp_path / "q")
