@@ -146,11 +146,9 @@ from repro.engine import (
     decode_event,
     dispatch,
     encode_event,
-    evaluator_cache_size,
     get_experiment,
     register_experiment,
     resolve_cache,
-    set_evaluator_cache_size,
     span,
     task_key,
     tracing_active,
@@ -254,8 +252,6 @@ __all__ = [
     "simulate_trace",
     "YieldModel",
     "DEFAULT_EVALUATOR_CACHE_SIZE",
-    "evaluator_cache_size",
-    "set_evaluator_cache_size",
     "CacheStats",
     "CLIProgressReporter",
     "CompositeObserver",

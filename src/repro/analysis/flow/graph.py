@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.source import Project, SourceModule
 
@@ -141,12 +141,6 @@ class CallGraph:
             ):
                 best = info
         return best
-
-    def functions_in_module(self, module_name: str) -> List[FunctionInfo]:
-        return [
-            info for info in self.functions.values()
-            if info.module == module_name
-        ]
 
     def owner_of(self, node: ast.AST) -> Optional[str]:
         return self.owner_of_node.get(id(node))

@@ -42,10 +42,6 @@ class AnalysisReport:
     def ok(self) -> bool:
         return not self.new_findings
 
-    @property
-    def all_findings(self) -> List[Finding]:
-        return sorted(self.new_findings + self.baselined)
-
 
 def resolve_rules(select: Optional[Sequence[str]] = None) -> List[Rule]:
     if select is None:

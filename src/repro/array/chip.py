@@ -96,11 +96,6 @@ class SRAMChipSample:
         """Fraction of bits that are read-unstable."""
         return self.flip_count / self.total_cells
 
-    @property
-    def has_unstable_cells(self) -> bool:
-        """True if any bit in the cache can flip on a read."""
-        return self.flip_count > 0
-
 
 @dataclass(frozen=True)
 class DRAM3T1DChipSample:

@@ -135,11 +135,6 @@ class RefreshTiming:
         return self.geometry.refresh_cycles_full_pass
 
     @property
-    def line_refresh_seconds(self) -> float:
-        """Wall-clock time to refresh one line."""
-        return self.cycles_per_line / self.node.frequency
-
-    @property
     def full_pass_seconds(self) -> float:
         """Wall-clock time for a full pass (476.3ns at 32nm/4.3GHz)."""
         return self.cycles_full_pass / self.node.frequency

@@ -182,10 +182,7 @@ class RetentionAwareCache:
             memory_latency_cycles=config.memory_latency_cycles,
             miss_rate=config.l2_miss_rate,
         )
-        self.write_buffer = WriteBuffer(
-            capacity=config.write_buffer_entries,
-            drain_interval_cycles=config.l2_write_interval_cycles,
-        )
+        self.write_buffer = WriteBuffer.for_config(config)
         self.l2_cache: Optional[SetAssociativeCache] = None
         if config.real_l2:
             self.l2_cache = SetAssociativeCache(

@@ -14,8 +14,12 @@ profile parameter, not something the L1 schemes change.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.errors import ConfigurationError
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.cache.config import CacheConfig
 
 
 @dataclass
@@ -30,7 +34,6 @@ class WriteBuffer:
 
     capacity: int = 8
     drain_interval_cycles: int = 4
-    _free_at_cycle: float = field(init=False, default=0.0)
     _queued: int = field(init=False, default=0)
     _last_cycle: float = field(init=False, default=0.0)
     stall_cycles: int = field(init=False, default=0)
@@ -41,6 +44,14 @@ class WriteBuffer:
             raise ConfigurationError("write buffer capacity must be >= 1")
         if self.drain_interval_cycles < 1:
             raise ConfigurationError("drain interval must be >= 1 cycle")
+
+    @classmethod
+    def for_config(cls, config: "CacheConfig") -> "WriteBuffer":
+        """The L1's write buffer as sized by a :class:`CacheConfig`."""
+        return cls(
+            capacity=config.write_buffer_entries,
+            drain_interval_cycles=config.l2_write_interval_cycles,
+        )
 
     def _drain_until(self, cycle: float) -> None:
         if cycle < self._last_cycle:

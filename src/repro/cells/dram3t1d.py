@@ -145,11 +145,6 @@ class DRAM3T1DCell:
         return self.node.cell_area
 
     @property
-    def write_transistor(self) -> Transistor:
-        """T1, the write-access device."""
-        return Transistor(node=self.node, width_f=1.0, length_f=1.0)
-
-    @property
     def read_transistor(self) -> Transistor:
         """T2/T3 lumped read stack."""
         return Transistor(node=self.node, width_f=1.0, length_f=1.0)

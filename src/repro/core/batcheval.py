@@ -17,9 +17,14 @@ module provides the production path:
   placement under the paper's four closed-form refresh policies runs the
   flattened kernel in this module; the RSP block-move schemes run the
   timeline kernel in :mod:`repro.core.timeline`.  Both paths are
-  **bit-identical** to ``RetentionAwareCache.run_trace``.  Caches with
-  a token refresh engine, a real L2, or third-party refresh/replacement
-  objects stay on that event controller;
+  **bit-identical** to ``RetentionAwareCache.run_trace``.  Only their
+  placement loops differ: both take their per-line constants and
+  refresh counts from :class:`~repro.core.timeline.LineConstants`,
+  record write-buffer pushes during the pass and replay them afterwards
+  through :class:`~repro.cache.l2.WriteBuffer`, and finalize through
+  :func:`~repro.core.timeline.replay_stats`.  Caches with a token
+  refresh engine, a real L2, or third-party refresh/replacement objects
+  stay on that event controller;
 * :func:`evaluate_many` / :func:`evaluate` -- the stable batched API the
   engine (:mod:`repro.engine.parallel`) and the fig09/fig10/fig11
   drivers route through.
@@ -34,7 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -53,7 +58,13 @@ from repro.cache.replacement import (
     RSPLRUPolicy,
 )
 from repro.cache.stats import CacheStats
-from repro.core.timeline import _replay_rsp_sets
+from repro.core.timeline import (
+    LineConstants,
+    Push,
+    _replay_rsp_sets,
+    owed_refreshes,
+    replay_stats,
+)
 from repro.workloads.generator import MemoryTrace
 
 
@@ -291,29 +302,14 @@ def _simulate_flattened(
     n_sets = geometry.n_sets
     n_ways = geometry.ways
 
-    refresh = cache.refresh
     aware = cache.replacement.uses_retention_info
     dsp = type(cache.replacement) is DSPPolicy
     write_back = config.write_back
-    refresh_cpl = geometry.refresh_cycles_per_line
 
-    # Per-line constants.  Retention is already quantised by the
-    # controller's constructor; effective lifetimes and partial-refresh
-    # caps are pure functions of retention, so compute them once per
-    # distinct value (a b-bit counter admits at most 2**b of them).
-    retention: List[int] = [int(r) for r in cache.retention_grid.reshape(-1)]
-    distinct = set(retention)
-    life_by_r = {r: refresh.effective_lifetime(r) for r in distinct}
-    lifetime: List[float] = [life_by_r[r] for r in retention]
-    if type(refresh) is FullRefresh:
-        acc_mode = 1
-        maxref_by_r: Dict[int, int] = {}
-    elif type(refresh) is PartialRefresh:
-        acc_mode = 2
-        maxref_by_r = {r: refresh.max_refreshes(r) for r in distinct}
-    else:  # NoRefresh / GlobalRefresh: zero per-line refreshes
-        acc_mode = 0
-        maxref_by_r = {}
+    lines = LineConstants.of(cache)
+    retention = lines.retention
+    lifetime: List[float] = [lines.lifetime[r] for r in retention]
+    count = lines.refresh_count
 
     n_lines = n_sets * n_ways
     # Tags live in one row per set with -1 marking invalid ways, so the
@@ -341,64 +337,25 @@ def _simulate_flattened(
             ))
 
     # Stat counters as locals (assembled into CacheStats at the end).
-    loads = stores = hits = misses_cold = misses_expired = 0
-    misses_dead = writebacks = expiry_wb = write_throughs = 0
-    l2_acc = line_refreshes = refresh_blocked = wb_stall = fills = 0
+    hits = misses_cold = misses_expired = misses_dead = writebacks = 0
+    expiry_wb = write_throughs = l2_acc = line_refreshes = fills = 0
+    # Write-buffer pushes, replayed in program order after the pass.
+    pushes: List[Push] = []
 
-    # Write-buffer state (same update rules as cache.l2.WriteBuffer).
-    wb_queued = 0
-    wb_last = 0.0
-    wb_cap = config.write_buffer_entries
-    wb_drain = config.l2_write_interval_cycles
-
-    def _push(cycle):
-        """WriteBuffer.push: drain lazily, stall when full; returns stall."""
-        nonlocal wb_queued, wb_last
-        if cycle < wb_last:
-            cycle = wb_last
-        drained = int((cycle - wb_last) // wb_drain)
-        if drained:
-            wb_queued -= drained
-            if wb_queued < 0:
-                wb_queued = 0
-        wb_last = cycle
-        if wb_queued >= wb_cap:
-            wb_queued = wb_cap
-            return wb_drain
-        wb_queued += 1
-        return 0
-
-    def _account(age, r):
-        """Lazy refresh accounting (RefreshPolicy.refresh_count)."""
-        nonlocal line_refreshes, refresh_blocked
-        if r <= 0:
-            return
-        count = age // r
-        if acc_mode == 2:
-            cap = maxref_by_r[r]
-            if count > cap:
-                count = cap
-        if count:
-            line_refreshes += count
-            refresh_blocked += count * refresh_cpl
-
-    def _evict(j, cyc):
+    def _evict(j, cyc, index):
         """Controller.evict_line on a valid way."""
-        nonlocal writebacks, wb_stall
+        nonlocal writebacks, line_refreshes
         if stale[j]:
             # Expiry already accounted refreshes and any write-back.
             valid[j] = False
             stale[j] = False
             dirty[j] = False
             return
-        age = cyc - fill_c[j]
-        if age < 0:
-            age = 0
-        if acc_mode:
-            _account(age, retention[j])
+        if count:
+            line_refreshes += count(cyc - fill_c[j], retention[j])
         if dirty[j]:
             writebacks += 1
-            wb_stall += _push(cyc)
+            pushes.append((index, len(pushes), cyc))
             dirty[j] = False
         valid[j] = False
 
@@ -419,9 +376,9 @@ def _simulate_flattened(
     for start, stop in segments:
         if start:
             # Measurement begins: drop the warmup counts (state persists).
-            loads = stores = hits = misses_cold = misses_expired = 0
-            misses_dead = writebacks = expiry_wb = write_throughs = 0
-            l2_acc = line_refreshes = refresh_blocked = wb_stall = fills = 0
+            hits = misses_cold = misses_expired = misses_dead = 0
+            writebacks = expiry_wb = write_throughs = l2_acc = 0
+            line_refreshes = fills = 0
         for cyc, s, tag, wr in zip(
             cycles[start:stop],
             sets_in[start:stop],
@@ -447,15 +404,14 @@ def _simulate_flattened(
                             else:
                                 recent.add(t)
                             ecyc = int(e)
-                            age = ecyc - fill_c[j]
-                            if age < 0:
-                                age = 0
-                            if acc_mode:
-                                _account(age, retention[j])
+                            if count:
+                                line_refreshes += count(
+                                    ecyc - fill_c[j], retention[j]
+                                )
                             if dirty[j]:
                                 writebacks += 1
                                 expiry_wb += 1
-                                wb_stall += _push(ecyc)
+                                pushes.append((tick - 1, len(pushes), ecyc))
                                 dirty[j] = False
                             if aware:
                                 valid[j] = False
@@ -476,7 +432,7 @@ def _simulate_flattened(
             if wr and not write_back:
                 # Write-through, no-write-allocate store path.
                 write_throughs += 1
-                wb_stall += _push(cyc)
+                pushes.append((tick - 1, len(pushes), cyc))
                 if way >= 0 and not stale[way]:
                     recency[way] = tick
                     hits += 1
@@ -527,7 +483,7 @@ def _simulate_flattened(
                             best = j
                             best_r = r_
                     victim = best
-                    _evict(victim, cyc)
+                    _evict(victim, cyc, tick - 1)
             else:
                 victim = -1
                 for w in range(n_ways):
@@ -545,7 +501,7 @@ def _simulate_flattened(
                             best = j
                             best_r = r_
                     victim = best
-                    _evict(victim, cyc)
+                    _evict(victim, cyc, tick - 1)
             if expired:
                 misses_expired += 1
             else:
@@ -563,37 +519,18 @@ def _simulate_flattened(
             fills += 1
 
     if warm and n <= warm:
-        loads = stores = hits = misses_cold = misses_expired = 0
-        misses_dead = writebacks = expiry_wb = write_throughs = 0
-        l2_acc = line_refreshes = refresh_blocked = wb_stall = fills = 0
-    else:
-        # loads/stores are state-independent: count them from the columnar
-        # write flags instead of branching once per access in the loop.
-        measured_from = warm if 0 < warm < n else 0
-        writes_col = artifacts.columnar()["write"]
-        stores = int(np.count_nonzero(writes_col[measured_from:]))
-        loads = (n - measured_from) - stores
+        # Every reference fell inside the warmup prefix.
+        hits = misses_cold = misses_expired = misses_dead = writebacks = 0
+        expiry_wb = write_throughs = l2_acc = line_refreshes = fills = 0
+    if count:
+        line_refreshes += owed_refreshes(count, (
+            (expiry[j], fill_c[j], retention[j])
+            for j in range(n_lines) if valid[j] and not stale[j]
+        ), artifacts.end_cycle)
 
-    # Finalize: refreshes still owed by resident lines, then the global
-    # scheme's whole-cache passes.
-    end_cycle = artifacts.end_cycle
-    for j in range(n_lines):
-        if valid[j] and not stale[j]:
-            e = expiry[j]
-            cutoff = end_cycle if e > end_cycle else e
-            age = int(cutoff) - fill_c[j]
-            if age < 0:
-                age = 0
-            if acc_mode:
-                _account(age, retention[j])
-    if type(refresh) is GlobalRefresh:
-        passes = end_cycle // refresh.chip_retention_cycles
-        line_refreshes += passes * n_lines
-        refresh_blocked += passes * refresh.pass_cycles
-
-    return CacheStats(
-        loads=loads,
-        stores=stores,
+    return replay_stats(
+        cache, artifacts, pushes,
+        line_refreshes=line_refreshes,
         hits=hits,
         misses_cold=misses_cold,
         misses_expired=misses_expired,
@@ -602,13 +539,6 @@ def _simulate_flattened(
         expiry_writebacks=expiry_wb,
         write_throughs=write_throughs,
         l2_accesses=l2_acc,
-        l2_hits=0,
-        l2_misses=0,
-        line_refreshes=line_refreshes,
-        refresh_blocked_cycles=refresh_blocked,
-        line_moves=0,
-        move_blocked_cycles=0,
-        write_buffer_stall_cycles=wb_stall,
         fills=fills,
     )
 

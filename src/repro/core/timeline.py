@@ -1,4 +1,4 @@
-"""The RSP timeline replay kernel.
+"""The RSP timeline replay kernel and the bookkeeping both kernels share.
 
 :mod:`repro.core.batcheval`'s flattened kernel covers stationary
 placement (LRU/DSP) with closed-form refresh accounting.  RSP-FIFO and
@@ -12,9 +12,25 @@ one set at a time over position-space state (slot ``p`` = the ``p``-th
 longest-retention live way).  Per-line retention-expiry timelines are
 precomputed as interval arithmetic: a single ``next_expiry`` bound per
 set makes the "is this line still alive?" check one compare, and warm-up
-is a per-set counter snapshot instead of a mid-trace reset.  Cross-set
-effects -- the single shared write buffer -- are reconciled afterwards
-by replaying the collected write-back events in global program order.
+is a per-set counter snapshot instead of a mid-trace reset.
+
+Both kernels differ only in how they place blocks.  The rest of the
+replay is one copy, here:
+
+* :class:`LineConstants` -- the quantised retention of every line, the
+  effective lifetime of each distinct retention, and the one lazy
+  refresh-count function every accounting site calls;
+* the write buffer -- during the pass a kernel only records each push as
+  ``(reference index, emission order, cycle)``;
+  :func:`write_buffer_stalls` replays the records afterwards through
+  :class:`~repro.cache.l2.WriteBuffer` itself (stalls never move a
+  reference's cycle, so the buffer is the one global coupling that can
+  wait until the end);
+* finalize -- :func:`owed_refreshes` charges resident lines for the
+  refreshes they are still owed, and :func:`replay_stats` adds the
+  global scheme's passes (``GlobalRefresh.passes_in_window``), the
+  blocked cycles, and the loads/stores counted from the columnar write
+  flags.
 
 Like the flattened kernel, this one treats the passed cache as a
 read-only configuration source.  Caches with a token refresh engine or a
@@ -25,17 +41,164 @@ sends them to the event controller.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, List, Tuple
+from dataclasses import dataclass
+from typing import (
+    TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Tuple,
+)
 
 import numpy as np
 
-from repro.cache.refresh import FullRefresh, GlobalRefresh, PartialRefresh
+from repro.cache.l2 import WriteBuffer
+from repro.cache.refresh import (
+    FullRefresh, GlobalRefresh, PartialRefresh, RefreshPolicy,
+)
 from repro.cache.replacement import RSPLRUPolicy
 from repro.cache.stats import CacheStats
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.cache.config import CacheConfig
     from repro.cache.controller import RetentionAwareCache
     from repro.core.batcheval import TraceArtifacts
+
+#: ``count(age, retention)``: refreshes a line spent while it lived ``age``
+#: cycles (a negative age counts as zero, as in the controller).
+RefreshCount = Callable[[int, int], int]
+
+#: One write-buffer push: (global reference index, emission order, cycle).
+Push = Tuple[int, int, int]
+
+
+def _refresh_counter(
+    refresh: RefreshPolicy, retentions: Iterable[int]
+) -> Optional[RefreshCount]:
+    """``refresh.refresh_count`` specialised to a chip's retentions.
+
+    ``None`` when the policy charges no per-line refreshes (no-refresh,
+    and global refresh, which is charged per pass at finalize).  The
+    partial scheme's cap is looked up per distinct retention instead of
+    being recomputed per call.
+    """
+    if type(refresh) is FullRefresh:
+        caps = dict.fromkeys(retentions, math.inf)
+    elif type(refresh) is PartialRefresh:
+        caps = {r: refresh.max_refreshes(r) for r in retentions}
+    else:
+        return None
+
+    def count(age: int, r: int) -> int:
+        if age <= 0 or r <= 0:
+            return 0
+        performed = age // r
+        cap = caps[r]
+        return cap if performed > cap else performed
+
+    return count
+
+
+@dataclass(frozen=True)
+class LineConstants:
+    """The per-line constants both kernels read, built once per replay.
+
+    ``retention`` is line-major (``set * ways + way``) and already
+    quantised by the controller's constructor; ``lifetime`` maps each
+    distinct retention to its effective lifetime under the cache's
+    refresh policy (a b-bit counter admits at most ``2**b`` of them).
+    """
+
+    retention: List[int]
+    lifetime: Dict[int, float]
+    refresh_count: Optional[RefreshCount]
+
+    @classmethod
+    def of(cls, cache: "RetentionAwareCache") -> "LineConstants":
+        retention = [int(r) for r in cache.retention_grid.reshape(-1)]
+        distinct = set(retention)
+        refresh = cache.refresh
+        return cls(
+            retention=retention,
+            lifetime={r: refresh.effective_lifetime(r) for r in distinct},
+            refresh_count=_refresh_counter(refresh, distinct),
+        )
+
+
+def owed_refreshes(
+    count: RefreshCount,
+    resident: Iterable[Tuple[float, int, int]],
+    end_cycle: int,
+) -> int:
+    """Refreshes the ``(expiry, fill cycle, retention)`` lines still owe.
+
+    The controller's ``finalize``: a resident line is charged for its
+    life up to the end of the window or its expiry, whichever is first.
+    """
+    owed = 0
+    for expiry, fill, r in resident:
+        cutoff = end_cycle if expiry > end_cycle else expiry
+        owed += count(int(cutoff) - fill, r)
+    return owed
+
+
+def write_buffer_stalls(
+    config: "CacheConfig", pushes: List[Push], warmup: int
+) -> int:
+    """Replay the recorded pushes through the L1's write buffer.
+
+    Sorted, the records are the controller's push sequence: a reference
+    index orders pushes across sets, and the emission order orders the
+    pushes one reference makes.  The buffer keeps its state across the
+    warmup split, but only pushes at or after the split count stalls
+    (the controller resets its counters there).
+    """
+    buffer = WriteBuffer.for_config(config)
+    stalls = 0
+    for index, _order, cycle in sorted(pushes):
+        stall = buffer.push(cycle)
+        if index >= warmup:
+            stalls += stall
+    return stalls
+
+
+def replay_stats(
+    cache: "RetentionAwareCache",
+    artifacts: "TraceArtifacts",
+    pushes: List[Push],
+    *,
+    line_refreshes: int,
+    line_moves: int = 0,
+    **counts: int,
+) -> CacheStats:
+    """Finalize one kernel replay into the controller's :class:`CacheStats`.
+
+    ``line_refreshes`` and ``line_moves`` are the measured per-line
+    refreshes (owed ones included) and RSP block moves; ``counts`` are
+    the remaining placement counters, by field name.  Blocked cycles
+    follow from the counts, the global scheme's passes from the window,
+    and loads/stores from the write flags past the warmup split.
+    """
+    geometry = cache.config.geometry
+    cpl = geometry.refresh_cycles_per_line
+    blocked = line_refreshes * cpl
+    refresh = cache.refresh
+    if type(refresh) is GlobalRefresh:
+        passes = refresh.passes_in_window(artifacts.end_cycle)
+        line_refreshes += passes * geometry.n_lines
+        blocked += passes * refresh.pass_cycles
+    n = len(artifacts)
+    warm = artifacts.warmup_references
+    measured_from = min(warm, n)
+    stores = int(np.count_nonzero(artifacts.columnar()["write"][measured_from:]))
+    return CacheStats(
+        loads=(n - measured_from) - stores,
+        stores=stores,
+        line_refreshes=line_refreshes,
+        refresh_blocked_cycles=blocked,
+        line_moves=line_moves,
+        move_blocked_cycles=line_moves * cpl,
+        write_buffer_stall_cycles=write_buffer_stalls(
+            cache.config, pushes, warm
+        ),
+        **counts,
+    )
 
 
 def _replay_rsp_sets(
@@ -48,28 +211,16 @@ def _replay_rsp_sets(
     """
     promote = type(cache.replacement) is RSPLRUPolicy
     config = cache.config
-    geometry = config.geometry
-    n_sets = geometry.n_sets
-    n_ways = geometry.ways
-    refresh = cache.refresh
+    n_sets = config.geometry.n_sets
+    n_ways = config.geometry.ways
     write_back = config.write_back
-    refresh_cpl = geometry.refresh_cycles_per_line
 
-    retention: List[int] = [int(r) for r in cache.retention_grid.reshape(-1)]
-    distinct = set(retention)
-    life_by_r = {r: refresh.effective_lifetime(r) for r in distinct}
-    if type(refresh) is FullRefresh:
-        acc_mode = 1
-        maxref_by_r = {}
-    elif type(refresh) is PartialRefresh:
-        acc_mode = 2
-        maxref_by_r = {r: refresh.max_refreshes(r) for r in distinct}
-    else:  # NoRefresh / GlobalRefresh: zero per-line refreshes
-        acc_mode = 0
-        maxref_by_r = {}
+    lines = LineConstants.of(cache)
+    retention = lines.retention
+    lifetime = lines.lifetime
+    count = lines.refresh_count
 
     INF = math.inf
-    warm = artifacts.warmup_references
     end_cycle = artifacts.end_cycle
     streams = artifacts.set_streams()
 
@@ -77,13 +228,10 @@ def _replay_rsp_sets(
     # them with their pre-warmup prefix subtracted (every counter is
     # monotone within a set, so a snapshot at the warmup split is exact).
     g_hits = g_mc = g_me = g_md = 0
-    g_wb = g_ewb = g_wt = g_l2a = g_lref = g_rblk = 0
-    g_moves = g_mblk = g_fills = 0
+    g_wb = g_ewb = g_wt = g_l2a = g_lref = g_moves = g_fills = 0
 
-    # Write-back arrivals (global reference index, emission order, cycle)
-    # for the shared write buffer, replayed in program order afterwards.
-    push_events: List[Tuple[int, int, int]] = []
-    seq = 0
+    # Write-buffer pushes, replayed in program order after the pass.
+    pushes: List[Push] = []
 
     for s in range(n_sets):
         stream = streams[s]
@@ -96,7 +244,7 @@ def _replay_rsp_sets(
         )
         n_live = len(order)
         retp = [retention[base + w] for w in order]
-        life = [life_by_r[r] for r in retp]
+        life = [lifetime[r] for r in retp]
         # Expiry sweeps visit ways in way-index order, like the controller.
         sweep_pos = sorted(range(n_live), key=lambda p: order[p])
 
@@ -110,14 +258,11 @@ def _replay_rsp_sets(
 
         ticks_s, cycs, tags_s, wrs_s, split = stream
         n_acc = len(cycs)
-        h = mc = me = md = wb = ewb = wt = l2a = 0
-        lref = rblk = mv = mblk = fl = 0
-        # Counter snapshot at the warmup split (loads/stores are
-        # state-independent and counted globally from the columnar
-        # write flags instead).
+        h = mc = me = md = wb = ewb = wt = l2a = lref = mv = fl = 0
+        # Counter snapshot at the warmup split.
         snap = None
         if split <= 0:
-            snap = (0,) * 13
+            snap = (0,) * 11
             segments = ((0, n_acc),)
         elif split < n_acc:
             segments = ((0, split), (split, n_acc))
@@ -126,7 +271,7 @@ def _replay_rsp_sets(
 
         def _promote(position, cyc):
             """RSPLRUPolicy.on_hit + controller.promote_line, slot-space."""
-            nonlocal mv, mblk, nxt_exp, lref, rblk
+            nonlocal mv, nxt_exp, lref
             stash_tag = prow[position]
             stash_dirty = pdirty[position]
             prow[position] = -1
@@ -134,19 +279,8 @@ def _replay_rsp_sets(
                 src = i - 1
                 tag_src = prow[src]
                 if tag_src >= 0:
-                    if acc_mode:
-                        age = cyc - pfill[src]
-                        if age < 0:
-                            age = 0
-                        r = retp[src]
-                        count = age // r
-                        if acc_mode == 2:
-                            cap = maxref_by_r[r]
-                            if count > cap:
-                                count = cap
-                        if count:
-                            lref += count
-                            rblk += count * refresh_cpl
+                    if count:
+                        lref += count(cyc - pfill[src], retp[src])
                     prow[i] = tag_src
                     prow[src] = -1
                     pdirty[i] = pdirty[src]
@@ -157,7 +291,6 @@ def _replay_rsp_sets(
                     if e2 < nxt_exp:
                         nxt_exp = e2
                     mv += 1
-                    mblk += refresh_cpl
             prow[0] = stash_tag
             pdirty[0] = stash_dirty
             pfill[0] = cyc
@@ -166,13 +299,11 @@ def _replay_rsp_sets(
             if e2 < nxt_exp:
                 nxt_exp = e2
             mv += 1
-            mblk += refresh_cpl
 
         for a, b in segments:
             if a:
                 # Measurement begins: snapshot the warmup prefix.
-                snap = (h, mc, me, md, wb, ewb, wt, l2a,
-                        lref, rblk, mv, mblk, fl)
+                snap = (h, mc, me, md, wb, ewb, wt, l2a, lref, mv, fl)
             for tck, cyc, tag, wr in zip(
                 ticks_s[a:b], cycs[a:b], tags_s[a:b], wrs_s[a:b]
             ):
@@ -188,24 +319,12 @@ def _replay_rsp_sets(
                                     recent = {prow[p]}
                                 else:
                                     recent.add(prow[p])
-                                if acc_mode:
-                                    age = int(e) - pfill[p]
-                                    if age < 0:
-                                        age = 0
-                                    r = retp[p]
-                                    count = age // r
-                                    if acc_mode == 2:
-                                        cap = maxref_by_r[r]
-                                        if count > cap:
-                                            count = cap
-                                    if count:
-                                        lref += count
-                                        rblk += count * refresh_cpl
+                                if count:
+                                    lref += count(int(e) - pfill[p], retp[p])
                                 if pdirty[p]:
                                     wb += 1
                                     ewb += 1
-                                    push_events.append((tck, seq, int(e)))
-                                    seq += 1
+                                    pushes.append((tck, len(pushes), int(e)))
                                     pdirty[p] = False
                                 prow[p] = -1
                             elif e < nxt:
@@ -215,8 +334,7 @@ def _replay_rsp_sets(
                 if wr and not write_back:
                     # Write-through, no-write-allocate store path.
                     wt += 1
-                    push_events.append((tck, seq, cyc))
-                    seq += 1
+                    pushes.append((tck, len(pushes), cyc))
                     if tag in prow:
                         h += 1
                         if promote:
@@ -255,23 +373,11 @@ def _replay_rsp_sets(
                         break
                 else:
                     tail = n_live - 1
-                    if acc_mode:
-                        age = cyc - pfill[tail]
-                        if age < 0:
-                            age = 0
-                        r = retp[tail]
-                        count = age // r
-                        if acc_mode == 2:
-                            cap = maxref_by_r[r]
-                            if count > cap:
-                                count = cap
-                        if count:
-                            lref += count
-                            rblk += count * refresh_cpl
+                    if count:
+                        lref += count(cyc - pfill[tail], retp[tail])
                     if pdirty[tail]:
                         wb += 1
-                        push_events.append((tck, seq, cyc))
-                        seq += 1
+                        pushes.append((tck, len(pushes), cyc))
                         pdirty[tail] = False
                     prow[tail] = -1
                     depth = tail
@@ -279,19 +385,8 @@ def _replay_rsp_sets(
                     src = position - 1
                     tag_src = prow[src]
                     if tag_src >= 0:
-                        if acc_mode:
-                            age = cyc - pfill[src]
-                            if age < 0:
-                                age = 0
-                            r = retp[src]
-                            count = age // r
-                            if acc_mode == 2:
-                                cap = maxref_by_r[r]
-                                if count > cap:
-                                    count = cap
-                            if count:
-                                lref += count
-                                rblk += count * refresh_cpl
+                        if count:
+                            lref += count(cyc - pfill[src], retp[src])
                         prow[position] = tag_src
                         prow[src] = -1
                         pdirty[position] = pdirty[src]
@@ -302,7 +397,6 @@ def _replay_rsp_sets(
                         if e < nxt_exp:
                             nxt_exp = e
                         mv += 1
-                        mblk += refresh_cpl
                 if expired:
                     me += 1
                 else:
@@ -318,8 +412,7 @@ def _replay_rsp_sets(
 
         if snap is None:
             # Every access of this set fell inside the warmup prefix.
-            snap = (h, mc, me, md, wb, ewb, wt, l2a,
-                    lref, rblk, mv, mblk, fl)
+            snap = (h, mc, me, md, wb, ewb, wt, l2a, lref, mv, fl)
         g_hits += h - snap[0]
         g_mc += mc - snap[1]
         g_me += me - snap[2]
@@ -329,72 +422,20 @@ def _replay_rsp_sets(
         g_wt += wt - snap[6]
         g_l2a += l2a - snap[7]
         g_lref += lref - snap[8]
-        g_rblk += rblk - snap[9]
-        g_moves += mv - snap[10]
-        g_mblk += mblk - snap[11]
-        g_fills += fl - snap[12]
+        g_moves += mv - snap[9]
+        g_fills += fl - snap[10]
+        if count:
+            # Refreshes still owed by this set's resident lines
+            # (post-warmup by construction: finalize runs after the reset).
+            g_lref += owed_refreshes(count, (
+                (pexp[p], pfill[p], retp[p])
+                for p in range(n_live) if prow[p] >= 0
+            ), end_cycle)
 
-        # Finalize: refreshes still owed by this set's resident lines
-        # (post-warmup by construction: finalize runs after the reset).
-        if acc_mode:
-            for p in range(n_live):
-                if prow[p] >= 0:
-                    e = pexp[p]
-                    cutoff = end_cycle if e > end_cycle else e
-                    age = int(cutoff) - pfill[p]
-                    if age < 0:
-                        age = 0
-                    r = retp[p]
-                    count = age // r
-                    if acc_mode == 2:
-                        cap = maxref_by_r[r]
-                        if count > cap:
-                            count = cap
-                    if count:
-                        g_lref += count
-                        g_rblk += count * refresh_cpl
-
-    if type(refresh) is GlobalRefresh:
-        passes = refresh.passes_in_window(end_cycle)
-        g_lref += passes * geometry.n_lines
-        g_rblk += passes * refresh.pass_cycles
-
-    # loads/stores are state-independent: count them from the columnar
-    # write flags instead of branching once per access in the set loops.
-    n_total = len(artifacts.cycles)
-    measured_from = warm if warm < n_total else n_total
-    writes_col = artifacts.columnar()["write"]
-    g_stores = int(np.count_nonzero(writes_col[measured_from:]))
-    g_loads = (n_total - measured_from) - g_stores
-
-    # The single shared write buffer: replay every write-back arrival in
-    # program order.  Ties share a reference index only within one set,
-    # so (tick, emission order) reproduces the controller's sequence.
-    wb_stall = 0
-    wb_queued = 0
-    wb_last = 0.0
-    wb_cap = config.write_buffer_entries
-    wb_drain = config.l2_write_interval_cycles
-    push_events.sort()
-    for tick, _seq, cycle in push_events:
-        if cycle < wb_last:
-            cycle = wb_last
-        drained = int((cycle - wb_last) // wb_drain)
-        if drained:
-            wb_queued -= drained
-            if wb_queued < 0:
-                wb_queued = 0
-        wb_last = cycle
-        if wb_queued >= wb_cap:
-            wb_queued = wb_cap
-            if tick >= warm:
-                wb_stall += wb_drain
-        else:
-            wb_queued += 1
-
-    return CacheStats(
-        loads=g_loads,
-        stores=g_stores,
+    return replay_stats(
+        cache, artifacts, pushes,
+        line_refreshes=g_lref,
+        line_moves=g_moves,
         hits=g_hits,
         misses_cold=g_mc,
         misses_expired=g_me,
@@ -403,13 +444,5 @@ def _replay_rsp_sets(
         expiry_writebacks=g_ewb,
         write_throughs=g_wt,
         l2_accesses=g_l2a,
-        l2_hits=0,
-        l2_misses=0,
-        line_refreshes=g_lref,
-        refresh_blocked_cycles=g_rblk,
-        line_moves=g_moves,
-        move_blocked_cycles=g_mblk,
-        write_buffer_stall_cycles=wb_stall,
         fills=g_fills,
     )
-

@@ -113,11 +113,9 @@ from repro.engine.parallel import (
     ParallelChipRunner,
     RunnerStats,
     SchemeOutcome,
-    evaluator_cache_size,
     evaluator_for,
     run_build_task,
     run_eval_task,
-    set_evaluator_cache_size,
 )
 from repro.engine.registry import (
     CsvExport,
@@ -186,11 +184,9 @@ __all__ = [
     "EvaluatorSpec",
     "EvalTask",
     "SchemeOutcome",
-    "evaluator_cache_size",
     "evaluator_for",
     "run_build_task",
     "run_eval_task",
-    "set_evaluator_cache_size",
     "CsvExport",
     "Experiment",
     "register_experiment",

@@ -3,17 +3,17 @@
 :class:`EngineConfig` gathers every execution knob that used to be
 scattered across :class:`~repro.experiments.runner.ExperimentContext`
 fields, :class:`~repro.engine.parallel.ParallelChipRunner` arguments, and
-``run_all``-only CLI flags: pool width, result-cache directory, the
-evaluator LRU capacity, and the robustness layer (checkpoint directory,
+``run_all``-only CLI flags: pool width, result-cache directory, and
+the robustness layer (checkpoint directory,
 resume flag, per-task timeout, retry budget, pool-failure budget, fault
 plan).  None of these knobs ever affect results -- serial, parallel,
 cached, resumed, and fault-injected runs stay bit-identical -- so the
 config deliberately contributes nothing to cache fingerprints.
 
 The legacy keyword signatures (``ExperimentContext(workers=...)``,
-``ParallelChipRunner(workers=..., evaluator_cache_size=...)``) completed
-their deprecation cycle and were removed; :class:`EngineConfig` is the
-only way to configure the engine (see DESIGN.md section 3d).
+``ParallelChipRunner(workers=...)``) completed their deprecation cycle
+and were removed; :class:`EngineConfig` is the only way to configure
+the engine (see DESIGN.md section 3d).
 """
 
 from __future__ import annotations
@@ -67,8 +67,6 @@ class EngineConfig:
     store is reused by any run or client sharing it."""
     cache_dir: Optional[pathlib.Path] = None
     """Result-cache directory (experiment-level memoisation)."""
-    evaluator_cache_size: Optional[int] = None
-    """Per-process evaluator LRU capacity; ``None`` keeps the default."""
     checkpoint_dir: Optional[pathlib.Path] = None
     """Task-store directory: every completed task's result is stored
     under ``results/`` by its content digest; ``None`` disables
@@ -101,14 +99,6 @@ class EngineConfig:
         if self.fleet_size is not None and self.fleet_size < 1:
             raise ConfigurationError(
                 f"fleet_size must be >= 1, got {self.fleet_size}"
-            )
-        if (
-            self.evaluator_cache_size is not None
-            and self.evaluator_cache_size < 1
-        ):
-            raise ConfigurationError(
-                "evaluator cache size must be >= 1, got "
-                f"{self.evaluator_cache_size}"
             )
         if self.task_timeout is not None and self.task_timeout <= 0:
             raise ConfigurationError(

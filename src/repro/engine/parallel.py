@@ -139,31 +139,6 @@ class EvaluatorSpec:
 DEFAULT_EVALUATOR_CACHE_SIZE = 6
 
 _EVALUATOR_CACHE: "OrderedDict[EvaluatorSpec, Evaluator]" = OrderedDict()
-_EVALUATOR_CACHE_MAX = DEFAULT_EVALUATOR_CACHE_SIZE
-
-
-def evaluator_cache_size() -> int:
-    """The current process-local evaluator LRU capacity."""
-    return _EVALUATOR_CACHE_MAX
-
-
-def set_evaluator_cache_size(size: int) -> None:
-    """Resize the process-local evaluator LRU (evicting if shrinking).
-
-    Worker processes inherit the size from the
-    :class:`ParallelChipRunner` that spawned them; raise it when one run
-    interleaves more than ``DEFAULT_EVALUATOR_CACHE_SIZE`` distinct
-    :class:`EvaluatorSpec` shapes and trace regeneration shows up in
-    profiles.
-    """
-    global _EVALUATOR_CACHE_MAX
-    if size < 1:
-        raise ConfigurationError(
-            f"evaluator cache size must be >= 1, got {size}"
-        )
-    _EVALUATOR_CACHE_MAX = size
-    while len(_EVALUATOR_CACHE) > _EVALUATOR_CACHE_MAX:
-        _EVALUATOR_CACHE.popitem(last=False)
 
 
 def evaluator_for(spec: EvaluatorSpec) -> Evaluator:
@@ -177,16 +152,11 @@ def evaluator_for(spec: EvaluatorSpec) -> Evaluator:
         ):
             evaluator = spec.build()
         _EVALUATOR_CACHE[spec] = evaluator
-        while len(_EVALUATOR_CACHE) > _EVALUATOR_CACHE_MAX:
+        while len(_EVALUATOR_CACHE) > DEFAULT_EVALUATOR_CACHE_SIZE:
             _EVALUATOR_CACHE.popitem(last=False)
     else:
         _EVALUATOR_CACHE.move_to_end(spec)
     return evaluator
-
-
-def _init_worker(cache_size: int) -> None:
-    """Process-pool initializer: propagate the evaluator LRU capacity."""
-    set_evaluator_cache_size(cache_size)
 
 
 @dataclass(frozen=True)
@@ -469,20 +439,15 @@ class _PoolBatchExecutor:
     batch starts a fresh one.
     """
 
-    def __init__(self, config: EngineConfig, workers: int, cache_size: int):
+    def __init__(self, config: EngineConfig, workers: int):
         self.config = config
         self.workers = workers
-        self.cache_size = cache_size
         self._pool: Optional[ProcessPoolExecutor] = None
 
     def run_batch(self, fn, items, notify, label="batch"):
         config = self.config
         if self._pool is None:
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.workers,
-                initializer=_init_worker,
-                initargs=(self.cache_size,),
-            )
+            self._pool = ProcessPoolExecutor(max_workers=self.workers)
         # Decided once per batch: traced runs ask workers to collect and
         # ship their spans home alongside each result.
         collect_spans = trace_mod.tracing_active()
@@ -568,9 +533,7 @@ class ParallelChipRunner:
     bit-identical across worker counts and backends because every task
     is deterministically seeded and self-contained.
 
-    The runner is configured by an :class:`EngineConfig`; the legacy
-    ``workers=`` / ``evaluator_cache_size=`` keywords completed their
-    deprecation cycle and were removed.  :meth:`map` is the one
+    The runner is configured by an :class:`EngineConfig`.  :meth:`map` is the one
     supervisor over three executors (inline, process pool, subprocess
     fleet): bounded retries with deterministic backoff, pool respawn,
     per-task timeouts (pool only), poison-task quarantine (a task that
@@ -588,27 +551,14 @@ class ParallelChipRunner:
             config = EngineConfig()
         elif not isinstance(config, EngineConfig):
             raise TypeError(
-                "ParallelChipRunner takes an EngineConfig; the legacy "
-                "workers=/evaluator_cache_size= arguments were removed "
-                "-- pass EngineConfig(workers=..., "
-                "evaluator_cache_size=...) instead"
+                "ParallelChipRunner takes an EngineConfig, got "
+                f"{type(config).__name__}"
             )
         self.config = config
         self.workers = config.effective_workers
-        if config.evaluator_cache_size is not None:
-            # Applies to the serial/inline path immediately; worker
-            # processes pick it up through the pool initializer.
-            set_evaluator_cache_size(config.evaluator_cache_size)
-        self.evaluator_cache_size = (
-            config.evaluator_cache_size
-            if config.evaluator_cache_size is not None
-            else _EVALUATOR_CACHE_MAX
-        )
         self.stats = RunnerStats()
         self._inline = _InlineBatchExecutor(config)
-        self._pool = _PoolBatchExecutor(
-            config, self.workers, self.evaluator_cache_size
-        )
+        self._pool = _PoolBatchExecutor(config, self.workers)
         self._fleet: Optional[Any] = None
         self._journal = (
             RunJournal(config.checkpoint_dir, resume=config.resume)
@@ -869,10 +819,8 @@ __all__ = [
     "SchemeOutcome",
     "ParallelChipRunner",
     "RunnerStats",
-    "evaluator_cache_size",
     "evaluator_for",
     "run_eval_task",
     "run_build_task",
-    "set_evaluator_cache_size",
     "TaskFailed",
 ]

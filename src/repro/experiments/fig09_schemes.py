@@ -32,13 +32,6 @@ class Fig09Result:
     power: Dict[str, Dict[str, float]]
     """scheme name -> chip label -> normalized dynamic power."""
 
-    def best_scheme_for(self, chip_label: str) -> str:
-        """Scheme with the highest performance on a chip."""
-        return max(
-            self.performance,
-            key=lambda scheme: self.performance[scheme][chip_label],
-        )
-
 
 def run(
     context: Optional[ExperimentContext] = None,

@@ -66,14 +66,6 @@ class Fig12Result:
     """scheme name -> array of shape (len(mu), len(sigma))."""
     design_points: List[DesignPoint]
 
-    def performance_at(
-        self, scheme: str, mu: int, sigma_ratio: float
-    ) -> float:
-        """Surface value at one grid point."""
-        i = self.mu_cycles.index(mu)
-        j = self.sigma_ratios.index(sigma_ratio)
-        return float(self.surfaces[scheme][i, j])
-
 
 def synthetic_chip(
     node: TechnologyNode,

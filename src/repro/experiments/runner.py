@@ -36,9 +36,9 @@ class ExperimentContext:
     ``n_chips`` / ``n_references`` default to paper scale (100 chips) and
     a laptop-sized trace; benches pass smaller values.  Execution knobs
     (pool width, caches, checkpointing, supervision) live exclusively on
-    :attr:`engine` -- the legacy ``workers`` / ``evaluator_cache_size``
-    constructor keywords completed their deprecation cycle and were
-    removed (read-only mirror properties remain).
+    :attr:`engine` -- the legacy ``workers`` constructor keyword
+    completed its deprecation cycle and was removed (a read-only mirror
+    property remains).
     """
 
     node: TechnologyNode = NODE_32NM
@@ -89,24 +89,18 @@ class ExperimentContext:
             self.engine = EngineConfig(workers=1)
         elif not isinstance(self.engine, EngineConfig):
             raise ConfigurationError(
-                "engine must be an EngineConfig; the legacy workers=/"
-                "evaluator_cache_size= keywords were removed -- pass "
-                "engine=EngineConfig(workers=..., evaluator_cache_size=...)"
+                "engine must be an EngineConfig, got "
+                f"{type(self.engine).__name__}"
             )
 
     # ------------------------------------------------------------------
-    # read-only mirrors of the engine's knobs (informational)
+    # read-only mirror of the engine's pool width (informational)
     # ------------------------------------------------------------------
 
     @property
     def workers(self) -> int:
         """The engine's effective pool width (read-only mirror)."""
         return self.engine.effective_workers
-
-    @property
-    def evaluator_cache_size(self) -> Optional[int]:
-        """The engine's evaluator LRU capacity (read-only mirror)."""
-        return self.engine.evaluator_cache_size
 
     # ------------------------------------------------------------------
     # builders
@@ -119,16 +113,8 @@ class ExperimentContext:
         worker pool is shared with the parent, so a derived context does
         not spawn new processes.  Engine knobs are overridden by passing
         a whole ``engine=EngineConfig(...)`` (derive one from
-        ``context.engine.replace(...)``); the legacy ``workers`` /
-        ``evaluator_cache_size`` keywords were removed.
+        ``context.engine.replace(...)``).
         """
-        for name in ("workers", "evaluator_cache_size"):
-            if name in overrides:
-                raise ConfigurationError(
-                    f"the legacy {name!r} override was removed; pass "
-                    f"engine=context.engine.replace({name}=...) (an "
-                    "EngineConfig) instead"
-                )
         for name in overrides:
             if name.startswith("_") or name not in self.__dataclass_fields__:
                 raise ConfigurationError(

@@ -117,11 +117,6 @@ class SubprocessFleetExecutor:
             "--worker-id", worker_id,
             "--parent-pid", str(os.getpid()),
         ]
-        if self.config.evaluator_cache_size is not None:
-            command += [
-                "--evaluator-cache-size",
-                str(self.config.evaluator_cache_size),
-            ]
         self._workers[worker_id] = subprocess.Popen(
             command,
             env=_worker_env(),

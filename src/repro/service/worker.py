@@ -8,9 +8,9 @@ by ``module:qualname``, run it, and durably record ``("ok", result)`` or
 appears or its coordinating parent process dies (``--parent-pid``), so
 an abandoned fleet never outlives its run.
 
-Workers hold the same per-process evaluator LRU as pool workers
-(``--evaluator-cache-size`` mirrors the pool initializer), which is what
-makes a persistent fleet amortise trace construction across many jobs.
+Workers hold the same per-process evaluator LRU as pool workers, which
+is what makes a persistent fleet amortise trace construction across
+many jobs.
 """
 
 from __future__ import annotations
@@ -56,7 +56,6 @@ def serve(
     queue_dir: pathlib.Path,
     worker_id: str,
     parent_pid: Optional[int] = None,
-    evaluator_cache_size: Optional[int] = None,
     idle_poll_s: float = IDLE_POLL_S,
     max_tasks: Optional[int] = None,
 ) -> int:
@@ -67,10 +66,6 @@ def serve(
     """
     queue = DurableTaskQueue(queue_dir)
     queue.write_worker_pid(worker_id, os.getpid())
-    if evaluator_cache_size is not None:
-        from repro.engine.parallel import set_evaluator_cache_size
-
-        set_evaluator_cache_size(evaluator_cache_size)
     executed = 0
     while not queue.stop_requested() and _parent_alive(parent_pid):
         if max_tasks is not None and executed >= max_tasks:
@@ -109,14 +104,12 @@ def main(argv: Optional[list] = None) -> None:
     parser.add_argument("--queue", type=pathlib.Path, required=True)
     parser.add_argument("--worker-id", type=str, required=True)
     parser.add_argument("--parent-pid", type=int, default=None)
-    parser.add_argument("--evaluator-cache-size", type=int, default=None)
     parser.add_argument("--idle-poll", type=float, default=IDLE_POLL_S)
     args = parser.parse_args(argv)
     serve(
         args.queue,
         args.worker_id,
         parent_pid=args.parent_pid,
-        evaluator_cache_size=args.evaluator_cache_size,
         idle_poll_s=args.idle_poll,
     )
 

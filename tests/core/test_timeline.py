@@ -6,8 +6,11 @@ which routes the RSP schemes through this kernel) lives in
 ``tests/property/test_cache_properties.py`` compares both kernels with
 the controller on generated inputs.  This module drives the timeline
 path directly on crafted micro-traces where the awkward interleavings --
-same-cycle expiry, the warmup split -- are guaranteed to occur.
+same-cycle expiry, the warmup split, a full write buffer -- are
+guaranteed to occur.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -43,9 +46,9 @@ def _micro_trace(cycles, addresses, writes, warmup=0):
     )
 
 
-def _run_both(grid, replacement, refresh, trace):
+def _run_both(grid, replacement, refresh, trace, config=None):
     """(controller stats, kernel stats) on identical fresh caches."""
-    config = CacheConfig()
+    config = CacheConfig() if config is None else config
 
     def build():
         return RetentionAwareCache(
@@ -128,6 +131,53 @@ class TestTimelineEdges:
         assert ctrl == kern
         assert kern.expiry_writebacks == 1
         assert kern.misses_expired == 1
+
+
+class TestFullWriteBuffer:
+    """Both kernels replay a one-entry, slow-draining write buffer.
+
+    Set 0 mixes short-retention ways with long ones, so the stream of
+    mostly-store references produces dirty evictions and expiry
+    write-backs (write-back) or a push per store (write-through) on
+    both sides of the warmup split, faster than the buffer drains.
+    """
+
+    @pytest.mark.parametrize("write_back", [True, False],
+                             ids=["write-back", "write-through"])
+    @pytest.mark.parametrize("replacement", ["LRU", "RSP-FIFO", "RSP-LRU"])
+    def test_stalls_across_warmup_split(self, replacement, write_back):
+        config = dataclasses.replace(
+            CacheConfig(), write_back=write_back,
+            write_buffer_entries=1, l2_write_interval_cycles=1000,
+        )
+        n_sets = config.geometry.n_sets
+        grid = _full_grid()
+        grid[0] = [30, 100000, 60, 100000]
+        n = 48
+        gaps = [0] + [10, 10, 45] * (n // 3 - 1) + [10, 10]
+        tags = [0, 1, 2, 3, 4, 5, 1, 0]
+
+        def trace(warmup):
+            return _micro_trace(
+                cycles=np.cumsum(gaps),
+                addresses=[tags[i % len(tags)] * n_sets for i in range(n)],
+                writes=[i % 4 != 3 for i in range(n)],
+                warmup=warmup,
+            )
+
+        ctrl, kern = _run_both(
+            grid, replacement, NoRefresh(), trace(n // 2), config
+        )
+        assert dataclasses.asdict(kern) == dataclasses.asdict(ctrl)
+        assert kern.write_buffer_stall_cycles > 0
+        if write_back:
+            assert kern.expiry_writebacks > 0
+            assert kern.writebacks > kern.expiry_writebacks
+        else:
+            assert kern.write_throughs > 0
+        # The warmup prefix stalled too: its stalls are not counted.
+        _, whole = _run_both(grid, replacement, NoRefresh(), trace(0), config)
+        assert whole.write_buffer_stall_cycles > kern.write_buffer_stall_cycles
 
 
 class TestKernelPathReporting:

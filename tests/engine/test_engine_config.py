@@ -19,7 +19,6 @@ class TestValidation:
 
     @pytest.mark.parametrize("field,value", [
         ("workers", 0),
-        ("evaluator_cache_size", 0),
         ("task_timeout", 0.0),
         ("task_timeout", -1.0),
         ("max_retries", -1),
@@ -77,12 +76,11 @@ class TestLegacyKwargsRemoved:
             ExperimentContext(n_chips=1, n_references=600, engine=3)
 
     def test_engine_config_drives_read_only_mirrors(self):
-        engine = EngineConfig(workers=4, evaluator_cache_size=5)
+        engine = EngineConfig(workers=4)
         context = ExperimentContext(
             n_chips=1, n_references=600, engine=engine
         )
         assert context.workers == 4
-        assert context.evaluator_cache_size == 5
 
     def test_mirrors_are_read_only(self):
         context = ExperimentContext(n_chips=1, n_references=600)
@@ -91,12 +89,12 @@ class TestLegacyKwargsRemoved:
 
     def test_with_overrides_workers_removed(self):
         context = ExperimentContext(n_chips=2, n_references=600)
-        with pytest.raises(ConfigurationError, match="EngineConfig"):
+        with pytest.raises(ConfigurationError, match="unknown"):
             context.with_overrides(workers=5)
 
     def test_with_overrides_evaluator_cache_size_removed(self):
         context = ExperimentContext(n_chips=2, n_references=600)
-        with pytest.raises(ConfigurationError, match="EngineConfig"):
+        with pytest.raises(ConfigurationError, match="unknown"):
             context.with_overrides(evaluator_cache_size=5)
 
     def test_with_overrides_engine_replaces(self):

@@ -115,69 +115,33 @@ class TestSerialParallelIdentity:
 
 class TestEvaluatorCacheConfig:
     def test_default_size(self):
+        from repro.engine.parallel import DEFAULT_EVALUATOR_CACHE_SIZE
+
+        assert DEFAULT_EVALUATOR_CACHE_SIZE == 6
+
+    def test_lru_bound_evicts_oldest(self):
         from repro.engine.parallel import (
             DEFAULT_EVALUATOR_CACHE_SIZE,
-            evaluator_cache_size,
-        )
-
-        assert DEFAULT_EVALUATOR_CACHE_SIZE >= 1
-        assert evaluator_cache_size() >= 1
-
-    def test_resize_evicts_lru(self):
-        from repro.engine.parallel import (
-            evaluator_cache_size,
+            _EVALUATOR_CACHE,
             evaluator_for,
-            set_evaluator_cache_size,
         )
 
-        original = evaluator_cache_size()
-        spec_a = EvaluatorSpec(node=NODE_32NM, n_references=601, seed=71)
-        spec_b = EvaluatorSpec(node=NODE_32NM, n_references=602, seed=71)
-        try:
-            set_evaluator_cache_size(1)
-            first = evaluator_for(spec_a)
-            evaluator_for(spec_b)  # evicts spec_a
-            assert evaluator_for(spec_a) is not first
-        finally:
-            set_evaluator_cache_size(original)
-
-    def test_invalid_size_rejected(self):
-        from repro.engine.parallel import set_evaluator_cache_size
-
-        with pytest.raises(ConfigurationError):
-            set_evaluator_cache_size(0)
-
-    def test_runner_propagates_size_to_serial_path(self):
-        from repro.engine.parallel import evaluator_cache_size
-
-        original = evaluator_cache_size()
-        try:
-            runner = ParallelChipRunner(
-                EngineConfig(workers=1, evaluator_cache_size=3)
+        # A tiny suite keeps the specs cheap to build.
+        specs = [
+            EvaluatorSpec(
+                node=NODE_32NM, n_references=601 + i, seed=71,
+                benchmarks=("gcc",),
             )
-            assert runner.evaluator_cache_size == 3
-            assert evaluator_cache_size() == 3
-        finally:
-            from repro.engine.parallel import set_evaluator_cache_size
-
-            set_evaluator_cache_size(original)
-
-    def test_context_field_reaches_runner(self):
-        context = ExperimentContext(
-            n_chips=1, n_references=600,
-            engine=EngineConfig(workers=1, evaluator_cache_size=4),
-        )
-        from repro.engine.parallel import (
-            evaluator_cache_size,
-            set_evaluator_cache_size,
-        )
-
-        original = evaluator_cache_size()
-        try:
-            assert context.runner.evaluator_cache_size == 4
-        finally:
-            context.close()
-            set_evaluator_cache_size(original)
+            for i in range(DEFAULT_EVALUATOR_CACHE_SIZE + 1)
+        ]
+        first = evaluator_for(specs[0])
+        second = evaluator_for(specs[1])
+        for spec in specs[2:]:
+            evaluator_for(spec)  # the last one evicts specs[0]
+        assert len(_EVALUATOR_CACHE) == DEFAULT_EVALUATOR_CACHE_SIZE
+        assert specs[0] not in _EVALUATOR_CACHE
+        assert evaluator_for(specs[1]) is second
+        assert evaluator_for(specs[0]) is not first
 
 
 class TestTraceReuse:

@@ -7,6 +7,7 @@ retention map, and the batched replay kernels against the controller.
 """
 
 import dataclasses
+import os
 from collections import OrderedDict
 
 import numpy as np
@@ -271,8 +272,13 @@ def _refresh_policy(name, config):
     return NoRefresh()
 
 
+#: Examples per run of the kernel fuzzer; the tier-1 suite runs 200, and
+#: ``KERNEL_FUZZ_EXAMPLES`` raises it for a longer profile.
+KERNEL_FUZZ_EXAMPLES = int(os.environ.get("KERNEL_FUZZ_EXAMPLES", "200"))
+
+
 @settings(
-    max_examples=200,
+    max_examples=KERNEL_FUZZ_EXAMPLES,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
@@ -282,14 +288,23 @@ def _refresh_policy(name, config):
     replacement=st.sampled_from(["LRU", "DSP", "RSP-FIFO", "RSP-LRU"]),
     refresh=st.sampled_from(["none", "partial", "full", "global"]),
     write_back=st.booleans(),
+    write_buffer_entries=st.sampled_from([1, 2, 8]),
+    l2_write_interval_cycles=st.integers(min_value=4, max_value=4000),
     data=st.data(),
 )
 def test_kernels_match_controller(
-    tiny_config, accesses, retention, replacement, refresh, write_back, data
+    tiny_config, accesses, retention, replacement, refresh, write_back,
+    write_buffer_entries, l2_write_interval_cycles, data,
 ):
     """``simulate_trace`` (flattened or RSP timeline kernel) equals
-    ``RetentionAwareCache.run_trace`` on every stats field."""
-    config = dataclasses.replace(tiny_config, write_back=write_back)
+    ``RetentionAwareCache.run_trace`` on every stats field, including
+    the stalls of a write buffer small or slow enough to fill."""
+    config = dataclasses.replace(
+        tiny_config,
+        write_back=write_back,
+        write_buffer_entries=write_buffer_entries,
+        l2_write_interval_cycles=l2_write_interval_cycles,
+    )
     grid = np.array(retention).reshape(N_SETS, N_WAYS)
     gaps, lines, writes = zip(*accesses)
     trace = MemoryTrace(
