@@ -287,8 +287,6 @@ class RetentionAwareCache:
         self.stats = CacheStats()
         self.l2.accesses = 0
         self.l2.writes = 0
-        self.write_buffer.stall_cycles = 0
-        self.write_buffer.writebacks = 0
         if self.l2_cache is not None:
             self.l2_cache.reset_stats()
 

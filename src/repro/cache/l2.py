@@ -36,8 +36,6 @@ class WriteBuffer:
     drain_interval_cycles: int = 4
     _queued: int = field(init=False, default=0)
     _last_cycle: float = field(init=False, default=0.0)
-    stall_cycles: int = field(init=False, default=0)
-    writebacks: int = field(init=False, default=0)
 
     def __post_init__(self) -> None:
         if self.capacity < 1:
@@ -66,12 +64,10 @@ class WriteBuffer:
     def push(self, cycle: float) -> int:
         """Enqueue one write-back at ``cycle``; returns stall cycles incurred."""
         self._drain_until(cycle)
-        self.writebacks += 1
         stall = 0
         if self._queued >= self.capacity:
             # Must wait for one drain slot.
             stall = self.drain_interval_cycles
-            self.stall_cycles += stall
             self._queued = self.capacity - 1
         self._queued += 1
         return stall

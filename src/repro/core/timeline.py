@@ -43,7 +43,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import (
-    TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Tuple,
+    TYPE_CHECKING, Callable, Dict, List, Optional, Tuple,
 )
 
 import numpy as np
@@ -68,22 +68,27 @@ RefreshCount = Callable[[int, int], int]
 Push = Tuple[int, int, int]
 
 
-def _refresh_counter(
-    refresh: RefreshPolicy, retentions: Iterable[int]
-) -> Optional[RefreshCount]:
-    """``refresh.refresh_count`` specialised to a chip's retentions.
+#: The cap of a line whose refreshes are unlimited (full refresh).
+NO_CAP = int(np.iinfo(np.int64).max)
+
+
+def _refresh_caps(
+    refresh: RefreshPolicy, retentions: List[int]
+) -> Optional[List[int]]:
+    """The most refreshes a line of each retention may be charged.
 
     ``None`` when the policy charges no per-line refreshes (no-refresh,
-    and global refresh, which is charged per pass at finalize).  The
-    partial scheme's cap is looked up per distinct retention instead of
-    being recomputed per call.
+    and global refresh, which is charged per pass at finalize).
     """
     if type(refresh) is FullRefresh:
-        caps = dict.fromkeys(retentions, math.inf)
-    elif type(refresh) is PartialRefresh:
-        caps = {r: refresh.max_refreshes(r) for r in retentions}
-    else:
-        return None
+        return [NO_CAP] * len(retentions)
+    if type(refresh) is PartialRefresh:
+        return [refresh.max_refreshes(r) for r in retentions]
+    return None
+
+
+def _refresh_counter(caps: Dict[int, int]) -> RefreshCount:
+    """``refresh.refresh_count`` specialised to a chip's retentions."""
 
     def count(age: int, r: int) -> int:
         if age <= 0 or r <= 0:
@@ -95,47 +100,80 @@ def _refresh_counter(
     return count
 
 
+def refreshes(
+    ages: np.ndarray, retention: np.ndarray, cap: np.ndarray
+) -> np.ndarray:
+    """Vectorised ``count``: the refreshes of lines that lived ``ages``."""
+    performed = np.maximum(ages, 0) // np.maximum(retention, 1)
+    return np.minimum(np.where(retention > 0, performed, 0), cap)
+
+
 @dataclass(frozen=True)
 class LineConstants:
     """The per-line constants both kernels read, built once per replay.
 
-    ``retention`` is line-major (``set * ways + way``) and already
-    quantised by the controller's constructor; ``lifetime`` maps each
-    distinct retention to its effective lifetime under the cache's
-    refresh policy (a b-bit counter admits at most ``2**b`` of them).
+    Every array is line-major (``set * ways + way``): ``retention`` is
+    the quantised retention (``int64``), ``lifetime`` its effective
+    lifetime under the cache's refresh policy (``float64``), and ``cap``
+    the most refreshes the line may be charged (``None`` when the policy
+    charges none per line).  ``refresh_count`` is the same rule for one
+    line at a time, for the kernels' scalar loops.
     """
 
-    retention: List[int]
-    lifetime: Dict[int, float]
+    retention: np.ndarray
+    lifetime: np.ndarray
+    cap: Optional[np.ndarray]
     refresh_count: Optional[RefreshCount]
 
     @classmethod
     def of(cls, cache: "RetentionAwareCache") -> "LineConstants":
-        retention = [int(r) for r in cache.retention_grid.reshape(-1)]
-        distinct = set(retention)
+        retention = cache.retention_grid.reshape(-1)
+        # A b-bit counter admits at most 2**b distinct retentions, so the
+        # policy is asked once per distinct value.
+        distinct = np.unique(retention)
+        inverse = np.searchsorted(distinct, retention)
+        values = distinct.tolist()
         refresh = cache.refresh
+        lifetime = np.array(
+            [refresh.effective_lifetime(r) for r in values], dtype=np.float64
+        )[inverse]
+        caps = _refresh_caps(refresh, values)
+        if caps is None:
+            return cls(retention, lifetime, None, None)
         return cls(
-            retention=retention,
-            lifetime={r: refresh.effective_lifetime(r) for r in distinct},
-            refresh_count=_refresh_counter(refresh, distinct),
+            retention, lifetime,
+            np.array(caps, dtype=np.int64)[inverse],
+            _refresh_counter(dict(zip(values, caps))),
         )
 
 
+
+def retention_order(grid: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Each set's ways by descending retention, and its live count.
+
+    ``grid`` is a ``(sets, ways)`` retention array.  Row ``s`` of the
+    order lists set ``s``'s ways sorted by ``(-retention, way)``; its
+    first ``n_live[s]`` entries are the live (retention > 0) ways, the
+    controller's ``SetState.retention_order``.
+    """
+    order = np.argsort(-grid, axis=1, kind="stable")
+    return order, np.count_nonzero(grid > 0, axis=1)
+
+
 def owed_refreshes(
-    count: RefreshCount,
-    resident: Iterable[Tuple[float, int, int]],
+    expiry: np.ndarray,
+    fill: np.ndarray,
+    retention: np.ndarray,
+    cap: np.ndarray,
     end_cycle: int,
 ) -> int:
-    """Refreshes the ``(expiry, fill cycle, retention)`` lines still owe.
+    """Refreshes the given resident lines still owe at ``end_cycle``.
 
     The controller's ``finalize``: a resident line is charged for its
     life up to the end of the window or its expiry, whichever is first.
     """
-    owed = 0
-    for expiry, fill, r in resident:
-        cutoff = end_cycle if expiry > end_cycle else expiry
-        owed += count(int(cutoff) - fill, r)
-    return owed
+    cutoff = np.minimum(expiry, end_cycle).astype(np.int64)
+    return int(refreshes(cutoff - fill, retention, cap).sum())
 
 
 def write_buffer_stalls(
@@ -186,7 +224,7 @@ def replay_stats(
     n = len(artifacts)
     warm = artifacts.warmup_references
     measured_from = min(warm, n)
-    stores = int(np.count_nonzero(artifacts.columnar()["write"][measured_from:]))
+    stores = int(np.count_nonzero(artifacts.columns["write"][measured_from:]))
     return CacheStats(
         loads=(n - measured_from) - stores,
         stores=stores,
@@ -216,12 +254,12 @@ def _replay_rsp_sets(
     write_back = config.write_back
 
     lines = LineConstants.of(cache)
-    retention = lines.retention
-    lifetime = lines.lifetime
+    retention = lines.retention.tolist()
+    lifetime = lines.lifetime.tolist()
     count = lines.refresh_count
+    orders, n_lives = retention_order(lines.retention.reshape(n_sets, n_ways))
 
     INF = math.inf
-    end_cycle = artifacts.end_cycle
     streams = artifacts.set_streams()
 
     # Global (whole-trace) accumulators; per-set counters merge into
@@ -232,19 +270,19 @@ def _replay_rsp_sets(
 
     # Write-buffer pushes, replayed in program order after the pass.
     pushes: List[Push] = []
+    # Resident lines at the end, as (line, fill cycle, expiry) columns.
+    resident: Tuple[List[int], List[int], List[float]] = ([], [], [])
 
     for s in range(n_sets):
         stream = streams[s]
         if stream is None:
             continue
         base = s * n_ways
-        order = sorted(
-            (w for w in range(n_ways) if retention[base + w] > 0),
-            key=lambda w: (-retention[base + w], w),
-        )
-        n_live = len(order)
-        retp = [retention[base + w] for w in order]
-        life = [lifetime[r] for r in retp]
+        n_live = int(n_lives[s])
+        order = orders[s, :n_live].tolist()
+        slot_lines = [base + w for w in order]
+        retp = [retention[j] for j in slot_lines]
+        life = [lifetime[j] for j in slot_lines]
         # Expiry sweeps visit ways in way-index order, like the controller.
         sweep_pos = sorted(range(n_live), key=lambda p: order[p])
 
@@ -425,12 +463,21 @@ def _replay_rsp_sets(
         g_moves += mv - snap[9]
         g_fills += fl - snap[10]
         if count:
-            # Refreshes still owed by this set's resident lines
-            # (post-warmup by construction: finalize runs after the reset).
-            g_lref += owed_refreshes(count, (
-                (pexp[p], pfill[p], retp[p])
-                for p in range(n_live) if prow[p] >= 0
-            ), end_cycle)
+            for p in range(n_live):
+                if prow[p] >= 0:
+                    resident[0].append(slot_lines[p])
+                    resident[1].append(pfill[p])
+                    resident[2].append(pexp[p])
+
+    if count:
+        # Refreshes still owed by the resident lines (post-warmup by
+        # construction: finalize runs after the reset).
+        held = np.array(resident[0], dtype=np.int64)
+        g_lref += owed_refreshes(
+            np.array(resident[2], dtype=np.float64),
+            np.array(resident[1], dtype=np.int64),
+            lines.retention[held], lines.cap[held], artifacts.end_cycle,
+        )
 
     return replay_stats(
         cache, artifacts, pushes,

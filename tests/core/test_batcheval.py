@@ -10,7 +10,7 @@ from repro.errors import (
 )
 from repro.technology import NODE_32NM
 from repro.variation import VariationParams
-from repro.array import ChipSampler
+from repro.array import CacheGeometry, ChipSampler
 from repro.cache import CacheConfig, RetentionAwareCache
 from repro.cache.refresh import NoRefresh, PartialRefresh
 from repro.core import (
@@ -25,7 +25,9 @@ from repro.core import (
     kernel_support,
     simulate_trace,
 )
-from repro.workloads.generator import MemoryTrace
+from repro.engine.trace import Tracer, activate
+from repro.workloads.generator import MemoryTrace, SyntheticWorkload
+from repro.workloads.profiles import get_profile
 
 ALL_SCHEMES = (SCHEME_GLOBAL,) + LINE_LEVEL_SCHEMES
 
@@ -314,6 +316,49 @@ class TestEdgeSemantics:
         ctrl, kern = _run_both(grid, "LRU", refresh, trace)
         assert ctrl == kern
         assert kern.line_refreshes > 0
+
+
+class TestLockstepSplit:
+    """The flattened kernel's lockstep front and scalar tail both run."""
+
+    @pytest.mark.parametrize("replacement", ["LRU", "DSP"])
+    def test_replay_span_counts_both_halves(self, replacement):
+        # 16KB, 4-way: 64 sets.  The evaluator's warmup fill gives every
+        # set four references, and the measured stream piles into a few.
+        config = CacheConfig(
+            geometry=CacheGeometry.from_capacity(16 * 1024, 4)
+        )
+        n_lines = config.geometry.n_lines
+        workload = SyntheticWorkload(get_profile("applu"), seed=2007)
+        trace = workload.memory_trace(300, warmup_lines=n_lines)
+        grid = np.random.default_rng(3).choice(
+            [0, 4_000, 40_000, 400_000], size=(64, 4)
+        )
+
+        def build():
+            return RetentionAwareCache(
+                config, grid, replacement=replacement,
+                refresh=PartialRefresh(threshold_cycles=100_000),
+                quantize=False,
+            )
+
+        tracer = Tracer()
+        with activate(tracer):
+            via_kernel = simulate_trace(
+                build(), TraceArtifacts.from_trace(trace, 64)
+            )
+        spans = [
+            s for s in tracer.spans() if s.name == "core.batcheval.flattened"
+        ]
+        assert len(spans) == 1
+        args = dict(spans[0].args)
+        assert args["lockstep_refs"] >= n_lines
+        assert args["tail_refs"] > 0
+        assert args["lockstep_refs"] + args["tail_refs"] == len(trace)
+        assert via_kernel == build().run_trace(
+            trace.cycles, trace.line_addresses, trace.is_write,
+            warmup_references=trace.warmup_references,
+        )
 
 
 class TestTraceArtifacts:

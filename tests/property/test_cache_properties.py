@@ -14,6 +14,7 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.array import CacheGeometry
 from repro.cache import AccessOutcome, RetentionAwareCache
 from repro.cache.refresh import (
     FullRefresh,
@@ -276,6 +277,72 @@ def _refresh_policy(name, config):
 #: ``KERNEL_FUZZ_EXAMPLES`` raises it for a longer profile.
 KERNEL_FUZZ_EXAMPLES = int(os.environ.get("KERNEL_FUZZ_EXAMPLES", "200"))
 
+#: Retentions the kernel fuzzer builds grids from: 0 is a dead line and
+#: 10**9 outlives every generated trace.  The same values serve as
+#: access gaps, so accesses land exactly on expiry cycles.
+FUZZ_RETENTIONS = (0, 500, 2_000, 10_000, 50_000, 10**9)
+
+
+def _fuzz_trace(data, n_sets, n_lines, seed):
+    """A generated trace, optionally behind a ``memory_trace``-style
+    warmup prefix: one read to each of ``n_lines`` distinct high
+    addresses, round-robin over the sets.
+
+    A *wide* access repeats at the same cycle in every set (the next
+    sets' lines), so the wide stretches of the stream keep many sets
+    active at once and the narrow ones pile into a few.
+    """
+    accesses = data.draw(st.lists(
+        st.tuples(
+            st.one_of(
+                st.integers(min_value=0, max_value=3000),
+                st.sampled_from(FUZZ_RETENTIONS[:-1]),
+            ),
+            # Lines below n_lines re-reference the warmup prefix.
+            st.integers(min_value=0, max_value=2 * n_lines - 1),
+            st.booleans(),
+            st.booleans(),
+        ),
+        min_size=1,
+        max_size=120,
+    ), label="accesses")
+    gaps, lines, writes = [], [], []
+    for gap, line, write, wide in accesses:
+        width = n_sets if wide else 1
+        gaps.extend([gap] + [0] * (width - 1))
+        lines.extend((line + j) % (2 * n_lines) for j in range(width))
+        writes.extend([write] * width)
+    cycles = np.cumsum(gaps, dtype=np.int64)
+    addresses = np.asarray(lines, dtype=np.int64)
+    addresses = np.where(
+        addresses < n_lines, addresses + 10**9, addresses - n_lines
+    )
+    writes = np.asarray(writes, dtype=bool)
+    prefix = 0
+    if data.draw(st.booleans(), label="warmup_prefix"):
+        prefix = n_lines
+        mean_gap = data.draw(st.sampled_from([0, 1, 7, 100]), label="gap")
+        rng = np.random.default_rng(seed)
+        warm_cycles = np.cumsum(
+            rng.integers(0, 2 * mean_gap + 1, size=n_lines), dtype=np.int64
+        )
+        cycles = np.concatenate([warm_cycles, cycles + warm_cycles[-1]])
+        addresses = np.concatenate(
+            [np.arange(n_lines, dtype=np.int64) + 10**9, addresses]
+        )
+        writes = np.concatenate([np.zeros(n_lines, dtype=bool), writes])
+    return MemoryTrace(
+        cycles=cycles,
+        line_addresses=addresses,
+        is_write=writes,
+        name="generated",
+        instructions=len(cycles),
+        warmup_references=data.draw(st.one_of(
+            st.just(prefix),
+            st.integers(min_value=0, max_value=len(cycles)),
+        ), label="warmup"),
+    )
+
 
 @settings(
     max_examples=KERNEL_FUZZ_EXAMPLES,
@@ -283,8 +350,8 @@ KERNEL_FUZZ_EXAMPLES = int(os.environ.get("KERNEL_FUZZ_EXAMPLES", "200"))
     suppress_health_check=[HealthCheck.too_slow],
 )
 @given(
-    accesses=accesses,
-    retention=retention_grids,
+    n_sets=st.sampled_from([1, 8, 64, 128]),
+    ways=st.sampled_from([1, 2, 4, 8]),
     replacement=st.sampled_from(["LRU", "DSP", "RSP-FIFO", "RSP-LRU"]),
     refresh=st.sampled_from(["none", "partial", "full", "global"]),
     write_back=st.booleans(),
@@ -293,30 +360,35 @@ KERNEL_FUZZ_EXAMPLES = int(os.environ.get("KERNEL_FUZZ_EXAMPLES", "200"))
     data=st.data(),
 )
 def test_kernels_match_controller(
-    tiny_config, accesses, retention, replacement, refresh, write_back,
+    tiny_config, n_sets, ways, replacement, refresh, write_back,
     write_buffer_entries, l2_write_interval_cycles, data,
 ):
     """``simulate_trace`` (flattened or RSP timeline kernel) equals
     ``RetentionAwareCache.run_trace`` on every stats field, including
-    the stalls of a write buffer small or slow enough to fill."""
+    the stalls of a write buffer small or slow enough to fill.
+
+    Geometries run from one set to 128 and from direct-mapped to
+    8-way, so wide traces take the flattened kernel's lockstep steps
+    and hand off to its scalar tail; a warmup prefix like the
+    evaluator's fills every line first.
+    """
+    n_lines = n_sets * ways
     config = dataclasses.replace(
-        tiny_config,
+        tiny_config.with_geometry(
+            CacheGeometry.from_capacity(n_lines * 64, ways, banks=1)
+        ),
         write_back=write_back,
         write_buffer_entries=write_buffer_entries,
         l2_write_interval_cycles=l2_write_interval_cycles,
     )
-    grid = np.array(retention).reshape(N_SETS, N_WAYS)
-    gaps, lines, writes = zip(*accesses)
-    trace = MemoryTrace(
-        cycles=np.cumsum(gaps, dtype=np.int64),
-        line_addresses=np.asarray(lines, dtype=np.int64),
-        is_write=np.asarray(writes, dtype=bool),
-        name="generated",
-        instructions=len(accesses),
-        warmup_references=data.draw(
-            st.integers(min_value=0, max_value=len(accesses)), label="warmup"
-        ),
+    seed = data.draw(
+        st.integers(min_value=0, max_value=2**32 - 1), label="seed"
     )
+    palette = data.draw(st.lists(
+        st.sampled_from(FUZZ_RETENTIONS), min_size=1, max_size=4, unique=True,
+    ), label="retentions")
+    grid = np.random.default_rng(seed).choice(palette, size=(n_sets, ways))
+    trace = _fuzz_trace(data, n_sets, n_lines, seed)
 
     def build():
         return RetentionAwareCache(
@@ -329,7 +401,7 @@ def test_kernels_match_controller(
         "timeline" if replacement.startswith("RSP") else "flattened"
     )
     via_kernel = simulate_trace(
-        cache, TraceArtifacts.from_trace(trace, N_SETS)
+        cache, TraceArtifacts.from_trace(trace, n_sets)
     )
     via_controller = build().run_trace(
         trace.cycles, trace.line_addresses, trace.is_write,
