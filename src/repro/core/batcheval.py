@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -439,6 +439,14 @@ def _simulate_flattened(
         return _replay_flattened(cache, artifacts, plan)
 
 
+#: The counters the flattened kernel keeps, by :class:`CacheStats` field.
+_COUNTS = (
+    "hits", "misses_cold", "misses_expired", "misses_dead_bypass",
+    "writebacks", "expiry_writebacks", "write_throughs", "l2_accesses",
+    "fills", "line_refreshes",
+)
+
+
 def _tally(measured, rows: np.ndarray) -> int:
     """How many of the step's ``rows`` are past the warmup split."""
     if measured is True:
@@ -502,8 +510,7 @@ def _replay_flattened(
     slot0 = np.arange(n_rows, dtype=np.int64) * ways
     way_ids = np.arange(ways)
 
-    hits = misses_cold = misses_expired = misses_dead = writebacks = 0
-    expiry_wb = write_throughs = l2_acc = line_refreshes = fills = 0
+    totals = dict.fromkeys(_COUNTS, 0)
     # Write-buffer pushes as (index, emission order, cycle) columns: an
     # access's expiry pushes in way order, then its eviction or store.
     push_cols: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
@@ -525,14 +532,15 @@ def _replay_flattened(
             lost = np.zeros(m, dtype=bool)
             lost[er[tags[es] == tag[er, 0]]] = True
             if count:
-                line_refreshes += _tally_sum(measured, er, refreshes(
-                    ecyc - fill[es], retention[es], cap[es]
-                ))
+                totals["line_refreshes"] += _tally_sum(
+                    measured, er,
+                    refreshes(ecyc - fill[es], retention[es], cap[es]),
+                )
             d = dirty[es]
             if d.any():
                 k = _tally(measured, er[d])
-                writebacks += k
-                expiry_wb += k
+                totals["writebacks"] += k
+                totals["expiry_writebacks"] += k
                 push_cols.append((index[er[d]], ew[d], ecyc[d]))
                 dirty[es[d]] = False
             if aware:
@@ -552,18 +560,18 @@ def _replay_flattened(
             # Write-through, no-write-allocate stores: pushed, never
             # filled; a live hit still counts (below).
             wt = np.flatnonzero(wr)
-            write_throughs += _tally(measured, wt)
+            totals["write_throughs"] += _tally(measured, wt)
             push_cols.append((
                 index[wt], np.full(len(wt), ways, dtype=np.int64),
                 cyc[wt, 0],
             ))
-            misses_cold += _tally(measured, wt[~live_hit[wt]])
+            totals["misses_cold"] += _tally(measured, wt[~live_hit[wt]])
             stale_hit &= ~wr
             miss &= ~wr
 
         hr = np.flatnonzero(live_hit)
         if len(hr):
-            hits += _tally(measured, hr)
+            totals["hits"] += _tally(measured, hr)
             recency[hs[hr]] = index[hr]
             if write_back:
                 dirty[hs[hr[wr[hr]]]] = True
@@ -572,9 +580,9 @@ def _replay_flattened(
             # Expired miss: the line refills in place from the L2.
             rr = np.flatnonzero(stale_hit)
             k = _tally(measured, rr)
-            misses_expired += k
-            l2_acc += k
-            fills += k
+            totals["misses_expired"] += k
+            totals["l2_accesses"] += k
+            totals["fills"] += k
             rs = hs[rr]
             c = cyc[rr, 0]
             stale[rs] = False
@@ -586,11 +594,11 @@ def _replay_flattened(
         mr = np.flatnonzero(miss)
         if not len(mr):
             continue
-        l2_acc += _tally(measured, mr)
+        totals["l2_accesses"] += _tally(measured, mr)
         if dsp:
             dead = ~has_live[mr]
             if dead.any():
-                misses_dead += _tally(measured, mr[dead])
+                totals["misses_dead_bypass"] += _tally(measured, mr[dead])
                 mr = mr[~dead]
                 if not len(mr):
                     continue
@@ -615,24 +623,26 @@ def _replay_flattened(
             # A stale victim already settled its refreshes and write-back.
             fresh = ~stale[vs]
             if count:
-                line_refreshes += _tally_sum(measured, er[fresh], refreshes(
-                    cyc[er[fresh], 0] - fill[vs[fresh]],
-                    retention[vs[fresh]], cap[vs[fresh]],
-                ))
+                ev = vs[fresh]
+                totals["line_refreshes"] += _tally_sum(
+                    measured, er[fresh], refreshes(
+                        cyc[er[fresh], 0] - fill[ev], retention[ev], cap[ev]
+                    ),
+                )
             d = fresh & dirty[vs]
             if d.any():
-                writebacks += _tally(measured, er[d])
+                totals["writebacks"] += _tally(measured, er[d])
                 push_cols.append((
                     index[er[d]], np.full(int(d.sum()), ways, dtype=np.int64),
                     cyc[er[d], 0],
                 ))
         vs = slots[span, pick]
         if lost is None:
-            misses_cold += _tally(measured, mr)
+            totals["misses_cold"] += _tally(measured, mr)
         else:
-            misses_expired += _tally(measured, mr[lost[mr]])
-            misses_cold += _tally(measured, mr[~lost[mr]])
-        fills += _tally(measured, mr)
+            totals["misses_expired"] += _tally(measured, mr[lost[mr]])
+            totals["misses_cold"] += _tally(measured, mr[~lost[mr]])
+        totals["fills"] += _tally(measured, mr)
         c = cyc[mr, 0]
         tags[vs] = tag[mr, 0]
         valid[vs] = True
@@ -685,13 +695,8 @@ def _replay_flattened(
         counts = _replay_tail(
             [column[split:] for column in segment], state, constants, pushes
         )
-        (hits, misses_cold, misses_expired, misses_dead, writebacks,
-         expiry_wb, write_throughs, l2_acc, line_refreshes, fills) = (
-            a + b for a, b in zip((
-                hits, misses_cold, misses_expired, misses_dead, writebacks,
-                expiry_wb, write_throughs, l2_acc, line_refreshes, fills,
-            ), counts)
-        )
+        for key, value in counts.items():
+            totals[key] += value
         valid[:n_tail] = state[1]
         stale[:n_tail] = state[3]
         fill[:n_tail] = state[4]
@@ -699,33 +704,21 @@ def _replay_flattened(
 
     if count:
         resident = valid & ~stale
-        line_refreshes += owed_refreshes(
+        totals["line_refreshes"] += owed_refreshes(
             expiry[resident], fill[resident], retention[resident],
             cap[resident], artifacts.end_cycle,
         )
 
-    return replay_stats(
-        cache, artifacts, pushes,
-        line_refreshes=line_refreshes,
-        hits=hits,
-        misses_cold=misses_cold,
-        misses_expired=misses_expired,
-        misses_dead_bypass=misses_dead,
-        writebacks=writebacks,
-        expiry_writebacks=expiry_wb,
-        write_throughs=write_throughs,
-        l2_accesses=l2_acc,
-        fills=fills,
-    )
+    return replay_stats(cache, artifacts, pushes, **totals)
 
 
 def _replay_tail(
     segment: List[list], state, constants, pushes: List[Push]
-) -> Tuple[int, ...]:
+) -> Dict[str, int]:
     """Replay one tail segment reference by reference; returns its counts.
 
     ``state`` holds the tail sets' tag rows and per-slot lists (mutated
-    in place); the counts come back in ``_replay_flattened``'s order.
+    in place); the counts come back by :data:`_COUNTS` name.
     """
     (set_tags, valid, dirty, stale, fill_c, expiry, recency,
      next_expiry) = state
@@ -860,8 +853,10 @@ def _replay_tail(
         recency[victim] = i
         fills += 1
 
-    return (hits, misses_cold, misses_expired, misses_dead, writebacks,
-            expiry_wb, write_throughs, l2_acc, line_refreshes, fills)
+    return dict(zip(_COUNTS, (
+        hits, misses_cold, misses_expired, misses_dead, writebacks,
+        expiry_wb, write_throughs, l2_acc, fills, line_refreshes,
+    )))
 
 
 # ----------------------------------------------------------------------
