@@ -147,7 +147,9 @@ class TraceArtifacts:
                 end_cycle=int(trace.cycles[-1]) if len(trace) else 0,
             )
 
-    # Plain-int views of single columns, built on each access.
+    # Plain-int views of single columns, built on each access: the
+    # kernels read ``columns``; these serve callers that replay the
+    # trace on the event controller.
     @property
     def cycles(self) -> List[int]:
         """Reference cycles, in program order."""

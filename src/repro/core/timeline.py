@@ -17,9 +17,11 @@ is a per-set counter snapshot instead of a mid-trace reset.
 Both kernels differ only in how they place blocks.  The rest of the
 replay is one copy, here:
 
-* :class:`LineConstants` -- the quantised retention of every line, the
-  effective lifetime of each distinct retention, and the one lazy
-  refresh-count function every accounting site calls;
+* :class:`LineConstants` -- per-line arrays of quantised retention,
+  effective lifetime and refresh cap, and the one lazy refresh-count
+  rule every accounting site applies (:func:`refreshes` over arrays,
+  ``refresh_count`` for one line); :func:`retention_order` ranks each
+  set's ways by retention;
 * the write buffer -- during the pass a kernel only records each push as
   ``(reference index, emission order, cycle)``;
   :func:`write_buffer_stalls` replays the records afterwards through
@@ -69,7 +71,7 @@ Push = Tuple[int, int, int]
 
 
 #: The cap of a line whose refreshes are unlimited (full refresh).
-NO_CAP = int(np.iinfo(np.int64).max)
+_NO_CAP = int(np.iinfo(np.int64).max)
 
 
 def _refresh_caps(
@@ -81,7 +83,7 @@ def _refresh_caps(
     and global refresh, which is charged per pass at finalize).
     """
     if type(refresh) is FullRefresh:
-        return [NO_CAP] * len(retentions)
+        return [_NO_CAP] * len(retentions)
     if type(refresh) is PartialRefresh:
         return [refresh.max_refreshes(r) for r in retentions]
     return None
@@ -145,7 +147,6 @@ class LineConstants:
             np.array(caps, dtype=np.int64)[inverse],
             _refresh_counter(dict(zip(values, caps))),
         )
-
 
 
 def retention_order(grid: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -257,7 +258,9 @@ def _replay_rsp_sets(
     retention = lines.retention.tolist()
     lifetime = lines.lifetime.tolist()
     count = lines.refresh_count
-    orders, n_lives = retention_order(lines.retention.reshape(n_sets, n_ways))
+    orders, n_lives = retention_order(
+        lines.retention.reshape(n_sets, n_ways)
+    )
 
     INF = math.inf
     streams = artifacts.set_streams()
