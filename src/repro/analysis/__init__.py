@@ -24,11 +24,6 @@ live in ``analysis-baseline.json`` (with reasons); one-off exemptions
 use a ``# repro: ignore[RULE-ID]`` comment on the flagged line --
 comments that no longer suppress anything are themselves reported
 (META001, gating under ``--strict-suppressions``).
-
-``python -m repro.analysis impact --since <rev>`` runs golden-cone
-impact analysis: it intersects the functions changed since ``<rev>``
-with the reverse-reachability cone of every experiment suite so CI can
-skip the golden jobs on changes that cannot affect them.
 """
 
 from repro.analysis.baseline import Baseline, BaselineEntry

@@ -1,15 +1,9 @@
 """``python -m repro.analysis`` -- the command-line entry point.
 
-Two modes share the entry point:
-
-* ``python -m repro.analysis [paths]`` -- run the lint rules (exit
-  codes: 0 clean, 1 new findings -- or stale baseline entries under
-  ``--strict-baseline``, stale suppressions under
-  ``--strict-suppressions`` -- 2 usage/configuration error);
-* ``python -m repro.analysis impact --since <rev>`` -- golden-cone
-  impact analysis: which experiment suites can observe the changes
-  since ``<rev>`` (exit 0 with a report; 2 when git or the arguments
-  fail).
+``python -m repro.analysis [paths]`` runs the lint rules (exit codes: 0
+clean, 1 new findings -- or stale baseline entries under
+``--strict-baseline``, stale suppressions under
+``--strict-suppressions`` -- 2 usage/configuration error).
 """
 
 from __future__ import annotations
@@ -38,8 +32,7 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "Static determinism / unit-consistency / API-drift / "
             "worker-safety / whole-program flow checks for the repro "
-            "codebase.  Use the 'impact' subcommand for golden-cone "
-            "impact analysis."
+            "codebase."
         ),
     )
     parser.add_argument(
@@ -91,68 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def build_impact_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.analysis impact",
-        description=(
-            "Golden-cone impact analysis: intersect the functions "
-            "changed since a git revision with the reverse-reachability "
-            "cone of every experiment suite's evaluate path, and report "
-            "which golden suites a change can observe."
-        ),
-    )
-    parser.add_argument(
-        "--since", required=True,
-        help="git revision to diff against (e.g. origin/main, HEAD~1)",
-    )
-    parser.add_argument(
-        "--root", type=Path, default=None, action="append",
-        help="source roots to analyze (default: src/repro)",
-    )
-    parser.add_argument(
-        "--format", choices=("text", "json"), default="text",
-        help="report format (default: text)",
-    )
-    parser.add_argument(
-        "--out", type=Path, default=None,
-        help="also write the JSON report to this file",
-    )
-    return parser
-
-
-def impact_main(argv: Optional[List[str]] = None) -> int:
-    from repro.analysis.flow.impact import run_impact
-
-    parser = build_impact_parser()
-    args = parser.parse_args(argv)
-
-    roots: List[Path] = args.root or [Path("src/repro")]
-    for root in roots:
-        if not root.exists():
-            print(f"error: no such path: {root}", file=sys.stderr)
-            return EXIT_USAGE
-
-    try:
-        report = run_impact(args.since, roots)
-    except (RuntimeError, OSError, SyntaxError, UnicodeDecodeError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return EXIT_USAGE
-
-    if args.out is not None:
-        args.out.write_text(report.render_json() + "\n", encoding="utf-8")
-    if args.format == "json":
-        print(report.render_json())
-    else:
-        print(report.render_text())
-    return EXIT_OK
-
-
 def main(argv: Optional[List[str]] = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    if argv and argv[0] == "impact":
-        return impact_main(argv[1:])
-
     parser = build_parser()
     args = parser.parse_args(argv)
 
@@ -240,8 +172,6 @@ __all__ = [
     "EXIT_FINDINGS",
     "EXIT_OK",
     "EXIT_USAGE",
-    "build_impact_parser",
     "build_parser",
-    "impact_main",
     "main",
 ]

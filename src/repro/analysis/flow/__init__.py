@@ -3,34 +3,22 @@
 The subpackage the interprocedural layer lives in:
 
 * :mod:`~repro.analysis.flow.graph` -- module resolution, function
-  indexing, and conservative call-edge extraction (facade re-exports,
-  registry indirection) over a parsed :class:`~repro.analysis.Project`;
+  indexing, and call-edge extraction (through facade re-exports) over a
+  parsed :class:`~repro.analysis.Project`;
 * :mod:`~repro.analysis.flow.taint` -- demand-driven seed-provenance
   proofs and forward value taint on top of the graph;
 * :mod:`~repro.analysis.flow.rules` -- the FLOW001-005 rule families
   (seed provenance, process-boundary flow), registered with the stock
-  rule registry on import;
-* :mod:`~repro.analysis.flow.impact` -- golden-cone impact analysis
-  behind ``python -m repro.analysis impact --since <rev>``.
+  rule registry on import.
 """
 
 from repro.analysis.flow.graph import (
-    ALL_EDGE_KINDS,
     CallEdge,
     CallGraph,
     FunctionInfo,
     MODULE_BODY,
     build_call_graph,
     get_call_graph,
-)
-from repro.analysis.flow.impact import (
-    DiffSummary,
-    ImpactReport,
-    SuiteImpact,
-    compute_impact,
-    golden_entry_points,
-    parse_unified_diff,
-    run_impact,
 )
 from repro.analysis.flow.rules import SAMPLING_PACKAGES
 from repro.analysis.flow.taint import (
@@ -42,24 +30,16 @@ from repro.analysis.flow.taint import (
 )
 
 __all__ = [
-    "ALL_EDGE_KINDS",
     "CallEdge",
     "CallGraph",
-    "DiffSummary",
     "FunctionInfo",
-    "ImpactReport",
     "MODULE_BODY",
     "RngCreation",
     "SAMPLING_PACKAGES",
     "SeedProvenance",
-    "SuiteImpact",
     "TaintHit",
     "build_call_graph",
-    "compute_impact",
     "find_rng_creations",
     "get_call_graph",
-    "golden_entry_points",
-    "parse_unified_diff",
     "propagate_to_sinks",
-    "run_impact",
 ]

@@ -1,47 +1,27 @@
 """Whole-program import/call graph over a parsed :class:`Project`.
 
-The graph is the substrate under the interprocedural FLOW rules and the
-``impact`` subcommand: one :class:`FunctionInfo` per function, method,
-and module body, connected by conservative :class:`CallEdge` s.
+The graph is the substrate under the interprocedural FLOW rules: one
+:class:`FunctionInfo` per function, method, and module body, connected by
+:class:`CallEdge` s.
 
-Edge extraction is deliberately an over-approximation, in three
-confidence tiers:
-
-* ``direct`` -- the callee was resolved through the module's imports
-  (including facade re-export chains such as ``from repro import
-  evaluate_many``), a module-level definition, or a ``self.method()``
-  call on the enclosing class.  These edges are precise enough for the
-  taint engine to walk.
-* ``name`` -- an attribute call ``obj.attr(...)`` whose receiver the
-  analysis cannot type links to *every* project function or method named
-  ``attr``.  This is what lets reachability see through registry
-  indirection (``experiment.run(context)`` reaches every driver's
-  ``run``).
-* ``ref`` -- a bare reference to a known function that is not itself a
-  call (``Experiment(run=run)``, ``pool.submit(worker_fn, ...)``) --
-  the function may be invoked anywhere downstream, so impact analysis
-  must assume it is.
-
-``impact`` walks all three tiers; the FLOW taint rules walk ``direct``
-edges only, trading recall for a tolerable false-positive rate.
+An edge is recorded only where the callee resolves precisely: through
+the module's imports (including facade re-export chains such as ``from
+repro import evaluate_many``), a module-level definition, or a
+``self.method()`` call on the enclosing class.  Calls through receivers
+the analysis cannot type get no edge, trading recall for a tolerable
+false-positive rate in the taint engine that walks the graph.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional
 
 from repro.analysis.source import Project, SourceModule
 
 MODULE_BODY = "<module>"
 """Pseudo-function name covering a module's top-level statements."""
-
-EDGE_DIRECT = "direct"
-EDGE_NAME = "name"
-EDGE_REF = "ref"
-
-ALL_EDGE_KINDS: Tuple[str, ...] = (EDGE_DIRECT, EDGE_NAME, EDGE_REF)
 
 
 @dataclass(frozen=True)
@@ -56,7 +36,6 @@ class FunctionInfo:
     path: str
     name: str
     lineno: int
-    end_lineno: int
     class_name: Optional[str] = None
 
     @property
@@ -66,11 +45,10 @@ class FunctionInfo:
 
 @dataclass(frozen=True)
 class CallEdge:
-    """One conservative caller -> callee edge."""
+    """One resolved caller -> callee edge."""
 
     caller: str
     callee: str
-    kind: str
     lineno: int
 
 
@@ -80,7 +58,6 @@ class CallGraph:
 
     project: Project
     functions: Dict[str, FunctionInfo] = field(default_factory=dict)
-    by_name: Dict[str, List[str]] = field(default_factory=dict)
     edges: Dict[str, List[CallEdge]] = field(default_factory=dict)
     reverse_edges: Dict[str, List[CallEdge]] = field(default_factory=dict)
     imports: Dict[str, Dict[str, str]] = field(default_factory=dict)
@@ -94,53 +71,11 @@ class CallGraph:
     # queries
     # ------------------------------------------------------------------
 
-    def callees(
-        self, qualname: str, kinds: Optional[Sequence[str]] = None
-    ) -> List[CallEdge]:
-        selected = self.edges.get(qualname, [])
-        if kinds is None:
-            return selected
-        allowed = set(kinds)
-        return [edge for edge in selected if edge.kind in allowed]
+    def callees(self, qualname: str) -> List[CallEdge]:
+        return self.edges.get(qualname, [])
 
-    def callers(
-        self, qualname: str, kinds: Optional[Sequence[str]] = None
-    ) -> List[CallEdge]:
-        selected = self.reverse_edges.get(qualname, [])
-        if kinds is None:
-            return selected
-        allowed = set(kinds)
-        return [edge for edge in selected if edge.kind in allowed]
-
-    def reachable_from(
-        self, entry: str, kinds: Optional[Sequence[str]] = None
-    ) -> Set[str]:
-        """Every function reachable from ``entry`` (inclusive)."""
-        seen: Set[str] = set()
-        stack = [entry]
-        while stack:
-            current = stack.pop()
-            if current in seen:
-                continue
-            seen.add(current)
-            for edge in self.callees(current, kinds):
-                if edge.callee not in seen:
-                    stack.append(edge.callee)
-        return seen
-
-    def function_at(self, module_name: str, line: int) -> Optional[FunctionInfo]:
-        """Innermost function of ``module_name`` covering ``line``."""
-        best: Optional[FunctionInfo] = None
-        for info in self.functions.values():
-            if info.module != module_name:
-                continue
-            if not (info.lineno <= line <= info.end_lineno):
-                continue
-            if best is None or (
-                info.end_lineno - info.lineno < best.end_lineno - best.lineno
-            ):
-                best = info
-        return best
+    def callers(self, qualname: str) -> List[CallEdge]:
+        return self.reverse_edges.get(qualname, [])
 
     def owner_of(self, node: ast.AST) -> Optional[str]:
         return self.owner_of_node.get(id(node))
@@ -217,18 +152,15 @@ class _FunctionIndexer(ast.NodeVisitor):
 
     def _add(self, node: ast.AST, name: str) -> str:
         qualname = ".".join([self.module.module_name, *self.scope, name])
-        end = getattr(node, "end_lineno", None) or node.lineno
         info = FunctionInfo(
             qualname=qualname,
             module=self.module.module_name,
             path=self.module.display_path,
             name=name,
             lineno=node.lineno,
-            end_lineno=end,
             class_name=self.class_stack[-1] if self.class_stack else None,
         )
         self.graph.functions[qualname] = info
-        self.graph.by_name.setdefault(name, []).append(qualname)
         self.graph.function_nodes[qualname] = node
         return qualname
 
@@ -261,7 +193,6 @@ def _index_module(module: SourceModule, graph: CallGraph) -> None:
         path=module.display_path,
         name=MODULE_BODY,
         lineno=1,
-        end_lineno=max(len(module.lines), 1),
     )
     _FunctionIndexer(module, graph).visit(module.tree)
 
@@ -317,10 +248,9 @@ def _class_of(graph: CallGraph, module: str, owner_qualname: str) -> Optional[st
 
 def _extract_edges(module: SourceModule, graph: CallGraph) -> None:
     imports = graph.imports[module.module_name]
-    call_func_ids: Set[int] = set()
 
-    def add_edge(caller: str, callee: str, kind: str, lineno: int) -> None:
-        edge = CallEdge(caller=caller, callee=callee, kind=kind, lineno=lineno)
+    def add_edge(caller: str, callee: str, lineno: int) -> None:
+        edge = CallEdge(caller=caller, callee=callee, lineno=lineno)
         graph.edges.setdefault(caller, []).append(edge)
         graph.reverse_edges.setdefault(callee, []).append(edge)
 
@@ -334,68 +264,30 @@ def _extract_edges(module: SourceModule, graph: CallGraph) -> None:
         return graph._resolve_export(dotted)
 
     for node in ast.walk(module.tree):
-        if isinstance(node, ast.Call):
-            call_func_ids.add(id(node.func))
-            owner = graph.owner_of(node)
-            if owner is None:
-                continue
-            func = node.func
-            if isinstance(func, ast.Name):
-                resolved = graph.resolve_local_name(
-                    module.module_name, func.id
-                )
-                if resolved is not None:
-                    add_edge(owner, resolved, EDGE_DIRECT, node.lineno)
-                elif func.id in graph.by_name:
-                    # A name bound dynamically (e.g. a function-valued
-                    # local); link to same-named project functions.
-                    for candidate in graph.by_name[func.id]:
-                        add_edge(owner, candidate, EDGE_NAME, node.lineno)
-            elif isinstance(func, ast.Attribute):
-                chain = _attr_chain(func)
-                resolved = None
-                if chain is not None:
-                    if (
-                        chain[0] == "self"
-                        and len(chain) == 2
-                        and (cls := _class_of(graph, module.module_name, owner))
-                    ):
-                        method = f"{cls}.{chain[1]}"
-                        if method in graph.functions:
-                            add_edge(owner, method, EDGE_DIRECT, node.lineno)
-                            resolved = method
-                    if resolved is None and chain is not None:
-                        resolved = resolve_dotted(chain)
-                        if resolved is not None:
-                            add_edge(owner, resolved, EDGE_DIRECT, node.lineno)
-                if resolved is None:
-                    for candidate in graph.by_name.get(func.attr, ()):
-                        if candidate != owner:
-                            add_edge(owner, candidate, EDGE_NAME, node.lineno)
-        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            # A nested def is invocable by its enclosing frame.
-            owner = graph.owner_of(node)
-            nested = None
-            for qualname, fn_node in graph.function_nodes.items():
-                if fn_node is node:
-                    nested = qualname
-                    break
-            if owner is not None and nested is not None and owner != nested:
-                if not graph.functions[owner].is_module_body:
-                    add_edge(owner, nested, EDGE_REF, node.lineno)
-
-    # Bare references to known functions (callbacks, registry wiring).
-    for node in ast.walk(module.tree):
-        if not isinstance(node, ast.Name) or id(node) in call_func_ids:
-            continue
-        if not isinstance(node.ctx, ast.Load):
+        if not isinstance(node, ast.Call):
             continue
         owner = graph.owner_of(node)
         if owner is None:
             continue
-        resolved = graph.resolve_local_name(module.module_name, node.id)
-        if resolved is not None and resolved != owner:
-            add_edge(owner, resolved, EDGE_REF, node.lineno)
+        func = node.func
+        resolved = None
+        if isinstance(func, ast.Name):
+            resolved = graph.resolve_local_name(module.module_name, func.id)
+        elif isinstance(func, ast.Attribute):
+            chain = _attr_chain(func)
+            if chain is not None:
+                if (
+                    chain[0] == "self"
+                    and len(chain) == 2
+                    and (cls := _class_of(graph, module.module_name, owner))
+                ):
+                    method = f"{cls}.{chain[1]}"
+                    if method in graph.functions:
+                        resolved = method
+                if resolved is None:
+                    resolved = resolve_dotted(chain)
+        if resolved is not None:
+            add_edge(owner, resolved, node.lineno)
 
 
 def _attr_chain(node: ast.AST) -> Optional[List[str]]:
@@ -419,8 +311,6 @@ def build_call_graph(project: Project) -> CallGraph:
         _assign_owners(module, graph)
     for module in project:
         _extract_edges(module, graph)
-    for name in graph.by_name:
-        graph.by_name[name].sort()
     return graph
 
 
@@ -437,12 +327,8 @@ def get_call_graph(project: Project) -> CallGraph:
 
 
 __all__ = [
-    "ALL_EDGE_KINDS",
     "CallEdge",
     "CallGraph",
-    "EDGE_DIRECT",
-    "EDGE_NAME",
-    "EDGE_REF",
     "FunctionInfo",
     "MODULE_BODY",
     "build_call_graph",

@@ -29,11 +29,7 @@ import ast
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.analysis.findings import Finding
-from repro.analysis.flow.graph import (
-    EDGE_DIRECT,
-    CallGraph,
-    get_call_graph,
-)
+from repro.analysis.flow.graph import CallGraph, get_call_graph
 from repro.analysis.flow.taint import (
     RngCreation,
     SeedProvenance,
@@ -243,7 +239,7 @@ class AmbientRngReachableFromSamplerRule(_FlowRule):
                 stack.append(qualname)
         while stack:
             current = stack.pop()
-            for edge in graph.callees(current, kinds=(EDGE_DIRECT,)):
+            for edge in graph.callees(current):
                 if edge.callee not in parent:
                     parent[edge.callee] = current
                     stack.append(edge.callee)

@@ -17,9 +17,9 @@ Two analyses share the :class:`~repro.analysis.flow.graph.CallGraph`:
   a sink or the frontier is exhausted.  Paths are recorded so findings
   can print the full call chain.
 
-Both walks use only ``direct`` edges: conservative name-match edges are
-for reachability (impact analysis), not for taint, where they would
-drown real findings in false positives.
+Both walks follow only the graph's resolved call edges; calls through
+untyped receivers have no edge, so the walks trade recall for findings
+that are not drowned in false positives.
 """
 
 from __future__ import annotations
@@ -29,10 +29,7 @@ import re
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.analysis.flow.graph import (
-    EDGE_DIRECT,
-    CallGraph,
-)
+from repro.analysis.flow.graph import CallGraph
 from repro.analysis.source import SourceModule
 
 #: Parameter / attribute names accepted as explicit seed carriers.
@@ -340,7 +337,7 @@ class SeedProvenance:
         params = self.params_of(owner)
         index = params.index(param)
         skip_self = bool(params) and params[0] in ("self", "cls")
-        call_sites = self.graph.callers(owner, kinds=(EDGE_DIRECT,))
+        call_sites = self.graph.callers(owner)
         if not call_sites:
             return False
         node = self._function_node(owner)
@@ -636,7 +633,7 @@ def propagate_to_sinks(
                 tainted_args = _tainted_arguments(node, names, source_node)
                 if not tainted_args:
                     continue
-                callees = graph.callees(owner, kinds=(EDGE_DIRECT,))
+                callees = graph.callees(owner)
                 matches = [e for e in callees if e.lineno == node.lineno]
                 for edge in matches:
                     step = describe(owner, node.lineno)
@@ -656,7 +653,7 @@ def propagate_to_sinks(
                         frontier.append((edge.callee, bound, (*path, step)))
             elif isinstance(node, ast.Return) and node.value is not None:
                 if _expr_tainted(node.value, names, source_node):
-                    for edge in graph.callers(owner, kinds=(EDGE_DIRECT,)):
+                    for edge in graph.callers(owner):
                         caller_call = _call_on_line(
                             graph, edge.caller, edge.lineno, callee=owner
                         )

@@ -39,9 +39,9 @@ module provides the production path:
   drivers route through.
 
 Bit-identity is enforced by tests that cross-validate the kernels
-against the event controller on every scheme x benchmark; the perf
-harness in ``benchmarks/perf/`` times both paths and records the speedup
-and fast-path coverage in ``BENCH_batcheval.json``.
+against the event controller on every scheme x benchmark;
+``benchmarks/test_perf_gates.py`` times both paths and fails below a 5x
+speedup on the fig10 shape.
 """
 
 from __future__ import annotations

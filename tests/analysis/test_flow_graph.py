@@ -1,12 +1,6 @@
-"""Call-graph construction: indexing, edge tiers, reachability."""
+"""Call-graph construction: indexing and call-edge resolution."""
 
-from repro.analysis.flow.graph import (
-    ALL_EDGE_KINDS,
-    EDGE_DIRECT,
-    EDGE_NAME,
-    EDGE_REF,
-    MODULE_BODY,
-)
+from repro.analysis.flow.graph import MODULE_BODY
 
 
 class TestFunctionIndex:
@@ -32,21 +26,6 @@ class TestFunctionIndex:
         assert info.class_name == "Runner"
         assert graph.functions["repro.core.engine.evaluate"].class_name is None
 
-    def test_function_at_picks_innermost_span(self, graph_of):
-        graph = graph_of({
-            "repro.core.engine": """
-            def outer():
-                def inner():
-                    return 1
-                return inner()
-            """,
-        })
-        info = graph.function_at("repro.core.engine", 4)
-        assert info is not None
-        assert info.qualname == "repro.core.engine.outer.inner"
-        body = graph.function_at("repro.core.engine", 1)
-        assert body is not None and body.name == MODULE_BODY
-
 
 class TestEdgeTiers:
     def test_direct_edge_through_from_import(self, graph_of):
@@ -62,7 +41,7 @@ class TestEdgeTiers:
                 return evaluate(trace)
             """,
         })
-        edges = graph.callees("repro.app.main", kinds=(EDGE_DIRECT,))
+        edges = graph.callees("repro.app.main")
         assert [e.callee for e in edges] == ["repro.core.engine.evaluate"]
 
     def test_direct_edge_through_facade_reexport(self, graph_of):
@@ -81,7 +60,7 @@ class TestEdgeTiers:
                 return evaluate(trace)
             """,
         })
-        edges = graph.callees("repro.app.main", kinds=(EDGE_DIRECT,))
+        edges = graph.callees("repro.app.main")
         assert [e.callee for e in edges] == ["repro.core.engine.evaluate"]
 
     def test_self_method_call_is_direct(self, graph_of):
@@ -95,66 +74,8 @@ class TestEdgeTiers:
                     return self.helper()
             """,
         })
-        edges = graph.callees("repro.core.engine.Runner.run",
-                              kinds=(EDGE_DIRECT,))
+        edges = graph.callees("repro.core.engine.Runner.run")
         assert [e.callee for e in edges] == ["repro.core.engine.Runner.helper"]
-
-    def test_attribute_call_name_edges_reach_every_same_named(self, graph_of):
-        graph = graph_of({
-            "repro.experiments.fig01": """
-            def run(context):
-                return 1
-            """,
-            "repro.experiments.fig02": """
-            def run(context):
-                return 2
-            """,
-            "repro.engine.registry": """
-            def dispatch(experiment, context):
-                return experiment.run(context)
-            """,
-        })
-        edges = graph.callees("repro.engine.registry.dispatch",
-                              kinds=(EDGE_NAME,))
-        callees = {e.callee for e in edges}
-        assert "repro.experiments.fig01.run" in callees
-        assert "repro.experiments.fig02.run" in callees
-
-    def test_bare_function_reference_is_ref_edge(self, graph_of):
-        graph = graph_of({
-            "repro.engine.registry": """
-            def run(context):
-                return 1
-
-            def register(fn):
-                return fn
-
-            HANDLE = register(run)
-            """,
-        })
-        body = f"repro.engine.registry.{MODULE_BODY}"
-        ref = [e for e in graph.callees(body, kinds=(EDGE_REF,))
-               if e.callee == "repro.engine.registry.run"]
-        assert ref, "bare reference to run() should produce a ref edge"
-
-    def test_reachability_respects_kind_filter(self, graph_of):
-        graph = graph_of({
-            "repro.experiments.fig01": """
-            def run(context):
-                return 1
-            """,
-            "repro.engine.registry": """
-            def dispatch(experiment, context):
-                return experiment.run(context)
-            """,
-        })
-        entry = "repro.engine.registry.dispatch"
-        assert "repro.experiments.fig01.run" in graph.reachable_from(
-            entry, kinds=ALL_EDGE_KINDS
-        )
-        assert "repro.experiments.fig01.run" not in graph.reachable_from(
-            entry, kinds=(EDGE_DIRECT,)
-        )
 
     def test_relative_import_resolution(self, graph_of):
         graph = graph_of({
@@ -169,6 +90,5 @@ class TestEdgeTiers:
                 return init_worker()
             """,
         })
-        edges = graph.callees("repro.engine.parallel.start",
-                              kinds=(EDGE_DIRECT,))
+        edges = graph.callees("repro.engine.parallel.start")
         assert [e.callee for e in edges] == ["repro.engine.worker.init_worker"]

@@ -11,6 +11,7 @@ import json
 import os
 import pathlib
 import pickle
+import time
 
 import pytest
 
@@ -94,7 +95,11 @@ class TestSubmitLifecycle:
         assert report.startswith("Figure 10")
 
     def test_events_stream_typed_records(self, service):
+        start = time.perf_counter()
         handle = service.submit(EXPERIMENT, **SMALL_KWARGS)
+        # The first typed event lands within 30 s of the submit call.
+        next(iter(handle.events(follow=True)))
+        assert time.perf_counter() - start <= 30.0
         handle.wait(timeout=300)
         events = list(handle.events())
         kinds = [type(e) for e in events]
