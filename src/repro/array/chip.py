@@ -297,20 +297,27 @@ class ChipBuildTask:
 
     def build(self) -> Tuple[Union[DRAM3T1DChipSample, SRAMChipSample], ...]:
         """Realize the reserved chip: one sample per operating point."""
-        chips = [
-            ChipSampler(
-                point.node, point.params, geometry=self.geometry,
-            )._sampler.chip_from_seed(self.chip_id, self.chip_seed)
-            for point in self.points
-        ]
-        if self.kind == "3t1d":
-            return tuple(_dram_samples(
-                chips, self.geometry, get_backend(self.technology)
+        # Deferred: the repro.engine package imports this module.
+        from repro.engine.trace import span
+
+        with span(
+            "array.chip.build", cat="build", kind=self.kind,
+            technology=self.technology, points=len(self.points),
+        ):
+            chips = [
+                ChipSampler(
+                    point.node, point.params, geometry=self.geometry,
+                )._sampler.chip_from_seed(self.chip_id, self.chip_seed)
+                for point in self.points
+            ]
+            if self.kind == "3t1d":
+                return tuple(_dram_samples(
+                    chips, self.geometry, get_backend(self.technology)
+                ))
+            return tuple(_sram_samples(
+                chips, [point.size_factor for point in self.points],
+                self.geometry,
             ))
-        return tuple(_sram_samples(
-            chips, [point.size_factor for point in self.points],
-            self.geometry,
-        ))
 
 
 def merge_build_batches(

@@ -304,12 +304,9 @@ def run_eval_task(task: EvalTask):
 
 
 def run_build_task(task: ChipBuildTask):
-    """Execute one chip-build task (in a worker or inline)."""
-    with trace_mod.span(
-        "build_chip", cat="build", chip_id=getattr(task, "chip_id", -1),
-        points=len(getattr(task, "points", ())),
-    ):
-        return task.build()
+    """Execute one chip-build task (in a worker or inline); the build
+    records its own ``array.chip.build`` trace span."""
+    return task.build()
 
 
 @dataclass

@@ -72,8 +72,9 @@ def run(context: Optional[ExperimentContext] = None) -> Fig06Result:
     """Regenerate Figure 6 at the context's Monte-Carlo scale."""
     context = context or ExperimentContext()
 
-    freq_1x = [c.normalized_frequency for c in context.chips_sram("typical", 1.0)]
-    freq_2x = [c.normalized_frequency for c in context.chips_sram("typical", 2.0)]
+    sram = context.chips_sram_batches((("typical", 1.0), ("typical", 2.0)))
+    freq_1x = [c.normalized_frequency for c in sram["typical", 1.0]]
+    freq_2x = [c.normalized_frequency for c in sram["typical", 2.0]]
     hist_1x = normalized_histogram(freq_1x, FREQUENCY_BIN_EDGES)
     hist_2x = normalized_histogram(freq_2x, FREQUENCY_BIN_EDGES)
 

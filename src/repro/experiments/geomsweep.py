@@ -166,8 +166,11 @@ def run(
                 if context.geometry == base
                 else context.with_overrides(geometry=base)
             )
+            # One request per physical point: each chip's fields are
+            # drawn once for every severity.
+            batches = geo_context.chips_3t1d_batches(severities)
             for severity in severities:
-                chips = geo_context.chips_3t1d(severity)
+                chips = batches[severity]
                 leakage = float(np.mean(
                     [chip.leakage_power for chip in chips]
                 ))

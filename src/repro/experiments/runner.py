@@ -14,13 +14,19 @@ runs are bit-identical.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 from repro.technology.node import NODE_32NM, TechnologyNode
 from repro.technology.backends import get_backend
 from repro.variation.parameters import VariationParams
-from repro.array.chip import ChipSampler, DRAM3T1DChipSample, SRAMChipSample
+from repro.array.chip import (
+    ChipBuildTask,
+    ChipSampler,
+    DRAM3T1DChipSample,
+    SRAMChipSample,
+    merge_build_batches,
+)
 from repro.array.geometry import CacheGeometry
 from repro.core.evaluation import Evaluator
 from repro.engine.config import EngineConfig
@@ -206,45 +212,103 @@ class ExperimentContext:
 
     def chips_3t1d(self, scenario: str) -> List[DRAM3T1DChipSample]:
         """The cached Monte-Carlo 3T1D chip batch for ``scenario``."""
-        if scenario not in self._chips_3t1d:
-            sampler = ChipSampler(
+        return self.chips_3t1d_batches((scenario,))[scenario]
+
+    def chips_3t1d_batches(
+        self, scenarios: Sequence[str]
+    ) -> Dict[str, List[DRAM3T1DChipSample]]:
+        """The cached 3T1D chip batches of ``scenarios``, by scenario.
+
+        Every scenario reserves the same chip seeds, so the uncached ones
+        are built in one request that draws each chip's per-cell fields
+        once for all of them (see :meth:`_build_batches`).  A driver asks
+        for every scenario it reads at once; nothing else is built.
+        """
+        name = "3T1D" if self.technology == "3t1d" else self.technology
+        return self._build_batches(
+            self._chips_3t1d, scenarios,
+            lambda scenario: ChipSampler(
                 self.node,
                 self.scenario(scenario),
                 seed=self.seed,
                 technology=self.technology,
                 **self._sampler_geometry(),
-            )
-            tasks = sampler.reserve_build_tasks(self.n_chips, kind="3t1d")
-            self._chips_3t1d[scenario] = self.runner.build_chips(
-                tasks,
-                observer=self.observer,
-                label=f"sample {self.technology} chips ({scenario})"
-                if self.technology != "3t1d"
-                else f"sample 3T1D chips ({scenario})",
-            )
-        return self._chips_3t1d[scenario]
+            ).reserve_build_tasks(self.n_chips, kind="3t1d"),
+            lambda todo: f"sample {name} chips ({', '.join(todo)})",
+        )
 
     def chips_sram(
         self, scenario: str, size_factor: float = 1.0
     ) -> List[SRAMChipSample]:
         """The cached Monte-Carlo 6T chip batch for ``scenario``."""
         key = (scenario, size_factor)
-        if key not in self._chips_sram:
-            sampler = ChipSampler(
+        return self.chips_sram_batches((key,))[key]
+
+    def chips_sram_batches(
+        self, keys: Sequence[Tuple[str, float]]
+    ) -> Dict[Tuple[str, float], List[SRAMChipSample]]:
+        """The cached 6T chip batches of ``(scenario, size_factor)`` keys.
+
+        Built like :meth:`chips_3t1d_batches`: one request, each chip's
+        fields drawn once for every uncached key.
+        """
+        return self._build_batches(
+            self._chips_sram, keys,
+            lambda key: ChipSampler(
                 self.node,
-                self.scenario(scenario),
+                self.scenario(key[0]),
                 seed=self.seed + 17,
                 **self._sampler_geometry(),
+            ).reserve_build_tasks(
+                self.n_chips, kind="sram", size_factor=key[1]
+            ),
+            lambda todo: "sample 6T chips ({})".format("; ".join(
+                f"{scenario}, {size_factor:g}X"
+                for scenario, size_factor in todo
+            )),
+        )
+
+    def _build_batches(
+        self,
+        cache: Dict[Any, List[Any]],
+        keys: Sequence[Any],
+        reserve: Callable[[Any], List[ChipBuildTask]],
+        label: Callable[[List[Any]], str],
+    ) -> Dict[Any, List[Any]]:
+        """Build the uncached batches of ``keys`` in one runner request.
+
+        ``reserve(key)`` reserves a key's one-point tasks.  The keys
+        reserve the same chip seeds, so the batches with per-cell
+        variation merge chip by chip (:func:`merge_build_batches`): one
+        build draws a chip's fields once and solves every key from them,
+        bit-identically to building each key on its own.  A scenario
+        without per-cell variation draws nothing to share, so its
+        one-point tasks join the same request unmerged.  Each key's batch
+        is cached as it would be on its own.
+        """
+        todo = [key for key in dict.fromkeys(keys) if key not in cache]
+        if todo:
+            batches = {key: reserve(key) for key in todo}
+            shared = [
+                key for key in todo
+                if batches[key][0].points[0].params.sigma_vth_rel > 0
+            ]
+            alone = [key for key in todo if key not in shared]
+            tasks = merge_build_batches([batches[key] for key in shared])
+            for key in alone:
+                tasks.extend(batches[key])
+            samples = self.runner.build_chips(
+                tasks, observer=self.observer, label=label(todo)
             )
-            tasks = sampler.reserve_build_tasks(
-                self.n_chips, kind="sram", size_factor=size_factor
-            )
-            self._chips_sram[key] = self.runner.build_chips(
-                tasks,
-                observer=self.observer,
-                label=f"sample 6T chips ({scenario}, {size_factor:g}X)",
-            )
-        return self._chips_sram[key]
+            # Merged tasks come first, one sample per shared key each;
+            # then each unmerged batch in turn.
+            stride, end = len(shared), len(shared) * self.n_chips
+            for offset, key in enumerate(shared):
+                cache[key] = samples[offset:end:stride]
+            for key in alone:
+                cache[key] = samples[end:end + self.n_chips]
+                end += self.n_chips
+        return {key: cache[key] for key in keys}
 
     def _sampler_geometry(self) -> Dict[str, CacheGeometry]:
         """Extra :class:`ChipSampler` kwargs for a non-default geometry.

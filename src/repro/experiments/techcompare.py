@@ -88,8 +88,9 @@ def run(context: Optional[ExperimentContext] = None) -> TechCompareResult:
             else context.with_overrides(technology=technology)
         )
         spec = tech_context.evaluator_spec()
+        batches = tech_context.chips_3t1d_batches(SEVERITIES)
         for severity in SEVERITIES:
-            chips = tech_context.chips_3t1d(severity)
+            chips = batches[severity]
             tasks = [
                 EvalTask(evaluator=spec, chip=chip, schemes=SCHEMES)
                 for chip in chips

@@ -55,7 +55,6 @@ from repro.technology.node import TechnologyNode
 from repro.variation.montecarlo import (
     SharedNormalField,
     continue_from,
-    normal_draws,
     shared_generator,
 )
 
@@ -173,6 +172,11 @@ class RetentionMap:
 WORDS_PER_LINE: int = 8
 _WORD_BITS: int = 64
 
+#: Rows of a sub-array pair the 3T1D backend solves at a time.  Block
+#: buffers stay small (128 x 544 cells is about 0.5 MB) while each
+#: numpy call still covers tens of thousands of cells.
+ROW_BLOCK: int = 128
+
 
 def _line_and_word_minima(
     cell_retention: np.ndarray, rows: int, cells: int
@@ -192,6 +196,27 @@ def _line_and_word_minima(
         tag_min = np.min(cell_retention[:, data_bits:], axis=1)
         data_words[:, 0] = np.minimum(data_words[:, 0], tag_min)
     return line_retention, data_words
+
+
+def _shared_draws(
+    backend: "TechnologyBackend",
+    chips: Sequence["ChipVariation"],
+    geometry: "CacheGeometry",
+) -> List[RetentionMap]:
+    """``backend``'s maps of one chip seed's points, fields drawn once.
+
+    ``chips`` are the same chip seed realised at several operating
+    points; ``backend._solve_maps`` draws their shared per-cell fields
+    from one generator (checked by :func:`shared_generator`), and every
+    point's generator then continues from its end state.  One point is
+    one ``sample_retention_map`` call.
+    """
+    if len(chips) == 1:
+        return [backend.sample_retention_map(chips[0], geometry)]
+    rng = shared_generator(chips)
+    maps = backend._solve_maps(chips, geometry, rng)
+    continue_from(chips, rng)
+    return maps
 
 
 # ---------------------------------------------------------------------------
@@ -266,8 +291,8 @@ class TechnologyBackend(ABC):
         ``chips`` are the same chip seed realised at several operating
         points (see :class:`~repro.array.chip.ChipBuildTask`); each map
         equals ``sample_retention_map(chip, geometry)`` bit for bit.  The
-        default samples the points one after another; a backend may
-        override it to draw the shared per-cell fields once.
+        default samples the points one after another; the registered
+        backends override it to draw the shared per-cell fields once.
         """
         return [self.sample_retention_map(chip, geometry) for chip in chips]
 
@@ -358,7 +383,7 @@ class DRAM3T1DBackend(TechnologyBackend):
 
     ``sample_retention_map`` keeps the original
     ``ChipSampler._build_3t1d_sample`` draw order and arithmetic, now
-    evaluated in place in per-map buffers, so chips sampled through the
+    evaluated in place in row-block buffers, so chips sampled through the
     backend are bit-identical to pre-backend outputs.
     ``sample_retention_maps`` solves every operating point of a chip seed
     from one draw of each pair's fields, with the same result.
@@ -407,13 +432,7 @@ class DRAM3T1DBackend(TechnologyBackend):
         chips: Sequence["ChipVariation"],
         geometry: "CacheGeometry",
     ) -> List[RetentionMap]:
-        # A one-point group is one ``sample_retention_map`` call.
-        if len(chips) == 1:
-            return [self.sample_retention_map(chips[0], geometry)]
-        rng = shared_generator(chips)
-        maps = self._solve_maps(chips, geometry, rng)
-        continue_from(chips, rng)
-        return maps
+        return _shared_draws(self, chips, geometry)
 
     def _solve_maps(
         self,
@@ -423,8 +442,12 @@ class DRAM3T1DBackend(TechnologyBackend):
     ) -> List[RetentionMap]:
         """Every point's map, drawing each pair's fields once from ``rng``.
 
-        The pair loop is outer and the point loop inner, so only one
-        pair's fields are live at a time.
+        The pair loop is outer.  Each pair's three fields are drawn at
+        full size, in the documented order; each point is then solved
+        :data:`ROW_BLOCK` rows at a time, so its scaled draws and solve
+        temporaries stay block-sized however many points share the
+        draws.  Cell leakage lands in one full-size buffer that is summed
+        once per pair and point, in the order of a one-pass solve.
         """
         import repro.cells.dram3t1d as dram3t1d
         from repro.cells.dram3t1d import DRAM3T1DCell
@@ -449,8 +472,6 @@ class DRAM3T1DBackend(TechnologyBackend):
             np.empty((geometry.n_lines, WORDS_PER_LINE)) for _ in chips
         ]
         leakage = [0.0 for _ in chips]
-        # Every pair is solved in place in these buffers, so a map costs
-        # its draws plus a fixed number of passes over them.
         shape = (rows, cells)
         # Draw order per pair: T1, T2, then boost mismatch.
         fields = (
@@ -458,8 +479,13 @@ class DRAM3T1DBackend(TechnologyBackend):
             SharedNormalField(shape, sigma_vth),
             SharedNormalField(shape, sigma_eps),
         )
-        cell_retention, scratch = np.empty(shape), np.empty(shape)
-        dead = np.empty(shape, dtype=bool)
+        # Every block is solved in place in these buffers, so a map
+        # costs its draws plus a fixed number of passes over them.
+        block = (min(rows, ROW_BLOCK), cells)
+        scaled = [np.empty(block) for _ in fields]
+        cell_retention, scratch = np.empty(block), np.empty(block)
+        dead = np.empty(block, dtype=bool)
+        cell_leakage = np.empty(shape)
         for pair in range(geometry.n_pairs):
             sub_a, sub_b = geometry.subarrays_of_pair(pair)
             line_ids = np.arange(rows) * geometry.n_pairs + pair
@@ -469,23 +495,28 @@ class DRAM3T1DBackend(TechnologyBackend):
                 delta_l = 0.5 * (
                     chip.delta_l_total(sub_a) + chip.delta_l_total(sub_b)
                 )
-                d_t1, d_t2, eps = (field.scaled(i) for field in fields)
-                models[i].retention_time(
-                    d_t1, d_t2, delta_l, eps,
-                    out=cell_retention, scratch=scratch, mask=dead,
-                )
-                line_retention, data_words = _line_and_word_minima(
-                    cell_retention, rows, cells
-                )
-                retention[i][line_ids] = line_retention
-                word_retention[i][line_ids] = data_words
-                # Supply leakage flows through the read stack; reuse the
-                # T2 draw.
-                leakage[i] += float(
-                    np.sum(dram_cells[i].leakage_power(
-                        d_t2, delta_l, out=scratch
-                    ))
-                )
+                for start in range(0, rows, ROW_BLOCK):
+                    span = slice(start, min(start + ROW_BLOCK, rows))
+                    n = span.stop - start
+                    d_t1, d_t2, eps = (
+                        field.scaled(i, span, out=buffer[:n])
+                        for field, buffer in zip(fields, scaled)
+                    )
+                    line_retention, data_words = _line_and_word_minima(
+                        models[i].retention_time(
+                            d_t1, d_t2, delta_l, eps, out=cell_retention[:n],
+                            scratch=scratch[:n], mask=dead[:n],
+                        ),
+                        n, cells,
+                    )
+                    retention[i][line_ids[span]] = line_retention
+                    word_retention[i][line_ids[span]] = data_words
+                    # Supply leakage flows through the read stack; reuse
+                    # the T2 draw.
+                    dram_cells[i].leakage_power(
+                        d_t2, delta_l, out=cell_leakage[span]
+                    )
+                leakage[i] += float(np.sum(cell_leakage))
 
         return [
             RetentionMap(
@@ -628,57 +659,80 @@ class STTRAMBackend(TechnologyBackend):
         geometry: "CacheGeometry",
         rng: Optional[np.random.Generator] = None,
     ) -> RetentionMap:
+        rng = chip.rng if rng is None else rng
+        return self._solve_maps((chip,), geometry, rng)[0]
+
+    def sample_retention_maps(
+        self,
+        chips: Sequence["ChipVariation"],
+        geometry: "CacheGeometry",
+    ) -> List[RetentionMap]:
+        return _shared_draws(self, chips, geometry)
+
+    def _solve_maps(
+        self,
+        chips: Sequence["ChipVariation"],
+        geometry: "CacheGeometry",
+        rng: np.random.Generator,
+    ) -> List[RetentionMap]:
+        """Every point's map, drawing each pair's field once from ``rng``."""
         from repro.cells.sram6t import SRAM6TCell
 
-        rng = chip.rng if rng is None else rng
-        node = chip.node
-        params = chip.params
         delta0 = self._nominal_delta()
-        sigma_delta = STTRAM_STABILITY_SIGMA_FACTOR * params.sigma_vth_rel
         rows = geometry.rows_per_pair
         cells = geometry.cells_per_line
 
-        retention = np.empty(geometry.n_lines)
-        word_retention = np.empty((geometry.n_lines, WORDS_PER_LINE))
-        sram_golden = (
-            SRAM6TCell(node).nominal_cell_leakage_power()
-            * geometry.total_cells
-        )
+        retention = [np.empty(geometry.n_lines) for _ in chips]
+        word_retention = [
+            np.empty((geometry.n_lines, WORDS_PER_LINE)) for _ in chips
+        ]
         # Draw order: one (rows, cells) normal draw per sub-array pair, in
         # pair order.
+        z = SharedNormalField((rows, cells), [
+            STTRAM_STABILITY_SIGMA_FACTOR * chip.params.sigma_vth_rel
+            for chip in chips
+        ])
         for pair in range(geometry.n_pairs):
             sub_a, sub_b = geometry.subarrays_of_pair(pair)
-            delta_l = 0.5 * (
-                chip.delta_l_total(sub_a) + chip.delta_l_total(sub_b)
-            )
             relax = (
                 STTRAM_RELAXED_BANK_FACTOR if pair % 2 else 1.0
             )
-            correlated = 1.0 + STTRAM_STABILITY_L_COUPLING * (
-                delta_l / node.feature_size
-            )
-            z = normal_draws(rng, sigma_delta, (rows, cells))
-            delta_cells = delta0 * relax * correlated * (1.0 + z)
-            # A cell whose barrier collapses retains nothing.
-            cell_retention = np.where(
-                delta_cells > 0,
-                STTRAM_ATTEMPT_PERIOD * np.exp(np.minimum(delta_cells, 60.0)),
-                0.0,
-            )
-            line_retention, data_words = _line_and_word_minima(
-                cell_retention, rows, cells
-            )
             line_ids = np.arange(rows) * geometry.n_pairs + pair
-            retention[line_ids] = line_retention
-            word_retention[line_ids] = data_words
+            z.draw(rng)
+            for i, chip in enumerate(chips):
+                delta_l = 0.5 * (
+                    chip.delta_l_total(sub_a) + chip.delta_l_total(sub_b)
+                )
+                correlated = 1.0 + STTRAM_STABILITY_L_COUPLING * (
+                    delta_l / chip.node.feature_size
+                )
+                delta_cells = delta0 * relax * correlated * (1.0 + z.scaled(i))
+                # A cell whose barrier collapses retains nothing.
+                cell_retention = np.where(
+                    delta_cells > 0,
+                    STTRAM_ATTEMPT_PERIOD
+                    * np.exp(np.minimum(delta_cells, 60.0)),
+                    0.0,
+                )
+                line_retention, data_words = _line_and_word_minima(
+                    cell_retention, rows, cells
+                )
+                retention[i][line_ids] = line_retention
+                word_retention[i][line_ids] = data_words
 
-        return RetentionMap(
-            retention_by_line=retention,
-            retention_by_word=word_retention,
-            # Periphery leakage is CMOS and draw-independent.
-            leakage_power=self.leakage_power(node, geometry),
-            golden_leakage_power=sram_golden,
-        )
+        return [
+            RetentionMap(
+                retention_by_line=retention[i],
+                retention_by_word=word_retention[i],
+                # Periphery leakage is CMOS and draw-independent.
+                leakage_power=self.leakage_power(chip.node, geometry),
+                golden_leakage_power=(
+                    SRAM6TCell(chip.node).nominal_cell_leakage_power()
+                    * geometry.total_cells
+                ),
+            )
+            for i, chip in enumerate(chips)
+        ]
 
     def refresh_cost(
         self, node: TechnologyNode, geometry: "CacheGeometry"
@@ -789,23 +843,33 @@ class VarDRAMBackend(TechnologyBackend):
         geometry: "CacheGeometry",
         rng: Optional[np.random.Generator] = None,
     ) -> RetentionMap:
+        rng = chip.rng if rng is None else rng
+        return self._solve_maps((chip,), geometry, rng)[0]
+
+    def sample_retention_maps(
+        self,
+        chips: Sequence["ChipVariation"],
+        geometry: "CacheGeometry",
+    ) -> List[RetentionMap]:
+        return _shared_draws(self, chips, geometry)
+
+    def _solve_maps(
+        self,
+        chips: Sequence["ChipVariation"],
+        geometry: "CacheGeometry",
+        rng: np.random.Generator,
+    ) -> List[RetentionMap]:
+        """Every point's map, drawing each pair's fields once from ``rng``."""
         from repro.cells.sram6t import SRAM6TCell
 
-        rng = chip.rng if rng is None else rng
-        node = chip.node
-        params = chip.params
-        sigma_ret = VARDRAM_RETENTION_SIGMA_FACTOR * params.sigma_vth_rel
-        sigma_lat = VARDRAM_LATENCY_JITTER_FACTOR * params.sigma_vth_rel
         rows = geometry.rows_per_pair
         cells = geometry.cells_per_line
 
-        retention = np.empty(geometry.n_lines)
-        word_retention = np.empty((geometry.n_lines, WORDS_PER_LINE))
-        latency_factor = np.empty(geometry.n_lines)
-        sram_golden = (
-            SRAM6TCell(node).nominal_cell_leakage_power()
-            * geometry.total_cells
-        )
+        retention = [np.empty(geometry.n_lines) for _ in chips]
+        word_retention = [
+            np.empty((geometry.n_lines, WORDS_PER_LINE)) for _ in chips
+        ]
+        latency_factor = [np.empty(geometry.n_lines) for _ in chips]
         # Deterministic position gradient: row r of a pair sits r/(rows-1)
         # of the way up the bitline from its sense amplifiers.
         distance = (
@@ -814,41 +878,58 @@ class VarDRAMBackend(TechnologyBackend):
         position = 1.0 + VARDRAM_LATENCY_SLOPE * distance
         # Draw order per pair: one (rows,) latency-jitter draw, then one
         # (rows, cells) retention draw.
+        jitter = SharedNormalField((rows,), [
+            VARDRAM_LATENCY_JITTER_FACTOR * chip.params.sigma_vth_rel
+            for chip in chips
+        ])
+        z = SharedNormalField((rows, cells), [
+            VARDRAM_RETENTION_SIGMA_FACTOR * chip.params.sigma_vth_rel
+            for chip in chips
+        ])
         for pair in range(geometry.n_pairs):
             sub_a, sub_b = geometry.subarrays_of_pair(pair)
-            delta_l = 0.5 * (
-                chip.delta_l_total(sub_a) + chip.delta_l_total(sub_b)
-            )
-            correlated = math.exp(
-                -VARDRAM_L_RETENTION_COUPLING * delta_l / node.feature_size
-            )
-            jitter = np.exp(normal_draws(rng, sigma_lat, rows))
-            row_latency = position * jitter
-            z = normal_draws(rng, sigma_ret, (rows, cells))
-            # Distant rows restore less charge each access, so their
-            # effective retention shrinks by the same design factor that
-            # slows them down (restore truncation, Lee et al. section 5).
-            cell_retention = (
-                VARDRAM_NOMINAL_RETENTION
-                * correlated
-                * np.exp(z)
-                / row_latency[:, None]
-            )
-            line_retention, data_words = _line_and_word_minima(
-                cell_retention, rows, cells
-            )
             line_ids = np.arange(rows) * geometry.n_pairs + pair
-            retention[line_ids] = line_retention
-            word_retention[line_ids] = data_words
-            latency_factor[line_ids] = row_latency
+            jitter.draw(rng)
+            z.draw(rng)
+            for i, chip in enumerate(chips):
+                delta_l = 0.5 * (
+                    chip.delta_l_total(sub_a) + chip.delta_l_total(sub_b)
+                )
+                correlated = math.exp(
+                    -VARDRAM_L_RETENTION_COUPLING * delta_l
+                    / chip.node.feature_size
+                )
+                row_latency = position * np.exp(jitter.scaled(i))
+                # Distant rows restore less charge each access, so their
+                # effective retention shrinks by the same design factor
+                # that slows them down (restore truncation, Lee et al.
+                # section 5).
+                cell_retention = (
+                    VARDRAM_NOMINAL_RETENTION
+                    * correlated
+                    * np.exp(z.scaled(i))
+                    / row_latency[:, None]
+                )
+                line_retention, data_words = _line_and_word_minima(
+                    cell_retention, rows, cells
+                )
+                retention[i][line_ids] = line_retention
+                word_retention[i][line_ids] = data_words
+                latency_factor[i][line_ids] = row_latency
 
-        return RetentionMap(
-            retention_by_line=retention,
-            retention_by_word=word_retention,
-            leakage_power=self.leakage_power(node, geometry),
-            golden_leakage_power=sram_golden,
-            latency_factor_by_line=latency_factor,
-        )
+        return [
+            RetentionMap(
+                retention_by_line=retention[i],
+                retention_by_word=word_retention[i],
+                leakage_power=self.leakage_power(chip.node, geometry),
+                golden_leakage_power=(
+                    SRAM6TCell(chip.node).nominal_cell_leakage_power()
+                    * geometry.total_cells
+                ),
+                latency_factor_by_line=latency_factor[i],
+            )
+            for i, chip in enumerate(chips)
+        ]
 
     def refresh_cost(
         self, node: TechnologyNode, geometry: "CacheGeometry"

@@ -85,10 +85,9 @@ class SharedNormalField:
     ``np.multiply(z, sigmas[i])`` -- the IEEE operation
     :func:`normal_draws` performs -- so every point's values equal its
     own ``normal_draws`` call bit for bit.  A one-point field *is* that
-    call, in one buffer (so it may have ``sigma <= 0``); a shared field
-    adds one output buffer and needs every sigma ``> 0``, since
-    ``normal_draws`` consumes nothing at sigma 0.  Call :meth:`scaled`
-    once per point after each :meth:`draw`.
+    call, scaled in place (so it may have ``sigma <= 0``); a shared field
+    keeps the raw draws and needs every sigma ``> 0``, since
+    ``normal_draws`` consumes nothing at sigma 0.
     """
 
     def __init__(self, shape, sigmas: Sequence[float]):
@@ -101,20 +100,36 @@ class SharedNormalField:
                 f"got {self.sigmas}"
             )
         self._z = np.empty(shape)
-        self._out = self._z if len(self.sigmas) == 1 else np.empty(shape)
+        self._out: Optional[np.ndarray] = None
 
     def draw(self, rng: np.random.Generator) -> None:
         """Consume the next field of ``rng``'s stream."""
-        if self._out is self._z:
+        if len(self.sigmas) == 1:
             normal_draws(rng, self.sigmas[0], out=self._z)
         else:
             rng.standard_normal(out=self._z)
 
-    def scaled(self, point: int) -> np.ndarray:
-        """Point ``point``'s draws of the current field."""
-        if self._out is not self._z:
-            np.multiply(self._z, self.sigmas[point], out=self._out)
-        return self._out
+    def scaled(
+        self,
+        point: int,
+        rows: slice = slice(None),
+        out: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
+        """Point ``point``'s draws of the current field, rows ``rows``.
+
+        A one-point field returns a view of its draws.  A shared field
+        writes them into ``out`` (shaped like those rows), or into one
+        full-size buffer of its own when ``out`` is omitted, which is
+        overwritten by the next call.
+        """
+        z = self._z[rows]
+        if len(self.sigmas) == 1:
+            return z
+        if out is None:
+            if self._out is None:
+                self._out = np.empty(self._z.shape)
+            out = self._out[rows]
+        return np.multiply(z, self.sigmas[point], out=out)
 
 
 def shared_generator(chips: Sequence["ChipVariation"]) -> np.random.Generator:

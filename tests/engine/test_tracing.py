@@ -282,6 +282,6 @@ class TestBitIdentity:
         assert traced == baseline
         # Each build draws one chip's fields and solves it at all three
         # nodes; the span says how many points the draw served.
-        builds = [s for s in tracer.spans() if s.name == "build_chip"]
+        builds = [s for s in tracer.spans() if s.name == "array.chip.build"]
         assert builds
         assert all(dict(s.args)["points"] == 3 for s in builds)

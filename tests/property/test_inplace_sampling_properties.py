@@ -16,7 +16,7 @@ reassociation, reordering or lost select shows up.
     multiple of the 64-bit word.
 (c) whole retention maps and 6T chips versus the old per-pair loops.
 (d) one chip seed built at several operating points at once versus one
-    build per point.
+    build per point, through every registered backend.
 """
 
 import copy
@@ -45,6 +45,7 @@ from repro.technology import NODE_32NM, NODE_45NM, NODE_65NM, calibration
 from repro.technology.backends import (
     WORDS_PER_LINE,
     _line_and_word_minima,
+    backend_names,
     get_backend,
 )
 from repro.technology.transistor import ALPHA_POWER_EXPONENT
@@ -414,6 +415,8 @@ GEOMETRIES = st.sampled_from([
     CacheGeometry.from_capacity(16 * 1024, 4, banks=8),
     CacheGeometry.from_capacity(32 * 1024, 2, banks=4),
     CacheGeometry.from_capacity(8 * 1024, 1, banks=2),
+    # 192 rows per pair: the 3T1D solve's last row block is partial.
+    CacheGeometry.from_capacity(24 * 1024, 4, banks=2),
 ])
 SCENARIOS = st.sampled_from(["none", "typical", "severe"])
 
@@ -486,6 +489,8 @@ class TestWholeChipsMatchOldLoops:
 GROUP_GEOMETRIES = st.sampled_from([
     CacheGeometry(),
     CacheGeometry.from_capacity(16 * 1024, 4, banks=2),
+    # 192 rows per pair: the 3T1D solve's last row block is partial.
+    CacheGeometry.from_capacity(24 * 1024, 4, banks=2),
 ])
 #: (node, scenario, supply, 6T size factor) of one operating point.
 OPERATING_POINTS = st.tuples(
@@ -496,12 +501,12 @@ OPERATING_POINTS = st.tuples(
 )
 
 
-def point_tasks(seed, geometry, kind, points, count=1):
+def point_tasks(seed, geometry, kind, points, count=1, technology="3t1d"):
     """Each point's reserved one-point tasks (same seeds at every point)."""
     return [
         ChipSampler(
             node.scaled(vdd=vdd), getattr(VariationParams, scenario)(),
-            seed=seed, geometry=geometry,
+            seed=seed, geometry=geometry, technology=technology,
         ).reserve_build_tasks(count, kind=kind, size_factor=size_factor)
         for node, scenario, vdd, size_factor in points
     ]
@@ -510,7 +515,10 @@ def point_tasks(seed, geometry, kind, points, count=1):
 def realize(task):
     """Each point's sampler and freshly realised chip."""
     samplers = [
-        ChipSampler(point.node, point.params, geometry=task.geometry)
+        ChipSampler(
+            point.node, point.params, geometry=task.geometry,
+            technology=task.technology,
+        )
         for point in task.points
     ]
     return samplers, [
@@ -530,25 +538,33 @@ def assert_same_sample(a, b):
     else:
         assert same_bits(a.retention_by_line, b.retention_by_line)
         assert same_bits(a.retention_by_word, b.retention_by_word)
+        assert a.technology == b.technology
+        if b.latency_factor_by_line is None:
+            assert a.latency_factor_by_line is None
+        else:
+            assert same_bits(
+                a.latency_factor_by_line, b.latency_factor_by_line
+            )
 
 
 class TestGroupedBuilds:
     @settings(
         deadline=None,
-        max_examples=8,
+        max_examples=12,
         suppress_health_check=[HealthCheck.too_slow],
     )
     @given(
         seed=st.integers(0, 2 ** 31),
         geometry=GROUP_GEOMETRIES,
         kind=st.sampled_from(["3t1d", "sram"]),
+        technology=st.sampled_from(backend_names()),
         points=st.lists(OPERATING_POINTS, min_size=2, max_size=6),
     )
     def test_grouped_build_equals_per_point_builds(
-        self, seed, geometry, kind, points
+        self, seed, geometry, kind, technology, points
     ):
         (merged,) = merge_build_batches(
-            point_tasks(seed, geometry, kind, points)
+            point_tasks(seed, geometry, kind, points, technology=technology)
         )
         assert len(merged.points) == len(points)
         # One build per point, each drawing from its own generator.
