@@ -6,7 +6,10 @@ Two timing bounds on the Figure 10 workload shape, seed 2007:
   schemes at 20,000 references at least 5x faster than the event
   controller (``Evaluator(use_batch_kernel=False)``);
 * tracing costs under 2% wall clock on fig10 at 4 chips x 8,000
-  references, comparing the minimum of 3 traced and 3 untraced runs.
+  references: the median, over 8 untraced/traced pairs run in ABBA
+  order on one warmed context, of each pair's overhead.  Pairing the
+  runs cancels the slow drifts of a shared host that a comparison of
+  minima picks up.
 
 Both paths' results are held equal elsewhere (``TestBitIdentity`` in
 ``tests/core/test_batcheval.py`` and
@@ -16,6 +19,7 @@ Both paths' results are held equal elsewhere (``TestBitIdentity`` in
     PYTHONPATH=src python -m pytest benchmarks/test_perf_gates.py --benchmark-disable -q
 """
 
+import statistics
 import time
 
 from repro.array.chip import ChipSampler
@@ -32,6 +36,7 @@ from repro.variation.parameters import VariationParams
 SEED = 2007
 MIN_SUITE_SPEEDUP = 5.0
 MAX_TRACING_OVERHEAD_PCT = 2.0
+TRACING_PAIRS = 8
 
 
 def _time_suite(evaluator, chips):
@@ -84,17 +89,22 @@ def test_tracing_costs_under_2_percent_on_fig10():
             experiment.execute(context, None)
         return time.perf_counter() - start
 
-    untraced_s, traced_s = [], []
+    overheads_pct = []
     try:
         run_once(None)  # builds the chips, traces and caches once
-        for _ in range(3):
-            untraced_s.append(run_once(None))
-            traced_s.append(run_once(tracer))
+        for pair in range(TRACING_PAIRS):
+            # ABBA: every other pair runs the traced run first.
+            if pair % 2:
+                traced_s = run_once(tracer)
+                untraced_s = run_once(None)
+            else:
+                untraced_s = run_once(None)
+                traced_s = run_once(tracer)
+            overheads_pct.append((traced_s - untraced_s) / untraced_s * 100.0)
     finally:
         context.close()
-    base = min(untraced_s)
-    overhead_pct = (min(traced_s) - base) / base * 100.0
-    print(f"untraced {base:.3f}s  traced {min(traced_s):.3f}s  "
-          f"overhead {overhead_pct:+.2f}%")
+    overhead_pct = statistics.median(overheads_pct)
+    print("per-pair overhead " + " ".join(f"{o:+.2f}%" for o in overheads_pct)
+          + f"  median {overhead_pct:+.2f}%")
     assert tracer.spans(), "the traced runs recorded no spans"
-    assert overhead_pct < MAX_TRACING_OVERHEAD_PCT, (untraced_s, traced_s)
+    assert overhead_pct < MAX_TRACING_OVERHEAD_PCT, overheads_pct

@@ -7,33 +7,34 @@ reference, but it pays interpreter overhead per memory reference.  This
 module provides the production path:
 
 * :class:`TraceArtifacts` -- per-trace columnar artifacts (a numpy
-  structured array and the kernels' regroupings of it) precomputed
+  structured array and its lockstep plan) precomputed
   **once per suite** and shared by every evaluation instead of being
   re-derived per access;
 * :func:`kernel_support` -- the typed capability probe: which replay
   path (``"flattened"``, ``"timeline"``, or ``"event"``) a cache
   configuration takes, and why when it must fall back;
-* :func:`simulate_trace` -- the batched replay dispatcher.  LRU/DSP
-  placement under the paper's four closed-form refresh policies runs the
-  flattened kernel in this module; the RSP block-move schemes run the
-  timeline kernel in :mod:`repro.core.timeline`.  Both paths are
-  **bit-identical** to ``RetentionAwareCache.run_trace``.  Only their
-  placement loops differ: both take their per-line constants and
-  refresh counts from :class:`~repro.core.timeline.LineConstants`,
-  record write-buffer pushes during the pass and replay them afterwards
-  through :class:`~repro.cache.l2.WriteBuffer`, and finalize through
-  :func:`~repro.core.timeline.replay_stats`.  Caches with a token
-  refresh engine, a real L2, or third-party refresh/replacement objects
-  stay on that event controller;
-* the flattened kernel steps every set together over stream position
-  (:class:`LockstepPlan`): each step is one round of numpy operations
-  on a (sets x ways) state, for as long as at least
-  :data:`LOCKSTEP_MIN_SETS` sets are active -- which covers the
+* :func:`simulate_trace` -- the batched replay, **bit-identical** to
+  ``RetentionAwareCache.run_trace``.  Every supported cache runs one
+  lockstep driver (:func:`_replay_lockstep`): it steps every set
+  together over stream position (:class:`LockstepPlan`), each step one
+  round of numpy operations on a (sets x ways) state, for as long as at
+  least :data:`LOCKSTEP_MIN_SETS` sets are active -- which covers the
   evaluator's warmup fill, ``ways`` references per set.  The rest of
   the trace, the few hot sets' tails, replays reference by reference
-  over just those sets' state.  Sets share nothing but the write
-  buffer, which is replayed after the pass, so the split cannot change
-  a result;
+  over just those sets' state.  Sets share nothing but the write buffer,
+  which is replayed after the pass, so the split cannot change a
+  result.  Only placement differs: LRU/DSP (path ``"flattened"``) step
+  the state in way space here (:func:`_way_step`, :func:`_way_tail`),
+  RSP-FIFO/RSP-LRU (path ``"timeline"``) in retention-ordered position
+  space (:func:`~repro.core.timeline.rsp_step`,
+  :func:`~repro.core.timeline.rsp_tail`).  Both take their per-line
+  constants and refresh counts from
+  :class:`~repro.core.timeline.LineConstants`, record write-buffer
+  pushes during the pass and replay them afterwards through
+  :class:`~repro.cache.l2.WriteBuffer`, and finalize through
+  :func:`~repro.core.timeline.replay_stats`.  Caches with a token
+  refresh engine, a real L2, or third-party refresh/replacement objects
+  stay on the event controller;
 * :func:`evaluate_many` / :func:`evaluate` -- the stable batched API the
   engine (:mod:`repro.engine.parallel`) and the fig09/fig10/fig11
   drivers route through.
@@ -68,13 +69,17 @@ from repro.cache.replacement import (
 )
 from repro.cache.stats import CacheStats
 from repro.core.timeline import (
+    COUNTS,
     LineConstants,
     Push,
-    _replay_rsp_sets,
     owed_refreshes,
     refreshes,
     replay_stats,
     retention_order,
+    rsp_step,
+    rsp_tail,
+    tally,
+    tally_sum,
 )
 from repro.workloads.generator import MemoryTrace
 
@@ -108,11 +113,10 @@ class TraceArtifacts:
 
     The event controller re-derives ``line_address % n_sets`` and
     ``line_address // n_sets`` (plus numpy-scalar conversions) on every
-    access of every (chip, scheme) evaluation.  The kernels instead run
+    access of every (chip, scheme) evaluation.  The kernel instead runs
     over one structured array (``columns``, :data:`COLUMN_DTYPE`),
-    derived once per (trace, n_sets), and the regroupings of it cached
-    here: :meth:`lockstep` for the flattened kernel, :meth:`set_streams`
-    for the per-set timeline kernel.
+    derived once per (trace, n_sets), and over the one regrouping of it
+    cached here, :meth:`lockstep`, which every placement shares.
     """
 
     name: str
@@ -170,89 +174,66 @@ class TraceArtifacts:
         """Whether each reference is a store."""
         return self.columns["write"].tolist()
 
-    def set_order(self) -> np.ndarray:
-        """Reference indices grouped by cache set, program order within.
+    def lockstep(self, first_touches: bool = False) -> "LockstepPlan":
+        """The lockstep kernel's split of this trace, cached.
 
-        One stable argsort over the ``set`` column, run once per
-        (trace, n_sets) and cached; :meth:`set_streams` and
-        :meth:`lockstep` both derive from it.
+        The default plan steps while at least :data:`LOCKSTEP_MIN_SETS`
+        sets are active (see :class:`LockstepPlan`).  With
+        ``first_touches``, its front also ends at the first step in
+        which fewer than :data:`LOCKSTEP_MIN_SETS` references touch
+        their line for the first time in the trace.  RSP replays use
+        that plan: a first touch always misses and shifts its set's
+        chain, which a numpy step batches well, while past the warmup
+        fill most references hit, and the scalar tail replays hits for
+        less than a numpy step costs.  The two plans are one object
+        whenever the cut changes nothing; each is built once per
+        (trace, n_sets).
         """
-        cached = getattr(self, "_set_order", None)
-        if cached is None:
-            cached = np.argsort(self.columns["set"], kind="stable")
-            object.__setattr__(self, "_set_order", cached)
-        return cached
-
-    def set_streams(self) -> List[Optional[Tuple]]:
-        """The columns regrouped per cache set, for the timeline kernel.
-
-        One entry per set: ``None`` for sets the trace never touches,
-        else ``(ticks, cycles, tags, writes, warm_split)`` plain-int
-        lists in program order, where ``ticks`` are global reference
-        indices and ``warm_split`` is the position of the first
-        post-warmup reference in this set's stream.  Derived from
-        :meth:`set_order`, then cached.
-        """
-        cached = getattr(self, "_set_streams", None)
-        if cached is not None:
-            return cached
-        columns = self.columns
-        streams: List[Optional[Tuple]] = [None] * self.n_sets
-        if len(columns):
-            order = self.set_order()
-            sets_sorted = columns["set"][order]
-            bounds = np.searchsorted(
-                sets_sorted, np.arange(self.n_sets + 1)
+        plans = self.__dict__.get("_lockstep")
+        if plans is None:
+            plans = {False: LockstepPlan.of(self)}
+            object.__setattr__(self, "_lockstep", plans)
+        plan = plans.get(first_touches)
+        if plan is None:
+            base = plans[False]
+            line = self.columns["tag"] * self.n_sets + self.columns["set"]
+            first = np.zeros(len(line), dtype=bool)
+            first[np.unique(line, return_index=True)[1]] = True
+            front = 0
+            for step in base.steps:
+                if np.count_nonzero(first[step[1]]) < LOCKSTEP_MIN_SETS:
+                    break
+                front += 1
+            plan = plans[True] = (
+                base if front == len(base.steps)
+                else LockstepPlan.of(self, front)
             )
-            cycles_sorted = columns["cycle"][order]
-            tags_sorted = columns["tag"][order]
-            writes_sorted = columns["write"][order]
-            warm = self.warmup_references
-            for s in range(self.n_sets):
-                lo, hi = int(bounds[s]), int(bounds[s + 1])
-                if lo == hi:
-                    continue
-                ticks = order[lo:hi]
-                streams[s] = (
-                    ticks.tolist(),
-                    cycles_sorted[lo:hi].tolist(),
-                    tags_sorted[lo:hi].tolist(),
-                    writes_sorted[lo:hi].tolist(),
-                    int(np.searchsorted(ticks, warm)),
-                )
-        object.__setattr__(self, "_set_streams", streams)
-        return streams
-
-    def lockstep(self) -> "LockstepPlan":
-        """The flattened kernel's split of this trace, cached.
-
-        Built once per (trace, n_sets) from :meth:`set_order`; see
-        :class:`LockstepPlan`.
-        """
-        cached = getattr(self, "_lockstep", None)
-        if cached is None:
-            cached = LockstepPlan.of(self)
-            object.__setattr__(self, "_lockstep", cached)
-        return cached
+        return plan
 
 
-#: The flattened kernel steps every set together while at least this
-#: many sets are still active; the references past that point (the hot
-#: sets' tails) replay through its scalar loop.
+#: The kernel steps every set together while at least this many sets
+#: are still active; the references past that point (the hot sets'
+#: tails) replay through the placement's scalar tail.
 LOCKSTEP_MIN_SETS = 32
+
 
 #: Recency of a dead way: later than any reference, so never the victim.
 _NO_STAMP = np.iinfo(np.int64).max
 
-#: One lockstep step: (active rows m, reference indices, measured) where
-#: ``measured`` is True or False when every or no reference of the step
-#: is past the warmup split, else the per-row mask.
-_Step = Tuple[int, np.ndarray, object]
+#: One lockstep step: (active rows m, reference indices, measured,
+#: cycles, tags, store flags), where ``measured`` is True or False when
+#: every or no reference of the step is past the warmup split, else the
+#: per-row mask, and cycles and tags are ``(m, 1)`` columns.
+_Step = Tuple[int, np.ndarray, object, np.ndarray, np.ndarray, np.ndarray]
+
+#: One hot row's tail references: (row, then plain-int index, cycle,
+#: tag and write lists in stream order).
+_RowTail = Tuple[int, list, list, list, list]
 
 
 @dataclass(frozen=True, eq=False)
 class LockstepPlan:
-    """How the flattened kernel walks one trace, derived once per trace.
+    """How the lockstep kernel walks one trace, derived once per trace.
 
     The kernel keeps one state row per touched set, deepest stream
     first (``sets``), so the sets still active at stream position ``k``
@@ -260,32 +241,38 @@ class LockstepPlan:
     ``k`` of every active set at once, for as long as at least
     :data:`LOCKSTEP_MIN_SETS` sets are active; the warmup fill gives
     every set ``ways`` references, so those steps cover it.  The
-    remaining references (``tail``, in program order, with their state
-    rows ``tail_row``) belong to rows ``[:tail_rows]``, the hot sets,
-    and replay one at a time; the first ``tail_split`` of them precede
-    the warmup split.
+    remaining references belong to rows ``[:tail_rows]``, the hot sets,
+    and replay one at a time, row by row: ``tail`` holds each row's
+    references before the warmup split, then each row's after it.
+    Rows share nothing but the write buffer, whose pushes carry their
+    reference index, so a tail may replay row by row.  Every replay of
+    the trace reads the same plan, so the columns each step and the tail
+    read are cut here, once.
     """
 
     sets: np.ndarray
     steps: Tuple[_Step, ...]
     tail_rows: int
-    tail: np.ndarray
-    tail_row: np.ndarray
-    tail_split: int
+    tail: Tuple[List[_RowTail], List[_RowTail]]
 
     @property
     def tail_refs(self) -> int:
         """References the scalar tail replays."""
-        return len(self.tail)
+        return sum(len(row[1]) for part in self.tail for row in part)
 
     @property
     def lockstep_refs(self) -> int:
         """References the lockstep steps replay."""
-        return sum(len(step[1]) for step in self.steps)
+        return sum(step[0] for step in self.steps)
 
     @classmethod
-    def of(cls, artifacts: TraceArtifacts) -> "LockstepPlan":
-        set_col = artifacts.columns["set"]
+    def of(
+        cls, artifacts: TraceArtifacts, front: Optional[int] = None
+    ) -> "LockstepPlan":
+        """The plan of ``front`` lockstep steps (by default, as many as
+        keep :data:`LOCKSTEP_MIN_SETS` sets active)."""
+        columns = artifacts.columns
+        set_col = columns["set"]
         n = len(set_col)
         warm = artifacts.warmup_references
         depth = np.bincount(set_col, minlength=artifacts.n_sets)
@@ -294,16 +281,18 @@ class LockstepPlan:
         row_depth = depth[sets]
         row_of = np.zeros(artifacts.n_sets, dtype=np.int64)
         row_of[sets] = np.arange(len(sets))
-        front = (
-            int(row_depth[LOCKSTEP_MIN_SETS - 1])
-            if len(sets) >= LOCKSTEP_MIN_SETS else 0
-        )
+        if front is None:
+            front = (
+                int(row_depth[LOCKSTEP_MIN_SETS - 1])
+                if len(sets) >= LOCKSTEP_MIN_SETS else 0
+            )
         # Each reference's position within its set's stream.
-        order = artifacts.set_order()
+        order = np.argsort(set_col, kind="stable")
         starts = np.concatenate(([0], np.cumsum(depth)[:-1]))
         position = np.empty(n, dtype=np.int64)
         position[order] = np.arange(n) - starts[set_col[order]]
         rows = row_of[set_col]
+        cycle, tag, write = columns["cycle"], columns["tag"], columns["write"]
 
         steps: List[_Step] = []
         if front:
@@ -317,15 +306,34 @@ class LockstepPlan:
                     len(index), index,
                     True if measured.all()
                     else measured if measured.any() else False,
+                    cycle[index][:, None], tag[index][:, None], write[index],
                 ))
+        tail_rows = int(np.count_nonzero(row_depth > front))
         tail = np.flatnonzero(position >= front)
+        tail = tail[np.argsort(rows[tail], kind="stable")]
+        bounds = np.searchsorted(rows[tail], np.arange(tail_rows + 1))
+        splits = [
+            int(lo + np.searchsorted(tail[lo:hi], warm))
+            for lo, hi in zip(bounds[:-1], bounds[1:])
+        ]
+        columns = (
+            tail.tolist(), cycle[tail].tolist(), tag[tail].tolist(),
+            write[tail].tolist(),
+        )
+        before: List[_RowTail] = []
+        after: List[_RowTail] = []
+        for r, (lo, split, hi) in enumerate(
+            zip(bounds[:-1].tolist(), splits, bounds[1:].tolist())
+        ):
+            if split > lo:
+                before.append((r, *(c[lo:split] for c in columns)))
+            if hi > split:
+                after.append((r, *(c[split:hi] for c in columns)))
         return cls(
             sets=sets,
             steps=tuple(steps),
-            tail_rows=int(np.count_nonzero(row_depth > front)),
-            tail=tail,
-            tail_row=rows[tail],
-            tail_split=int(np.searchsorted(tail, warm)),
+            tail_rows=tail_rows,
+            tail=(before, after),
         )
 
 
@@ -337,10 +345,11 @@ KERNEL_PATHS = ("flattened", "timeline", "event")
 class KernelSupport:
     """Which replay path a cache configuration takes, and why.
 
-    ``path`` is ``"flattened"`` (this module's stationary-placement
-    kernel), ``"timeline"`` (the RSP kernel in
-    :mod:`repro.core.timeline`), or ``"event"`` (the per-reference event
-    controller, with ``reason`` explaining the fallback).  ``supported``
+    ``path`` is ``"flattened"`` (the lockstep kernel with stationary
+    LRU/DSP placement), ``"timeline"`` (the same kernel with RSP
+    placement, :mod:`repro.core.timeline`), or ``"event"`` (the
+    per-reference event controller, with ``reason`` explaining the
+    fallback).  ``supported``
     is True exactly when :func:`simulate_trace` accepts the cache.
     """
 
@@ -389,17 +398,19 @@ def kernel_support(cache: RetentionAwareCache) -> KernelSupport:
 def simulate_trace(
     cache: RetentionAwareCache, artifacts: TraceArtifacts
 ) -> CacheStats:
-    """Run a whole trace through the batched kernels; returns the stats.
+    """Run a whole trace through the lockstep kernel; returns the stats.
 
     ``cache`` must be a *fresh* (never accessed) simulator instance; it is
     used as the source of configuration, quantised retention, and policy
-    objects, and is not mutated.  Dispatches on
-    :func:`kernel_support`: stationary LRU/DSP placement runs the
-    flattened kernel here; RSP placement runs the timeline kernel in
-    :mod:`repro.core.timeline`.  The returned :class:`CacheStats` is
-    bit-identical to ``cache.run_trace`` on the same trace for every
-    supported configuration; an unsupported cache (a device-coupled one,
-    for instance) raises :class:`~repro.errors.ConfigurationError`.
+    objects, and is not mutated.  :func:`kernel_support` names the
+    placement: stationary LRU/DSP placement (``"flattened"``) steps the
+    replay state in way space, RSP placement (``"timeline"``) in
+    position space (:func:`~repro.core.timeline.rsp_step`); both run the
+    same lockstep driver over :meth:`TraceArtifacts.lockstep`.  The
+    returned :class:`CacheStats` is bit-identical to ``cache.run_trace``
+    on the same trace for every supported configuration; an unsupported
+    cache (a device-coupled one, for instance) raises
+    :class:`~repro.errors.ConfigurationError`.
     """
     support = kernel_support(cache)
     if not support.supported:
@@ -415,312 +426,316 @@ def simulate_trace(
             f"artifacts were built for {artifacts.n_sets} sets but the "
             f"cache has {cache.config.geometry.n_sets}"
         )
-    if support.path == "timeline":
-        return _replay_rsp_sets(cache, artifacts)
-    return _simulate_flattened(cache, artifacts)
-
-
-def _simulate_flattened(
-    cache: RetentionAwareCache, artifacts: TraceArtifacts
-) -> CacheStats:
-    """The stationary-placement (LRU/DSP, no devices) replay kernel.
-
-    Sets are independent apart from the write buffer, whose pushes are
-    recorded and replayed after the pass, so each set only has to see
-    its own references in order.  The lockstep front replays stream
-    position ``k`` of every active set with one round of numpy
-    operations on a (sets x ways) state; the hot sets' tails then
-    replay in program order through :func:`_replay_tail`, over the
-    state of just those sets.
-    """
-    plan = artifacts.lockstep()
+    rsp = support.path == "timeline"
+    plan = artifacts.lockstep(first_touches=rsp)
     with _trace_span(
-        "core.batcheval.flattened", cat="replay",
+        "core.timeline.replay" if rsp else "core.batcheval.flattened",
+        cat="replay",
         lockstep_refs=plan.lockstep_refs, tail_refs=plan.tail_refs,
     ):
-        return _replay_flattened(cache, artifacts, plan)
+        return _replay_lockstep(cache, artifacts, plan, rsp)
 
 
-#: The counters the flattened kernel keeps, by :class:`CacheStats` field.
-_COUNTS = (
-    "hits", "misses_cold", "misses_expired", "misses_dead_bypass",
-    "writebacks", "expiry_writebacks", "write_throughs", "l2_accesses",
-    "fills", "line_refreshes",
-)
+class _Lockstep:
+    """One replay's (rows x ways) state, stepped by a placement step.
+
+    Row ``r`` is set ``plan.sets[r]``; its slot ``q`` (flat index
+    ``r * ways + q``) is way ``q`` of that set in way space (LRU/DSP),
+    and its ``q``-th longest-retention way, ``way_of[r, q]``, in RSP's
+    position space, where the first ``n_live[r]`` slots (``live``) are
+    the set's live ways.  ``retention``, ``lifetime`` and ``cap``
+    are the slots' :class:`~repro.core.timeline.LineConstants`.  An
+    invalid slot holds tag -1; invalid and stale slots hold expiry
+    +inf, so one compare finds the lines a sweep expires.  ``totals``
+    are the measured counts by :data:`~repro.core.timeline.COUNTS`
+    name, ``push_cols`` the write-buffer pushes as (index, emission
+    order, cycle) columns.
+    """
+
+    def __init__(
+        self, cache: RetentionAwareCache, plan: LockstepPlan, rsp: bool
+    ):
+        config = cache.config
+        ways = self.ways = config.geometry.ways
+        self.write_back = config.write_back
+        self.aware = cache.replacement.uses_retention_info
+        self.rsp = rsp
+        self.dsp = type(cache.replacement) is DSPPolicy
+        self.promote = type(cache.replacement) is RSPLRUPolicy
+        lines = LineConstants.of(cache)
+        self.count = lines.refresh_count
+        n_rows = len(plan.sets)
+        shape = (n_rows, ways)
+        way_of = np.arange(ways)
+        if self.dsp or rsp:
+            # Ways in the controller's (-retention, way) order: DSP's
+            # victim candidates, RSP's chain.
+            order, self.n_live = retention_order(
+                lines.retention.reshape(-1, ways)[plan.sets]
+            )
+            self.live = way_of < self.n_live[:, None]
+            if rsp:
+                way_of = self.way_of = order
+            else:
+                self.cand = order
+        line = (plan.sets[:, None] * ways + way_of).reshape(-1)
+        self.retention = lines.retention[line]
+        self.lifetime = lines.lifetime[line]
+        self.cap = lines.cap[line] if self.count else None
+
+        n_slots = n_rows * ways
+        self.tags = np.full(n_slots, -1, dtype=np.int64)
+        self.dirty = np.zeros(n_slots, dtype=bool)
+        self.stale = np.zeros(n_slots, dtype=bool)
+        self.fill = np.zeros(n_slots, dtype=np.int64)
+        self.expiry = np.full(n_slots, np.inf)
+        self.recency = np.zeros(n_slots, dtype=np.int64)  # reference index
+        self.tags2 = self.tags.reshape(shape)
+        self.expiry2 = self.expiry.reshape(shape)
+        self.slot0 = np.arange(n_rows, dtype=np.int64) * ways
+        self.totals = dict.fromkeys(COUNTS, 0)
+        self.push_cols: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+
+    def sweep(self, m, index, measured, cyc, tag) -> Optional[np.ndarray]:
+        """Expire the first ``m`` rows' due lines, as the controller's
+        sweep does; returns the rows whose own tag just expired (an
+        expired, not cold, miss), or None when nothing was due."""
+        due = self.expiry2[:m] <= cyc
+        if not due.any():
+            return None
+        er, eq = due.nonzero()
+        es = self.slot0[er] + eq
+        ecyc = self.expiry[es].astype(np.int64)
+        lost = np.zeros(m, dtype=bool)
+        lost[er[self.tags[es] == tag[er, 0]]] = True
+        totals = self.totals
+        if self.count:
+            totals["line_refreshes"] += tally_sum(measured, er, refreshes(
+                ecyc - self.fill[es], self.retention[es], self.cap[es]
+            ))
+        d = self.dirty[es]
+        if d.any():
+            k = tally(measured, er[d])
+            totals["writebacks"] += k
+            totals["expiry_writebacks"] += k
+            # An access's expiry pushes go out in way order.
+            way = self.way_of[er[d], eq[d]] if self.rsp else eq[d]
+            self.push_cols.append((index[er[d]], way, ecyc[d]))
+            self.dirty[es[d]] = False
+        if self.aware:
+            self.tags[es] = -1
+        else:
+            self.stale[es] = True
+        self.expiry[es] = np.inf
+        return lost
+
+    def write_through(self, index, measured, cyc, wr, live_hit) -> None:
+        """Push the step's write-through stores, which never allocate:
+        a store that misses is a cold miss, a live hit counts as a hit
+        (by the placement step)."""
+        wt = np.flatnonzero(wr)
+        self.totals["write_throughs"] += tally(measured, wt)
+        self.push_cols.append((
+            index[wt], np.full(len(wt), self.ways, dtype=np.int64),
+            cyc[wt, 0],
+        ))
+        self.totals["misses_cold"] += tally(measured, wt[~live_hit[wt]])
 
 
-def _tally(measured, rows: np.ndarray) -> int:
-    """How many of the step's ``rows`` are past the warmup split."""
-    if measured is True:
-        return len(rows)
-    if measured is False:
-        return 0
-    return int(np.count_nonzero(measured[rows]))
-
-
-def _tally_sum(measured, rows: np.ndarray, values: np.ndarray) -> int:
-    """The sum of ``values`` over the ``rows`` past the warmup split."""
-    if measured is True:
-        return int(values.sum())
-    if measured is False:
-        return 0
-    return int(values[measured[rows]].sum())
-
-
-def _replay_flattened(
+def _replay_lockstep(
     cache: RetentionAwareCache,
     artifacts: TraceArtifacts,
     plan: LockstepPlan,
+    rsp: bool,
 ) -> CacheStats:
-    config = cache.config
-    ways = config.geometry.ways
-    aware = cache.replacement.uses_retention_info
-    dsp = type(cache.replacement) is DSPPolicy
-    write_back = config.write_back
+    """The one replay driver behind :func:`simulate_trace`.
 
-    lines = LineConstants.of(cache)
-    count = lines.refresh_count
-    # State row r is set ``plan.sets[r]``; slot ``r * ways + w`` is its
-    # way w.  Per-slot constants follow the same order.
-    n_rows = len(plan.sets)
-    shape = (n_rows, ways)
-    retention = lines.retention.reshape(-1, ways)[plan.sets].reshape(-1)
-    lifetime = lines.lifetime.reshape(-1, ways)[plan.sets].reshape(-1)
-    cap = (
-        lines.cap.reshape(-1, ways)[plan.sets].reshape(-1)
-        if count else None
-    )
-    if dsp:
-        # Victim candidates in the controller's (-retention, way) order;
-        # only the first n_live of each row are live.
-        cand, n_live = retention_order(retention.reshape(shape))
-        cand_live = np.arange(ways) < n_live[:, None]
-        has_live = n_live > 0
-
-    n_slots = n_rows * ways
-    tags = np.full(n_slots, -1, dtype=np.int64)  # -1 = invalid way
-    valid = np.zeros(n_slots, dtype=bool)
-    dirty = np.zeros(n_slots, dtype=bool)
-    stale = np.zeros(n_slots, dtype=bool)
-    fill = np.zeros(n_slots, dtype=np.int64)
-    # Expiry of live lines; +inf for invalid and stale ones, so one
-    # compare finds the lines an access's sweep expires.
-    expiry = np.full(n_slots, np.inf)
-    recency = np.zeros(n_slots, dtype=np.int64)  # reference index
-    tags2 = tags.reshape(shape)
-    expiry2 = expiry.reshape(shape)
-    slot0 = np.arange(n_rows, dtype=np.int64) * ways
-    way_ids = np.arange(ways)
-
-    totals = dict.fromkeys(_COUNTS, 0)
-    # Write-buffer pushes as (index, emission order, cycle) columns: an
-    # access's expiry pushes in way order, then its eviction or store.
-    push_cols: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-
-    columns = artifacts.columns
-    for m, index, measured in plan.steps:
-        cyc = columns["cycle"][index][:, None]
-        tag = columns["tag"][index][:, None]
-        wr = columns["write"][index]
-        # Expiry sweep of every active set at once.
-        lost = None
-        due = expiry2[:m] <= cyc
-        if due.any():
-            er, ew = due.nonzero()
-            es = slot0[er] + ew
-            e = expiry[es]
-            ecyc = e.astype(np.int64)
-            # Rows whose own tag just expired: an expired, not cold, miss.
-            lost = np.zeros(m, dtype=bool)
-            lost[er[tags[es] == tag[er, 0]]] = True
-            if count:
-                totals["line_refreshes"] += _tally_sum(
-                    measured, er,
-                    refreshes(ecyc - fill[es], retention[es], cap[es]),
-                )
-            d = dirty[es]
-            if d.any():
-                k = _tally(measured, er[d])
-                totals["writebacks"] += k
-                totals["expiry_writebacks"] += k
-                push_cols.append((index[er[d]], ew[d], ecyc[d]))
-                dirty[es[d]] = False
-            if aware:
-                valid[es] = False
-                tags[es] = -1
-            else:
-                stale[es] = True
-            expiry[es] = np.inf
-
-        match = tags2[:m] == tag
-        hit = match.any(1)
-        hs = slot0[:m] + match.argmax(1)
-        stale_hit = hit & stale[hs]
-        live_hit = hit & ~stale_hit
-        miss = ~hit
-        if not write_back and wr.any():
-            # Write-through, no-write-allocate stores: pushed, never
-            # filled; a live hit still counts (below).
-            wt = np.flatnonzero(wr)
-            totals["write_throughs"] += _tally(measured, wt)
-            push_cols.append((
-                index[wt], np.full(len(wt), ways, dtype=np.int64),
-                cyc[wt, 0],
-            ))
-            totals["misses_cold"] += _tally(measured, wt[~live_hit[wt]])
-            stale_hit &= ~wr
-            miss &= ~wr
-
-        hr = np.flatnonzero(live_hit)
-        if len(hr):
-            totals["hits"] += _tally(measured, hr)
-            recency[hs[hr]] = index[hr]
-            if write_back:
-                dirty[hs[hr[wr[hr]]]] = True
-
-        if stale_hit.any():
-            # Expired miss: the line refills in place from the L2.
-            rr = np.flatnonzero(stale_hit)
-            k = _tally(measured, rr)
-            totals["misses_expired"] += k
-            totals["l2_accesses"] += k
-            totals["fills"] += k
-            rs = hs[rr]
-            c = cyc[rr, 0]
-            stale[rs] = False
-            dirty[rs] = wr[rr]
-            fill[rs] = c
-            expiry[rs] = c + lifetime[rs]
-            recency[rs] = index[rr]
-
-        mr = np.flatnonzero(miss)
-        if not len(mr):
-            continue
-        totals["l2_accesses"] += _tally(measured, mr)
-        if dsp:
-            dead = ~has_live[mr]
-            if dead.any():
-                totals["misses_dead_bypass"] += _tally(measured, mr[dead])
-                mr = mr[~dead]
-                if not len(mr):
-                    continue
-        if dsp:
-            slots = slot0[mr, None] + cand[mr]
-            free = ~valid[slots] & cand_live[mr]
-        else:
-            slots = slot0[mr, None] + way_ids
-            free = ~valid[slots]
-        pick = free.argmax(1)
-        span = np.arange(len(mr))
-        full = ~free[span, pick]
-        if full.any():
-            # No free candidate: evict the least recently used one.
-            fr = np.flatnonzero(full)
-            held = recency[slots[fr]]
-            if dsp:
-                held = np.where(cand_live[mr[fr]], held, _NO_STAMP)
-            pick[fr] = held.argmin(1)
-            vs = slots[fr, pick[fr]]
-            er = mr[fr]
-            # A stale victim already settled its refreshes and write-back.
-            fresh = ~stale[vs]
-            if count:
-                ev = vs[fresh]
-                totals["line_refreshes"] += _tally_sum(
-                    measured, er[fresh], refreshes(
-                        cyc[er[fresh], 0] - fill[ev], retention[ev], cap[ev]
-                    ),
-                )
-            d = fresh & dirty[vs]
-            if d.any():
-                totals["writebacks"] += _tally(measured, er[d])
-                push_cols.append((
-                    index[er[d]], np.full(int(d.sum()), ways, dtype=np.int64),
-                    cyc[er[d], 0],
-                ))
-        vs = slots[span, pick]
-        if lost is None:
-            totals["misses_cold"] += _tally(measured, mr)
-        else:
-            totals["misses_expired"] += _tally(measured, mr[lost[mr]])
-            totals["misses_cold"] += _tally(measured, mr[~lost[mr]])
-        totals["fills"] += _tally(measured, mr)
-        c = cyc[mr, 0]
-        tags[vs] = tag[mr, 0]
-        valid[vs] = True
-        stale[vs] = False
-        dirty[vs] = wr[mr]
-        fill[vs] = c
-        expiry[vs] = c + lifetime[vs]
-        recency[vs] = index[mr]
+    Sets are independent apart from the write buffer, whose pushes are
+    recorded and replayed after the pass, so each set only has to see
+    its own references in order.  Each lockstep step replays stream
+    position ``k`` of every active set with one round of numpy
+    operations: the shared expiry sweep, then the placement's step
+    (:func:`_way_step` or :func:`~repro.core.timeline.rsp_step`).  The
+    hot sets' tails then replay set by set through the placement's
+    scalar tail, over the state of just those sets.
+    """
+    st = _Lockstep(cache, plan, rsp)
+    step = rsp_step if rsp else _way_step
+    for m, index, measured, cyc, tag, wr in plan.steps:
+        lost = st.sweep(m, index, measured, cyc, tag)
+        step(st, m, index, measured, cyc, tag, wr, lost)
 
     pushes: List[Push] = []
-    for cols in push_cols:
+    for cols in st.push_cols:
         pushes.extend(zip(*(col.tolist() for col in cols)))
 
     if plan.tail_refs:
-        # Hand the hot sets' state to the scalar loop and back.
-        n_tail = plan.tail_rows * ways
-        state = (
-            tags2[:plan.tail_rows].tolist(),
-            valid[:n_tail].tolist(),
-            dirty[:n_tail].tolist(),
-            stale[:n_tail].tolist(),
-            fill[:n_tail].tolist(),
-            expiry[:n_tail].tolist(),
-            recency[:n_tail].tolist(),
-            expiry2[:plan.tail_rows].min(1).tolist(),
-        )
-        live_by_set = (
-            [
-                [r * ways + w for w in cand[r, :n_live[r]].tolist()]
-                for r in range(plan.tail_rows)
-            ]
-            if dsp else None
-        )
-        constants = (
-            retention[:n_tail].tolist(), lifetime[:n_tail].tolist(),
-            live_by_set, count, aware, write_back, ways,
-        )
-        # (index, row, cycle, tag, write) plain-int lists, split at the
-        # warmup boundary: the pre-warmup counts are dropped.
-        split = plan.tail_split
-        segment = (
-            plan.tail.tolist(), plan.tail_row.tolist(),
-            columns["cycle"][plan.tail].tolist(),
-            columns["tag"][plan.tail].tolist(),
-            columns["write"][plan.tail].tolist(),
-        )
-        _replay_tail(
-            [column[:split] for column in segment], state, constants, pushes
-        )
-        counts = _replay_tail(
-            [column[split:] for column in segment], state, constants, pushes
-        )
+        tail = rsp_tail if rsp else _way_tail
+        counts = tail(st, plan.tail_rows, plan.tail, pushes)
         for key, value in counts.items():
-            totals[key] += value
-        valid[:n_tail] = state[1]
-        stale[:n_tail] = state[3]
-        fill[:n_tail] = state[4]
-        expiry[:n_tail] = state[5]
+            st.totals[key] += value
 
-    if count:
-        resident = valid & ~stale
-        totals["line_refreshes"] += owed_refreshes(
-            expiry[resident], fill[resident], retention[resident],
-            cap[resident], artifacts.end_cycle,
+    if st.count:
+        resident = (st.tags >= 0) & ~st.stale
+        st.totals["line_refreshes"] += owed_refreshes(
+            st.expiry[resident], st.fill[resident], st.retention[resident],
+            st.cap[resident], artifacts.end_cycle,
         )
+    return replay_stats(cache, artifacts, pushes, **st.totals)
 
-    return replay_stats(cache, artifacts, pushes, **totals)
+
+def _way_step(st: _Lockstep, m, index, measured, cyc, tag, wr, lost) -> None:
+    """Place one stream position of the first ``m`` rows, LRU/DSP-style.
+
+    The victim is the first invalid way, else the least recently used
+    one, over the ways in way order (LRU) or in ``(-retention, way)``
+    order among the live ways (DSP).
+    """
+    ways = st.ways
+    totals = st.totals
+    tags, dirty, stale, fill = st.tags, st.dirty, st.stale, st.fill
+    expiry, recency, slot0 = st.expiry, st.recency, st.slot0
+    match = st.tags2[:m] == tag
+    hit = match.any(1)
+    hs = slot0[:m] + match.argmax(1)
+    stale_hit = hit & stale[hs]
+    live_hit = hit & ~stale_hit
+    miss = ~hit
+    if not st.write_back and wr.any():
+        st.write_through(index, measured, cyc, wr, live_hit)
+        stale_hit &= ~wr
+        miss &= ~wr
+
+    hr = np.flatnonzero(live_hit)
+    if len(hr):
+        totals["hits"] += tally(measured, hr)
+        recency[hs[hr]] = index[hr]
+        if st.write_back:
+            dirty[hs[hr[wr[hr]]]] = True
+
+    if stale_hit.any():
+        # Expired miss: the line refills in place from the L2.
+        rr = np.flatnonzero(stale_hit)
+        k = tally(measured, rr)
+        totals["misses_expired"] += k
+        totals["l2_accesses"] += k
+        totals["fills"] += k
+        rs = hs[rr]
+        c = cyc[rr, 0]
+        stale[rs] = False
+        dirty[rs] = wr[rr]
+        fill[rs] = c
+        expiry[rs] = c + st.lifetime[rs]
+        recency[rs] = index[rr]
+
+    mr = np.flatnonzero(miss)
+    if not len(mr):
+        return
+    totals["l2_accesses"] += tally(measured, mr)
+    if st.dsp:
+        dead = st.n_live[mr] == 0
+        if dead.any():
+            totals["misses_dead_bypass"] += tally(measured, mr[dead])
+            mr = mr[~dead]
+            if not len(mr):
+                return
+        slots = slot0[mr, None] + st.cand[mr]
+        free = (tags[slots] < 0) & st.live[mr]
+    else:
+        slots = slot0[mr, None] + np.arange(ways)
+        free = tags[slots] < 0
+    pick = free.argmax(1)
+    span = np.arange(len(mr))
+    full = ~free[span, pick]
+    if full.any():
+        # No free candidate: evict the least recently used one.
+        fr = np.flatnonzero(full)
+        held = recency[slots[fr]]
+        if st.dsp:
+            held = np.where(st.live[mr[fr]], held, _NO_STAMP)
+        pick[fr] = held.argmin(1)
+        vs = slots[fr, pick[fr]]
+        er = mr[fr]
+        # A stale victim already settled its refreshes and write-back.
+        fresh = ~stale[vs]
+        if st.count:
+            ev = vs[fresh]
+            totals["line_refreshes"] += tally_sum(
+                measured, er[fresh], refreshes(
+                    cyc[er[fresh], 0] - fill[ev], st.retention[ev],
+                    st.cap[ev],
+                ),
+            )
+        d = fresh & dirty[vs]
+        if d.any():
+            totals["writebacks"] += tally(measured, er[d])
+            st.push_cols.append((
+                index[er[d]], np.full(int(d.sum()), ways, dtype=np.int64),
+                cyc[er[d], 0],
+            ))
+    vs = slots[span, pick]
+    if lost is None:
+        totals["misses_cold"] += tally(measured, mr)
+    else:
+        totals["misses_expired"] += tally(measured, mr[lost[mr]])
+        totals["misses_cold"] += tally(measured, mr[~lost[mr]])
+    totals["fills"] += tally(measured, mr)
+    c = cyc[mr, 0]
+    tags[vs] = tag[mr, 0]
+    stale[vs] = False
+    dirty[vs] = wr[mr]
+    fill[vs] = c
+    expiry[vs] = c + st.lifetime[vs]
+    recency[vs] = index[mr]
+
+
+def _way_tail(
+    st: _Lockstep, n_rows: int, segments, pushes: List[Push]
+) -> Dict[str, int]:
+    """Replay the hot rows' tails in way space; returns the measured
+    segment's counts.  The first ``n_rows`` rows' state goes to plain
+    lists and back."""
+    ways = st.ways
+    n = n_rows * ways
+    state = (
+        st.tags2[:n_rows].tolist(),
+        (st.tags[:n] >= 0).tolist(),
+        st.dirty[:n].tolist(),
+        st.stale[:n].tolist(),
+        st.fill[:n].tolist(),
+        st.expiry[:n].tolist(),
+        st.recency[:n].tolist(),
+        st.expiry2[:n_rows].min(1).tolist(),
+    )
+    live_by_set = (
+        [
+            [r * ways + w for w in st.cand[r, :st.n_live[r]].tolist()]
+            for r in range(n_rows)
+        ]
+        if st.dsp else None
+    )
+    constants = (
+        st.retention[:n].tolist(), st.lifetime[:n].tolist(),
+        live_by_set, st.count, st.aware, st.write_back, ways,
+    )
+    warm, measured = segments
+    _replay_tail(warm, state, constants, pushes)
+    counts = _replay_tail(measured, state, constants, pushes)
+    st.tags2[:n_rows] = state[0]
+    st.stale[:n] = state[3]
+    st.fill[:n] = state[4]
+    st.expiry[:n] = state[5]
+    return counts
 
 
 def _replay_tail(
-    segment: List[list], state, constants, pushes: List[Push]
+    rows: List[_RowTail], state, constants, pushes: List[Push]
 ) -> Dict[str, int]:
-    """Replay one tail segment reference by reference; returns its counts.
+    """Replay tail rows reference by reference; returns their counts.
 
     ``state`` holds the tail sets' tag rows and per-slot lists (mutated
-    in place); the counts come back by :data:`_COUNTS` name.
+    in place); the counts come back by
+    :data:`~repro.core.timeline.COUNTS` name.
     """
     (set_tags, valid, dirty, stale, fill_c, expiry, recency,
      next_expiry) = state
@@ -732,132 +747,132 @@ def _replay_tail(
     hits = misses_cold = misses_expired = misses_dead = writebacks = 0
     expiry_wb = write_throughs = l2_acc = line_refreshes = fills = 0
 
-    for i, r, cyc, tag, wr in zip(*segment):
+    for r, indices, cycles, tags, writes in rows:
         base = r * n_ways
         row = set_tags[r]
+        for i, cyc, tag, wr in zip(indices, cycles, tags, writes):
+            # Lazy per-set expiry sweep, skipped while nothing can expire.
+            recent = None
+            if cyc >= next_expiry[r]:
+                nxt = INF
+                for w in range(n_ways):
+                    j = base + w
+                    if valid[j] and not stale[j]:
+                        e = expiry[j]
+                        if cyc >= e:
+                            t = row[w]
+                            if recent is None:
+                                recent = {t}
+                            else:
+                                recent.add(t)
+                            ecyc = int(e)
+                            if count:
+                                line_refreshes += count(
+                                    ecyc - fill_c[j], retention[j]
+                                )
+                            if dirty[j]:
+                                writebacks += 1
+                                expiry_wb += 1
+                                pushes.append((i, w, ecyc))
+                                dirty[j] = False
+                            if aware:
+                                valid[j] = False
+                                row[w] = -1
+                            else:
+                                stale[j] = True
+                        elif e < nxt:
+                            nxt = e
+                next_expiry[r] = nxt
 
-        # Lazy per-set expiry sweep, skipped while nothing can expire.
-        recent = None
-        if cyc >= next_expiry[r]:
-            nxt = INF
-            for w in range(n_ways):
-                j = base + w
-                if valid[j] and not stale[j]:
-                    e = expiry[j]
-                    if cyc >= e:
-                        t = row[w]
-                        if recent is None:
-                            recent = {t}
-                        else:
-                            recent.add(t)
-                        ecyc = int(e)
-                        if count:
-                            line_refreshes += count(
-                                ecyc - fill_c[j], retention[j]
-                            )
-                        if dirty[j]:
-                            writebacks += 1
-                            expiry_wb += 1
-                            pushes.append((i, w, ecyc))
-                            dirty[j] = False
-                        if aware:
-                            valid[j] = False
-                            row[w] = -1
-                        else:
-                            stale[j] = True
-                    elif e < nxt:
-                        nxt = e
-            next_expiry[r] = nxt
+            # Hits vastly outnumber misses, so a single ``index`` scan
+            # with an exception fallback beats ``in`` + ``index``.
+            try:
+                way = base + row.index(tag)
+            except ValueError:
+                way = -1
 
-        # Hits vastly outnumber misses, so a single ``index`` scan
-        # with an exception fallback beats ``in`` + ``index``.
-        try:
-            way = base + row.index(tag)
-        except ValueError:
-            way = -1
+            if wr and not write_back:
+                # Write-through, no-write-allocate store path.
+                write_throughs += 1
+                pushes.append((i, n_ways, cyc))
+                if way >= 0 and not stale[way]:
+                    recency[way] = i
+                    hits += 1
+                else:
+                    misses_cold += 1
+                continue
 
-        if wr and not write_back:
-            # Write-through, no-write-allocate store path.
-            write_throughs += 1
-            pushes.append((i, n_ways, cyc))
-            if way >= 0 and not stale[way]:
-                recency[way] = i
+            if way >= 0:
+                if stale[way]:
+                    # Expired miss: the line refills in place from the L2.
+                    misses_expired += 1
+                    l2_acc += 1
+                    stale[way] = False
+                    dirty[way] = wr
+                    fill_c[way] = cyc
+                    e = cyc + lifetime[way]
+                    expiry[way] = e
+                    if e < next_expiry[r]:
+                        next_expiry[r] = e
+                    recency[way] = i
+                    fills += 1
+                    continue
                 hits += 1
+                recency[way] = i
+                if wr:
+                    dirty[way] = True
+                continue
+
+            # Miss: classify by whether the tag was resident-but-expired.
+            expired = recent is not None and tag in recent
+            l2_acc += 1
+            if dsp:
+                candidates = live_by_set[r]
+                if not candidates:
+                    misses_dead += 1
+                    continue
+            else:
+                candidates = range(base, base + n_ways)
+            victim = -1
+            for j in candidates:
+                if not valid[j]:
+                    victim = j
+                    break
+            if victim < 0:
+                best_r = INF
+                for j in candidates:
+                    if recency[j] < best_r:
+                        victim = j
+                        best_r = recency[j]
+                # Evict (a stale victim already settled its refreshes and
+                # write-back).
+                if not stale[victim]:
+                    if count:
+                        line_refreshes += count(
+                            cyc - fill_c[victim], retention[victim]
+                        )
+                    if dirty[victim]:
+                        writebacks += 1
+                        pushes.append((i, n_ways, cyc))
+            if expired:
+                misses_expired += 1
             else:
                 misses_cold += 1
-            continue
+            row[victim - base] = tag
+            valid[victim] = True
+            stale[victim] = False
+            dirty[victim] = wr
+            fill_c[victim] = cyc
+            e = cyc + lifetime[victim]
+            expiry[victim] = e
+            if e < next_expiry[r]:
+                next_expiry[r] = e
+            recency[victim] = i
+            fills += 1
 
-        if way >= 0:
-            if stale[way]:
-                # Expired miss: the line refills in place from the L2.
-                misses_expired += 1
-                l2_acc += 1
-                stale[way] = False
-                dirty[way] = wr
-                fill_c[way] = cyc
-                e = cyc + lifetime[way]
-                expiry[way] = e
-                if e < next_expiry[r]:
-                    next_expiry[r] = e
-                recency[way] = i
-                fills += 1
-                continue
-            hits += 1
-            recency[way] = i
-            if wr:
-                dirty[way] = True
-            continue
-
-        # Miss: classify by whether the tag was resident-but-expired.
-        expired = recent is not None and tag in recent
-        l2_acc += 1
-        if dsp:
-            candidates = live_by_set[r]
-            if not candidates:
-                misses_dead += 1
-                continue
-        else:
-            candidates = range(base, base + n_ways)
-        victim = -1
-        for j in candidates:
-            if not valid[j]:
-                victim = j
-                break
-        if victim < 0:
-            best_r = INF
-            for j in candidates:
-                if recency[j] < best_r:
-                    victim = j
-                    best_r = recency[j]
-            # Evict (a stale victim already settled its refreshes and
-            # write-back).
-            if not stale[victim]:
-                if count:
-                    line_refreshes += count(
-                        cyc - fill_c[victim], retention[victim]
-                    )
-                if dirty[victim]:
-                    writebacks += 1
-                    pushes.append((i, n_ways, cyc))
-        if expired:
-            misses_expired += 1
-        else:
-            misses_cold += 1
-        row[victim - base] = tag
-        valid[victim] = True
-        stale[victim] = False
-        dirty[victim] = wr
-        fill_c[victim] = cyc
-        e = cyc + lifetime[victim]
-        expiry[victim] = e
-        if e < next_expiry[r]:
-            next_expiry[r] = e
-        recency[victim] = i
-        fills += 1
-
-    return dict(zip(_COUNTS, (
+    return dict(zip(COUNTS, (
         hits, misses_cold, misses_expired, misses_dead, writebacks,
-        expiry_wb, write_throughs, l2_acc, fills, line_refreshes,
+        expiry_wb, write_throughs, l2_acc, fills, line_refreshes, 0,
     )))
 
 

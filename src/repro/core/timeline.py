@@ -1,43 +1,59 @@
-"""The RSP timeline replay kernel and the bookkeeping both kernels share.
+"""RSP placement for the lockstep replay, and the bookkeeping both
+placements share.
 
-:mod:`repro.core.batcheval`'s flattened kernel covers stationary
-placement (LRU/DSP) with closed-form refresh accounting.  RSP-FIFO and
-RSP-LRU move blocks between ways, which that kernel cannot express, so
-they replay here, **bit-identically** to
-``RetentionAwareCache.run_trace``, in :func:`_replay_rsp_sets`.
+:func:`repro.core.batcheval.simulate_trace` replays every kernel-eligible
+cache through one lockstep driver: while at least
+:data:`~repro.core.batcheval.LOCKSTEP_MIN_SETS` sets are active it steps
+a (sets x ways) numpy state one stream position at a time, then replays
+the hot sets' tails one reference at a time.  Stationary placement
+(LRU/DSP) steps that state in way space.  RSP-FIFO and RSP-LRU move
+blocks between ways, so they step it in *position space*, here: slot
+``p`` of a row holds the block in the set's ``p``-th longest-retention
+live way (:func:`retention_order`), and the row's first ``n_live``
+slots are its live ways.
 
-RSP never reads recency and every interaction is set-local, so the
-trace's columnar form (:meth:`TraceArtifacts.set_streams`) is replayed
-one set at a time over position-space state (slot ``p`` = the ``p``-th
-longest-retention live way).  Per-line retention-expiry timelines are
-precomputed as interval arithmetic: a single ``next_expiry`` bound per
-set makes the "is this line still alive?" check one compare, and warm-up
-is a per-set counter snapshot instead of a mid-trace reset.
+* :func:`rsp_step` -- one lockstep step.  A miss shifts slots
+  ``[0, depth)`` down by one and fills slot 0, where ``depth`` is the
+  deepest free live slot, or the tail slot when the row is full (the
+  tail is evicted first); an RSP-LRU hit at ``p > 0`` shifts ``[0, p)``
+  the same way and lands the hit block in slot 0.  Each valid block
+  that moves counts one move, restarts its retention clock and is
+  charged its refreshes; invalid slots carry along as invalid, as in the
+  controller's chain.
+* :func:`rsp_tail` -- the same rules for the hot rows' tails, one
+  reference at a time over plain lists, row by row.
 
-Both kernels differ only in how they place blocks.  The rest of the
-replay is one copy, here:
+RSP's lockstep front is the trace's plan cut at the first step with
+fewer than ``LOCKSTEP_MIN_SETS`` first touches
+(:meth:`~repro.core.batcheval.TraceArtifacts.lockstep` with
+``first_touches``): a numpy step pays for itself on the chain shifts of
+misses, as in the warmup fill, while the scalar tail replays hits more
+cheaply.
+
+Both are **bit-identical** to ``RetentionAwareCache.run_trace``.  The
+rest of a replay is one copy, shared with the way-space placement:
 
 * :class:`LineConstants` -- per-line arrays of quantised retention,
   effective lifetime and refresh cap, and the one lazy refresh-count
   rule every accounting site applies (:func:`refreshes` over arrays,
   ``refresh_count`` for one line); :func:`retention_order` ranks each
   set's ways by retention;
-* the write buffer -- during the pass a kernel only records each push as
-  ``(reference index, emission order, cycle)``;
-  :func:`write_buffer_stalls` replays the records afterwards through
-  :class:`~repro.cache.l2.WriteBuffer` itself (stalls never move a
-  reference's cycle, so the buffer is the one global coupling that can
-  wait until the end);
+* the write buffer -- during the pass a replay only records each push as
+  ``(reference index, emission order, cycle)``, the emission order
+  being the way index of an expiry push and ``ways`` for an eviction or
+  a write-through store; :func:`write_buffer_stalls` replays the
+  records afterwards through :class:`~repro.cache.l2.WriteBuffer`
+  itself (stalls never move a reference's cycle, so the buffer is the
+  one global coupling that can wait until the end);
 * finalize -- :func:`owed_refreshes` charges resident lines for the
   refreshes they are still owed, and :func:`replay_stats` adds the
   global scheme's passes (``GlobalRefresh.passes_in_window``), the
   blocked cycles, and the loads/stores counted from the columnar write
   flags.
 
-Like the flattened kernel, this one treats the passed cache as a
-read-only configuration source.  Caches with a token refresh engine or a
-real L2 never reach it: :func:`~repro.core.batcheval.kernel_support`
-sends them to the event controller.
+Caches with a token refresh engine or a real L2 never reach a kernel:
+:func:`~repro.core.batcheval.kernel_support` sends them to the event
+controller.
 """
 
 from __future__ import annotations
@@ -54,13 +70,12 @@ from repro.cache.l2 import WriteBuffer
 from repro.cache.refresh import (
     FullRefresh, GlobalRefresh, PartialRefresh, RefreshPolicy,
 )
-from repro.cache.replacement import RSPLRUPolicy
 from repro.cache.stats import CacheStats
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cache.config import CacheConfig
     from repro.cache.controller import RetentionAwareCache
-    from repro.core.batcheval import TraceArtifacts
+    from repro.core.batcheval import TraceArtifacts, _Lockstep
 
 #: ``count(age, retention)``: refreshes a line spent while it lived ``age``
 #: cycles (a negative age counts as zero, as in the controller).
@@ -69,6 +84,13 @@ RefreshCount = Callable[[int, int], int]
 #: One write-buffer push: (global reference index, emission order, cycle).
 Push = Tuple[int, int, int]
 
+
+#: The counters a replay keeps, by :class:`CacheStats` field.
+COUNTS = (
+    "hits", "misses_cold", "misses_expired", "misses_dead_bypass",
+    "writebacks", "expiry_writebacks", "write_throughs", "l2_accesses",
+    "fills", "line_refreshes", "line_moves",
+)
 
 #: The cap of a line whose refreshes are unlimited (full refresh).
 _NO_CAP = int(np.iinfo(np.int64).max)
@@ -240,259 +262,297 @@ def replay_stats(
     )
 
 
-def _replay_rsp_sets(
-    cache: "RetentionAwareCache", artifacts: "TraceArtifacts"
-) -> CacheStats:
-    """RSP-FIFO / RSP-LRU, one set at a time; called via ``simulate_trace``.
+def tally(measured, rows: np.ndarray) -> int:
+    """How many of a lockstep step's ``rows`` are past the warmup split.
 
-    Validation (RSP placement, no devices, fresh cache, matching
-    geometry) happens in the dispatcher.
+    ``measured`` is True or False when every or no reference of the step
+    is past the split, else the step's per-row mask.
     """
-    promote = type(cache.replacement) is RSPLRUPolicy
-    config = cache.config
-    n_sets = config.geometry.n_sets
-    n_ways = config.geometry.ways
-    write_back = config.write_back
+    if measured is True:
+        return len(rows)
+    if measured is False:
+        return 0
+    return int(np.count_nonzero(measured[rows]))
 
-    lines = LineConstants.of(cache)
-    retention = lines.retention.tolist()
-    lifetime = lines.lifetime.tolist()
-    count = lines.refresh_count
-    orders, n_lives = retention_order(
-        lines.retention.reshape(n_sets, n_ways)
-    )
 
-    INF = math.inf
-    streams = artifacts.set_streams()
+def tally_sum(measured, rows: np.ndarray, values: np.ndarray) -> int:
+    """The sum of ``values`` over the ``rows`` past the warmup split."""
+    if measured is True:
+        return int(values.sum())
+    if measured is False:
+        return 0
+    return int(values[measured[rows]].sum())
 
-    # Global (whole-trace) accumulators; per-set counters merge into
-    # them with their pre-warmup prefix subtracted (every counter is
-    # monotone within a set, so a snapshot at the warmup split is exact).
-    g_hits = g_mc = g_me = g_md = 0
-    g_wb = g_ewb = g_wt = g_l2a = g_lref = g_moves = g_fills = 0
 
-    # Write-buffer pushes, replayed in program order after the pass.
-    pushes: List[Push] = []
-    # Resident lines at the end, as (line, fill cycle, expiry) columns.
-    resident: Tuple[List[int], List[int], List[float]] = ([], [], [])
+def rsp_step(
+    st: "_Lockstep",
+    m: int,
+    index: np.ndarray,
+    measured,
+    cyc: np.ndarray,
+    tag: np.ndarray,
+    wr: np.ndarray,
+    lost: Optional[np.ndarray],
+) -> None:
+    """Place one stream position of the first ``m`` rows, RSP-style.
 
-    for s in range(n_sets):
-        stream = streams[s]
-        if stream is None:
-            continue
-        base = s * n_ways
-        n_live = int(n_lives[s])
-        order = orders[s, :n_live].tolist()
-        slot_lines = [base + w for w in order]
-        retp = [retention[j] for j in slot_lines]
-        life = [lifetime[j] for j in slot_lines]
-        # Expiry sweeps visit ways in way-index order, like the controller.
-        sweep_pos = sorted(range(n_live), key=lambda p: order[p])
+    Runs after the driver's expiry sweep; ``cyc``/``tag`` are ``(m, 1)``
+    columns, ``wr`` the store flags and ``lost`` the rows whose own tag
+    that sweep expired.
+    """
+    totals = st.totals
+    tags, dirty, fill = st.tags, st.dirty, st.fill
+    slot0 = st.slot0[:m]
+    match = st.tags2[:m] == tag
+    hit = match.any(1)
+    pos = match.argmax(1)
+    miss = ~hit
+    if not st.write_back and wr.any():
+        st.write_through(index, measured, cyc, wr, hit)
+        miss &= ~wr
 
-        # Position-space line state: slot p holds the block currently in
-        # the p-th longest-retention live way (-1 = invalid).
-        prow = [-1] * n_live
-        pdirty = [False] * n_live
-        pfill = [0] * n_live
-        pexp = [0.0] * n_live
-        nxt_exp = INF
+    hr = np.flatnonzero(hit)
+    if len(hr):
+        totals["hits"] += tally(measured, hr)
+        if st.write_back:
+            stores = hr[wr[hr]]
+            dirty[slot0[stores] + pos[stores]] = True
+    # Rows whose prefix shifts down: RSP-LRU promotions, then fills.
+    promoted = hr[pos[hr] > 0] if st.promote else hr[:0]
 
-        ticks_s, cycs, tags_s, wrs_s, split = stream
-        n_acc = len(cycs)
-        h = mc = me = md = wb = ewb = wt = l2a = lref = mv = fl = 0
-        # Counter snapshot at the warmup split.
-        snap = None
-        if split <= 0:
-            snap = (0,) * 11
-            segments = ((0, n_acc),)
-        elif split < n_acc:
-            segments = ((0, split), (split, n_acc))
+    mr = np.flatnonzero(miss)
+    if len(mr):
+        totals["l2_accesses"] += tally(measured, mr)
+        n_live = st.n_live[mr]
+        dead = n_live == 0
+        if dead.any():
+            totals["misses_dead_bypass"] += tally(measured, mr[dead])
+            mr = mr[~dead]
+            n_live = n_live[~dead]
+    depth = mr[:0]  # each filling row's shift bound
+    if len(mr):
+        free = (st.tags2[mr] < 0) & st.live[mr]
+        depth = st.ways - 1 - free[:, ::-1].argmax(1)
+        full = ~free.any(1)
+        if full.any():
+            # A full row evicts its tail block first.
+            er = mr[full]
+            depth[full] = n_live[full] - 1
+            ts = slot0[er] + depth[full]
+            c = cyc[er, 0]
+            if st.count:
+                totals["line_refreshes"] += tally_sum(measured, er, refreshes(
+                    c - fill[ts], st.retention[ts], st.cap[ts]
+                ))
+            d = dirty[ts]
+            if d.any():
+                totals["writebacks"] += tally(measured, er[d])
+                st.push_cols.append((
+                    index[er[d]],
+                    np.full(int(d.sum()), st.ways, dtype=np.int64), c[d],
+                ))
+        if lost is None:
+            totals["misses_cold"] += tally(measured, mr)
         else:
-            segments = ((0, n_acc),)
+            totals["misses_expired"] += tally(measured, mr[lost[mr]])
+            totals["misses_cold"] += tally(measured, mr[~lost[mr]])
+        totals["fills"] += tally(measured, mr)
+    if not len(promoted) and not len(mr):
+        return
 
-        def _promote(position, cyc):
-            """RSPLRUPolicy.on_hit + controller.promote_line, slot-space."""
-            nonlocal mv, nxt_exp, lref
-            stash_tag = prow[position]
-            stash_dirty = pdirty[position]
-            prow[position] = -1
-            for i in range(position, 0, -1):
-                src = i - 1
-                tag_src = prow[src]
-                if tag_src >= 0:
-                    if count:
-                        lref += count(cyc - pfill[src], retp[src])
-                    prow[i] = tag_src
-                    prow[src] = -1
-                    pdirty[i] = pdirty[src]
-                    pdirty[src] = False
-                    pfill[i] = cyc
-                    e2 = cyc + life[i]
-                    pexp[i] = e2
-                    if e2 < nxt_exp:
-                        nxt_exp = e2
-                    mv += 1
-            prow[0] = stash_tag
-            pdirty[0] = stash_dirty
-            pfill[0] = cyc
-            e2 = cyc + life[0]
-            pexp[0] = e2
-            if e2 < nxt_exp:
-                nxt_exp = e2
-            mv += 1
+    rows = np.concatenate((promoted, mr))
+    bound = np.concatenate((pos[promoted], depth))
+    landing = np.concatenate((
+        dirty[slot0[promoted] + pos[promoted]], wr[mr],
+    ))
+    totals["line_moves"] += tally(measured, promoted)
+    c = cyc[rows, 0]
+    # Slots [0, bound) of each row move one slot down, all at once.
+    shift = np.arange(st.ways - 1) < bound[:, None]
+    sr, sq = shift.nonzero()
+    src = slot0[rows[sr]] + sq
+    dst = src + 1
+    sc = c[sr]
+    moved = tags[src] >= 0
+    mrows = rows[sr[moved]]
+    totals["line_moves"] += tally(measured, mrows)
+    if st.count:
+        ms = src[moved]
+        totals["line_refreshes"] += tally_sum(measured, mrows, refreshes(
+            sc[moved] - fill[ms], st.retention[ms], st.cap[ms]
+        ))
+    tags[dst] = tags[src]
+    dirty[dst] = dirty[src]
+    fill[dst] = sc
+    st.expiry[dst] = np.where(moved, sc + st.lifetime[dst], np.inf)
+    s0 = slot0[rows]
+    tags[s0] = tag[rows, 0]
+    dirty[s0] = landing
+    fill[s0] = c
+    st.expiry[s0] = c + st.lifetime[s0]
 
-        for a, b in segments:
-            if a:
-                # Measurement begins: snapshot the warmup prefix.
-                snap = (h, mc, me, md, wb, ewb, wt, l2a, lref, mv, fl)
-            for tck, cyc, tag, wr in zip(
-                ticks_s[a:b], cycs[a:b], tags_s[a:b], wrs_s[a:b]
-            ):
-                # Lazy expiry sweep (interval arithmetic on timelines).
-                recent = None
-                if cyc >= nxt_exp:
-                    nxt = INF
-                    for p in sweep_pos:
-                        if prow[p] >= 0:
-                            e = pexp[p]
-                            if cyc >= e:
-                                if recent is None:
-                                    recent = {prow[p]}
-                                else:
-                                    recent.add(prow[p])
-                                if count:
-                                    lref += count(int(e) - pfill[p], retp[p])
-                                if pdirty[p]:
-                                    wb += 1
-                                    ewb += 1
-                                    pushes.append((tck, len(pushes), int(e)))
-                                    pdirty[p] = False
-                                prow[p] = -1
-                            elif e < nxt:
-                                nxt = e
-                    nxt_exp = nxt
 
-                if wr and not write_back:
-                    # Write-through, no-write-allocate store path.
-                    wt += 1
-                    pushes.append((tck, len(pushes), cyc))
-                    if tag in prow:
-                        h += 1
-                        if promote:
-                            p = prow.index(tag)
-                            if p:
-                                _promote(p, cyc)
-                    else:
-                        mc += 1
+def rsp_tail(
+    st: "_Lockstep", n_rows: int, segments, pushes: List[Push]
+) -> Dict[str, int]:
+    """Replay the hot rows' tails; returns the measured segment's counts.
+
+    ``segments`` are the plan's tail rows before and after the warmup
+    split.  The first ``n_rows`` rows' state goes to plain lists and
+    back.
+    """
+    ways = st.ways
+    shape = (n_rows, ways)
+    n = n_rows * ways
+
+    def rows(values: np.ndarray) -> list:
+        return values[:n].reshape(shape).tolist()
+
+    state = (
+        rows(st.tags), rows(st.dirty), rows(st.fill), rows(st.expiry),
+        st.expiry2[:n_rows].min(1).tolist(),
+    )
+    constants = (
+        rows(st.retention), rows(st.lifetime), st.way_of[:n_rows].tolist(),
+        st.n_live[:n_rows].tolist(), st.count, st.promote, st.write_back,
+        ways,
+    )
+    warm, measured = segments
+    _replay_rsp_refs(warm, state, constants, pushes)
+    counts = _replay_rsp_refs(measured, state, constants, pushes)
+    st.tags2[:n_rows] = state[0]
+    st.fill[:n] = np.ravel(state[2])
+    st.expiry[:n] = np.ravel(state[3])
+    return counts
+
+
+def _replay_rsp_refs(
+    rows: List[tuple], state, constants, pushes: List[Push]
+) -> Dict[str, int]:
+    """Replay tail rows reference by reference; returns their counts.
+
+    ``rows`` are (row, indices, cycles, tags, writes) with plain-int
+    lists; ``state`` holds the tail rows' per-slot lists (mutated in
+    place).  Expiry pushes carry their way index as emission order.
+    """
+    row_tags, row_dirty, row_fill, row_expiry, next_expiry = state
+    (row_retention, row_lifetime, row_ways, n_lives, count, promote,
+     write_back, n_ways) = constants
+    INF = math.inf
+    hits = misses_cold = misses_expired = misses_dead = writebacks = 0
+    expiry_wb = write_throughs = l2_acc = line_refreshes = fills = 0
+    moves = 0
+
+    for r, indices, cycles, tags, writes in rows:
+        prow = row_tags[r]
+        pdirty = row_dirty[r]
+        pfill = row_fill[r]
+        pexp = row_expiry[r]
+        retp = row_retention[r]
+        life = row_lifetime[r]
+        n_live = n_lives[r]
+        nxt_exp = next_expiry[r]
+        for i, cyc, tag, wr in zip(indices, cycles, tags, writes):
+            # Lazy expiry sweep, skipped while nothing can expire.
+            recent = None
+            if cyc >= nxt_exp:
+                nxt_exp = INF
+                for p in range(n_live):
+                    if prow[p] >= 0:
+                        e = pexp[p]
+                        if cyc >= e:
+                            if recent is None:
+                                recent = {prow[p]}
+                            else:
+                                recent.add(prow[p])
+                            ecyc = int(e)
+                            if count:
+                                line_refreshes += count(
+                                    ecyc - pfill[p], retp[p]
+                                )
+                            if pdirty[p]:
+                                writebacks += 1
+                                expiry_wb += 1
+                                pushes.append((i, row_ways[r][p], ecyc))
+                                pdirty[p] = False
+                            prow[p] = -1
+                        elif e < nxt_exp:
+                            nxt_exp = e
+
+            if wr and not write_back:
+                # Write-through, no-write-allocate store path.
+                write_throughs += 1
+                pushes.append((i, n_ways, cyc))
+                if tag not in prow:
+                    misses_cold += 1
                     continue
-
-                if tag in prow:
-                    h += 1
-                    if promote:
-                        p = prow.index(tag)
-                        if p:
-                            _promote(p, cyc)
-                        if wr:
-                            # After promotion the line sits in slot 0.
-                            pdirty[0] = True
-                    elif wr:
-                        pdirty[prow.index(tag)] = True
+                wr = False  # a resident line is updated, never dirtied
+            if tag in prow:
+                hits += 1
+                p = prow.index(tag) if promote or wr else 0
+                if not (p and promote):
+                    if wr:
+                        pdirty[p] = True
                     continue
-
-                # Miss: classify by resident-but-expired tags.
-                l2a += 1
-                if n_live == 0:
-                    md += 1
+                # RSP-LRU: the hit block moves to slot 0.
+                bound = p
+                landing = pdirty[p] or wr
+                prow[p] = -1
+                moves += 1
+            else:
+                # Miss: classified by whether the tag was
+                # resident-but-expired.
+                l2_acc += 1
+                if not n_live:
+                    misses_dead += 1
                     continue
-                expired = recent is not None and tag in recent
-                # RSPFIFOPolicy.make_room: shift the chain down from the
-                # deepest free slot (evicting the tail when full).
-                depth = n_live - 1
-                for position in range(depth, -1, -1):
-                    if prow[position] < 0:
-                        depth = position
+                bound = n_live - 1
+                for q in range(bound, -1, -1):
+                    if prow[q] < 0:
+                        bound = q
                         break
                 else:
-                    tail = n_live - 1
+                    # The row is full: its tail block is evicted.
                     if count:
-                        lref += count(cyc - pfill[tail], retp[tail])
-                    if pdirty[tail]:
-                        wb += 1
-                        pushes.append((tck, len(pushes), cyc))
-                        pdirty[tail] = False
-                    prow[tail] = -1
-                    depth = tail
-                for position in range(depth, 0, -1):
-                    src = position - 1
-                    tag_src = prow[src]
-                    if tag_src >= 0:
-                        if count:
-                            lref += count(cyc - pfill[src], retp[src])
-                        prow[position] = tag_src
-                        prow[src] = -1
-                        pdirty[position] = pdirty[src]
-                        pdirty[src] = False
-                        pfill[position] = cyc
-                        e = cyc + life[position]
-                        pexp[position] = e
-                        if e < nxt_exp:
-                            nxt_exp = e
-                        mv += 1
-                if expired:
-                    me += 1
+                        line_refreshes += count(
+                            cyc - pfill[bound], retp[bound]
+                        )
+                    if pdirty[bound]:
+                        writebacks += 1
+                        pushes.append((i, n_ways, cyc))
+                if recent is not None and tag in recent:
+                    misses_expired += 1
                 else:
-                    mc += 1
-                prow[0] = tag
-                pdirty[0] = wr
-                pfill[0] = cyc
-                e = cyc + life[0]
-                pexp[0] = e
-                if e < nxt_exp:
-                    nxt_exp = e
-                fl += 1
+                    misses_cold += 1
+                landing = wr
+                fills += 1
 
-        if snap is None:
-            # Every access of this set fell inside the warmup prefix.
-            snap = (h, mc, me, md, wb, ewb, wt, l2a, lref, mv, fl)
-        g_hits += h - snap[0]
-        g_mc += mc - snap[1]
-        g_me += me - snap[2]
-        g_md += md - snap[3]
-        g_wb += wb - snap[4]
-        g_ewb += ewb - snap[5]
-        g_wt += wt - snap[6]
-        g_l2a += l2a - snap[7]
-        g_lref += lref - snap[8]
-        g_moves += mv - snap[9]
-        g_fills += fl - snap[10]
-        if count:
-            for p in range(n_live):
-                if prow[p] >= 0:
-                    resident[0].append(slot_lines[p])
-                    resident[1].append(pfill[p])
-                    resident[2].append(pexp[p])
+            # Slots [0, bound) move one slot down; the block lands in 0.
+            for q in range(bound, 0, -1):
+                src = q - 1
+                moving = prow[src]
+                if moving >= 0:
+                    if count:
+                        line_refreshes += count(cyc - pfill[src], retp[src])
+                    prow[q] = moving
+                    prow[src] = -1
+                    pdirty[q] = pdirty[src]
+                    pfill[q] = cyc
+                    e = cyc + life[q]
+                    pexp[q] = e
+                    if e < nxt_exp:
+                        nxt_exp = e
+                    moves += 1
+            prow[0] = tag
+            pdirty[0] = landing
+            pfill[0] = cyc
+            e = cyc + life[0]
+            pexp[0] = e
+            if e < nxt_exp:
+                nxt_exp = e
+        next_expiry[r] = nxt_exp
 
-    if count:
-        # Refreshes still owed by the resident lines (post-warmup by
-        # construction: finalize runs after the reset).
-        held = np.array(resident[0], dtype=np.int64)
-        g_lref += owed_refreshes(
-            np.array(resident[2], dtype=np.float64),
-            np.array(resident[1], dtype=np.int64),
-            lines.retention[held], lines.cap[held], artifacts.end_cycle,
-        )
-
-    return replay_stats(
-        cache, artifacts, pushes,
-        line_refreshes=g_lref,
-        line_moves=g_moves,
-        hits=g_hits,
-        misses_cold=g_mc,
-        misses_expired=g_me,
-        misses_dead_bypass=g_md,
-        writebacks=g_wb,
-        expiry_writebacks=g_ewb,
-        write_throughs=g_wt,
-        l2_accesses=g_l2a,
-        fills=g_fills,
-    )
+    return dict(zip(COUNTS, (
+        hits, misses_cold, misses_expired, misses_dead, writebacks,
+        expiry_wb, write_throughs, l2_acc, fills, line_refreshes, moves,
+    )))

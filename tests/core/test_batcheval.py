@@ -319,9 +319,12 @@ class TestEdgeSemantics:
 
 
 class TestLockstepSplit:
-    """The flattened kernel's lockstep front and scalar tail both run."""
+    """Every placement runs the lockstep front and its scalar tail, under
+    one replay span per replay, named after its path."""
 
-    @pytest.mark.parametrize("replacement", ["LRU", "DSP"])
+    @pytest.mark.parametrize(
+        "replacement", ["LRU", "DSP", "RSP-FIFO", "RSP-LRU"]
+    )
     def test_replay_span_counts_both_halves(self, replacement):
         # 16KB, 4-way: 64 sets.  The evaluator's warmup fill gives every
         # set four references, and the measured stream piles into a few.
@@ -347,10 +350,11 @@ class TestLockstepSplit:
             via_kernel = simulate_trace(
                 build(), TraceArtifacts.from_trace(trace, 64)
             )
-        spans = [
-            s for s in tracer.spans() if s.name == "core.batcheval.flattened"
+        spans = [s for s in tracer.spans() if s.cat == "replay"]
+        assert [s.name for s in spans] == [
+            "core.timeline.replay" if replacement.startswith("RSP")
+            else "core.batcheval.flattened"
         ]
-        assert len(spans) == 1
         args = dict(spans[0].args)
         assert args["lockstep_refs"] >= n_lines
         assert args["tail_refs"] > 0
@@ -371,6 +375,29 @@ class TestTraceArtifacts:
         assert artifacts.tags == [0, 1, 2]
         assert artifacts.end_cycle == 2
         assert len(artifacts) == 3
+
+    def test_first_touch_plan_ends_at_a_re_touch_step(self):
+        # 64 sets, four rounds: new lines, new lines, the first round's
+        # lines again, new lines.  The default plan steps all four; the
+        # first-touch plan stops before the re-touch round, and the rest
+        # of every set replays in the tail.
+        rounds = (0, 1, 0, 2)
+        addresses = [t * 256 + s for t in rounds for s in range(64)]
+        trace = _micro_trace(
+            cycles=range(len(addresses)), addresses=addresses,
+            writes=[False] * len(addresses),
+        )
+        artifacts = TraceArtifacts.from_trace(trace, 256)
+        plan = artifacts.lockstep()
+        assert len(plan.steps) == 4 and plan.tail_refs == 0
+        cut = artifacts.lockstep(first_touches=True)
+        assert len(cut.steps) == 2
+        assert cut.tail_rows == 64 and cut.tail_refs == 128
+        assert artifacts.lockstep(first_touches=True) is cut
+        fill = TraceArtifacts.from_trace(_micro_trace(
+            cycles=range(128), addresses=range(128), writes=[False] * 128,
+        ), 64)
+        assert fill.lockstep(first_touches=True) is fill.lockstep()
 
     def test_evaluator_caches_artifacts(self, kernel_evaluator):
         bench = kernel_evaluator.benchmarks[0]

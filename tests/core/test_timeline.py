@@ -17,9 +17,9 @@ import pytest
 
 from repro.technology import NODE_32NM
 from repro.variation import VariationParams
-from repro.array import ChipSampler
+from repro.array import CacheGeometry, ChipSampler
 from repro.cache import CacheConfig, RetentionAwareCache
-from repro.cache.refresh import NoRefresh
+from repro.cache.refresh import NoRefresh, PartialRefresh
 from repro.core import (
     Cache3T1DArchitecture,
     Evaluator,
@@ -131,6 +131,161 @@ class TestTimelineEdges:
         assert ctrl == kern
         assert kern.expiry_writebacks == 1
         assert kern.misses_expired == 1
+
+
+    def test_promotion_across_an_expired_slot(self):
+        """An RSP-LRU hit below an expired slot carries the hole down.
+
+        Partial refresh stretches a 4000-cycle line to 8000 cycles, past
+        the 7000-cycle line above it, so slot 0 expires while slot 1
+        lives.  The hit on slot 1 promotes its block into slot 0 and
+        the shift carries the empty slot into slot 1: the promoted block
+        must not stay behind as a copy.
+        """
+        grid = _full_grid()
+        grid[0] = [3000, 4000, 7000, 100]
+        n_sets = CacheConfig().geometry.n_sets
+        trace = _micro_trace(
+            cycles=[0, 10, 7500, 7600, 7700, 7800, 7900],
+            addresses=[t * n_sets for t in (0, 1, 0, 2, 3, 0, 4)],
+            writes=[True, False, False, True, False, False, False],
+        )
+        ctrl, kern = _run_both(
+            grid, "RSP-LRU", PartialRefresh(threshold_cycles=6000), trace
+        )
+        assert dataclasses.asdict(kern) == dataclasses.asdict(ctrl)
+        assert kern.misses_expired == 0 and kern.hits == 2
+
+
+class TestLockstepSteps:
+    """RSP's position-space lockstep step on a crafted 160-set stream.
+
+    Every one of the 160 sets sees the same number of references, and in
+    every round half of them touch a new line, so the whole trace
+    replays in RSP's lockstep steps (no scalar tail).  The other half
+    re-touch the line they first touched three rounds before, which has
+    shifted down the chain since (an RSP-LRU promotion when it is still
+    resident).  Sixteen sets are all dead, 32 partly dead, and the rest
+    mix short and long retentions, so steps see dead bypasses, expiry
+    and block moves in the same round, and the warmup split falls inside
+    a step.
+    """
+
+    N_ACTIVE = 160
+    ROUNDS = 16
+    GAP = 900
+
+    def _grid(self):
+        grid = _full_grid()
+        grid[:16] = 0
+        grid[16:48] = [0, 4000, 0, 90000]
+        grid[48:96] = [4000, 900, 250000, 1500]
+        grid[96:self.N_ACTIVE] = [700, 0, 3000, 120000]
+        return grid
+
+    def _trace(self, warmup):
+        n_sets = CacheConfig().geometry.n_sets
+        sets = np.tile(np.arange(self.N_ACTIVE), self.ROUNDS)
+        k = np.repeat(np.arange(self.ROUNDS), self.N_ACTIVE)
+        retouch = ((k + sets) % 2 == 1) & (k >= 3)
+        tags = 1000 + np.where(retouch, k - 3, k)
+        return _micro_trace(
+            cycles=k * self.GAP + sets,
+            addresses=tags * n_sets + sets,
+            # Stores recur every fourth round, so a re-touch three rounds
+            # on is a load of a line stored to or a store to a clean one.
+            writes=(k + sets) % 4 == 0,
+            warmup=warmup,
+        )
+
+    @pytest.mark.parametrize("write_back", [True, False],
+                             ids=["write-back", "write-through"])
+    @pytest.mark.parametrize(
+        "refresh", [NoRefresh(), PartialRefresh(threshold_cycles=6000)],
+        ids=["no-refresh", "partial"],
+    )
+    def test_crafted_steps_match_controller(self, refresh, write_back):
+        config = dataclasses.replace(CacheConfig(), write_back=write_back)
+        trace = self._trace(warmup=5 * self.N_ACTIVE + 20)
+        plan = TraceArtifacts.from_trace(
+            trace, config.geometry.n_sets
+        ).lockstep(first_touches=True)
+        assert plan.tail_refs == 0
+        assert len(plan.steps) == self.ROUNDS
+        # The step holding the warmup split measures only part of its rows.
+        assert any(isinstance(step[2], np.ndarray) for step in plan.steps)
+        stats = {}
+        for replacement in ("RSP-FIFO", "RSP-LRU"):
+            ctrl, kern = _run_both(
+                self._grid(), replacement, refresh, trace, config
+            )
+            assert dataclasses.asdict(kern) == dataclasses.asdict(ctrl)
+            assert kern.misses_dead_bypass > 0
+            assert kern.hits > 0
+            if not isinstance(refresh, NoRefresh):
+                assert kern.line_refreshes > 0
+            elif write_back:
+                assert kern.misses_expired > 0
+            stats[replacement] = kern
+        # RSP-LRU promotions move blocks on hits, which RSP-FIFO never does.
+        assert stats["RSP-LRU"].line_moves > stats["RSP-FIFO"].line_moves
+
+    def test_expiry_pushes_keep_way_order(self):
+        """One sweep's expiry write-backs reach the write buffer in way
+        order, not in retention order.
+
+        In every set, ways 0, 3 and 2 hold dirty blocks that expire at
+        cycles 103, 203 and 303 (retention order: ways 2, 3, 0).  The
+        buffer holds one entry and drains one per 150 cycles, so pushing
+        103 before 303 lets a drain in; the reverse stalls twice.
+        """
+        config = dataclasses.replace(
+            CacheConfig(), write_buffer_entries=1,
+            l2_write_interval_cycles=150,
+        )
+        n_sets = config.geometry.n_sets
+        grid = _full_grid()
+        grid[:self.N_ACTIVE] = [100, 5000, 300, 200]
+        sets = np.tile(np.arange(self.N_ACTIVE), 5)
+        k = np.repeat(np.arange(5), self.N_ACTIVE)
+        trace = _micro_trace(
+            cycles=np.where(k < 4, k, 400),
+            addresses=np.where(k < 4, k, 9) * n_sets + sets,
+            writes=k < 4,
+        )
+        plan = TraceArtifacts.from_trace(trace, n_sets).lockstep(
+            first_touches=True
+        )
+        assert plan.tail_refs == 0
+        ctrl, kern = _run_both(grid, "RSP-FIFO", NoRefresh(), trace, config)
+        assert dataclasses.asdict(kern) == dataclasses.asdict(ctrl)
+        assert kern.expiry_writebacks == 3 * self.N_ACTIVE
+
+
+class TestFuzzerCounterexamples:
+    """Shrunk counterexamples of the kernel fuzzer
+    (``test_kernels_match_controller``), kept as named cases."""
+
+    def test_promotion_below_expired_slot_on_a_3t1d_grid(self):
+        """A severe 3T1D chip (chip seed 4) at 1 set x 2 ways quantises
+        to retentions 7998 and 5332; partial refresh stretches the second
+        to 10,664 cycles, so slot 0 expires first.  Found against a tail
+        whose RSP-LRU promotion left a copy of the promoted block behind,
+        which the finalize then charged an owed refresh."""
+        config = CacheConfig().with_geometry(
+            CacheGeometry.from_capacity(128, 2, banks=1)
+        )
+        line = 10**9
+        trace = _micro_trace(
+            cycles=[0, 0, 10000], addresses=[line, line + 1, line],
+            writes=[False] * 3, warmup=2,
+        )
+        ctrl, kern = _run_both(
+            np.array([[7998, 5332]]), "RSP-LRU",
+            PartialRefresh(threshold_cycles=6000), trace, config,
+        )
+        assert dataclasses.asdict(kern) == dataclasses.asdict(ctrl)
+        assert kern.hits == 1 and kern.line_moves == 1
 
 
 class TestFullWriteBuffer:

@@ -7,6 +7,7 @@ retention map, and the batched replay kernels against the controller.
 """
 
 import dataclasses
+import functools
 import os
 from collections import OrderedDict
 
@@ -14,8 +15,9 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.array import CacheGeometry
+from repro.array import CacheGeometry, ChipSampler
 from repro.cache import AccessOutcome, RetentionAwareCache
+from repro.cache.counters import LineCounterConfig, quantize_retention
 from repro.cache.refresh import (
     FullRefresh,
     GlobalRefresh,
@@ -23,6 +25,8 @@ from repro.cache.refresh import (
     PartialRefresh,
 )
 from repro.core import TraceArtifacts, kernel_support, simulate_trace
+from repro.technology import NODE_32NM
+from repro.variation import VariationParams
 from repro.workloads.generator import MemoryTrace
 
 N_SETS = 8
@@ -283,6 +287,34 @@ KERNEL_FUZZ_EXAMPLES = int(os.environ.get("KERNEL_FUZZ_EXAMPLES", "200"))
 FUZZ_RETENTIONS = (0, 500, 2_000, 10_000, 50_000, 10**9)
 
 
+#: Registered backends whose sampled maps the kernel fuzzer also replays:
+#: the STT-RAM and VarDRAM maps have many distinct retentions and dead
+#: lines, which stress RSP's block-move chains.
+FUZZ_BACKENDS = ("3t1d", "sttram", "vardram")
+
+#: Chip seeds per backend and geometry; sampled grids are cached, so the
+#: fuzzer revisits a bounded set of maps.
+FUZZ_CHIP_SEEDS = 32
+
+
+@functools.lru_cache(maxsize=None)
+def _backend_grid(technology, chip_seed, geometry, counter_bits):
+    """One severe chip of ``technology`` sampled at ``geometry``, its
+    line retentions quantised by the chip's line counters, as the
+    evaluator's caches see them, in ``(n_sets, ways)`` order."""
+    chip = ChipSampler(
+        NODE_32NM, VariationParams.severe(), seed=chip_seed,
+        geometry=geometry, technology=technology,
+    ).sample_3t1d_chip()
+    cycles = chip.retention_by_line * NODE_32NM.frequency
+    counter = LineCounterConfig.for_chip(
+        float(np.max(cycles)), bits=counter_bits
+    )
+    return quantize_retention(cycles, counter).reshape(
+        geometry.n_sets, geometry.ways
+    )
+
+
 def _fuzz_trace(data, n_sets, n_lines, seed):
     """A generated trace, optionally behind a ``memory_trace``-style
     warmup prefix: one read to each of ``n_lines`` distinct high
@@ -368,9 +400,11 @@ def test_kernels_match_controller(
     the stalls of a write buffer small or slow enough to fill.
 
     Geometries run from one set to 128 and from direct-mapped to
-    8-way, so wide traces take the flattened kernel's lockstep steps
-    and hand off to its scalar tail; a warmup prefix like the
-    evaluator's fills every line first.
+    8-way, so wide traces take the kernels' lockstep steps and hand off
+    to their scalar tails; a warmup prefix like the evaluator's fills
+    every line first.  The retention grid is either drawn from a small
+    palette or a registered backend's map sampled at the drawn geometry
+    and quantised like the evaluator's.
     """
     n_lines = n_sets * ways
     config = dataclasses.replace(
@@ -384,10 +418,22 @@ def test_kernels_match_controller(
     seed = data.draw(
         st.integers(min_value=0, max_value=2**32 - 1), label="seed"
     )
-    palette = data.draw(st.lists(
-        st.sampled_from(FUZZ_RETENTIONS), min_size=1, max_size=4, unique=True,
-    ), label="retentions")
-    grid = np.random.default_rng(seed).choice(palette, size=(n_sets, ways))
+    source = data.draw(
+        st.sampled_from(("palette",) + FUZZ_BACKENDS), label="grid_source"
+    )
+    if source == "palette":
+        palette = data.draw(st.lists(
+            st.sampled_from(FUZZ_RETENTIONS), min_size=1, max_size=4,
+            unique=True,
+        ), label="retentions")
+        grid = np.random.default_rng(seed).choice(
+            palette, size=(n_sets, ways)
+        )
+    else:
+        grid = _backend_grid(
+            source, seed % FUZZ_CHIP_SEEDS, config.geometry,
+            config.counter_bits,
+        )
     trace = _fuzz_trace(data, n_sets, n_lines, seed)
 
     def build():
