@@ -27,6 +27,8 @@ attempt numbering, quarantine and degradation are the supervisor's.
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import os
 import time
 from collections import OrderedDict
@@ -521,6 +523,8 @@ class _PoolBatchExecutor:
 
 _MISSING = object()
 
+_RUN_IDS = itertools.count()
+
 
 class ParallelChipRunner:
     """Schedules chip batches and supervises the executor that runs them.
@@ -541,9 +545,19 @@ class ParallelChipRunner:
     :class:`~repro.engine.checkpoint.RunJournal` keyed by the task's
     content digest), and ``resume=True`` restores stored items instead
     of recomputing them -- none of which changes results.
+
+    ``fleet`` lends the runner a running
+    :class:`~repro.service.fleet.SubprocessFleetExecutor` (the job
+    service's shared one) for its subprocess-fleet batches; the runner
+    uses it but never closes it.  Without one it starts its own fleet on
+    the first such batch and closes it in :meth:`close`.
     """
 
-    def __init__(self, config: Optional[EngineConfig] = None):
+    def __init__(
+        self,
+        config: Optional[EngineConfig] = None,
+        fleet: Optional[Any] = None,
+    ):
         if config is None:
             config = EngineConfig()
         elif not isinstance(config, EngineConfig):
@@ -556,7 +570,11 @@ class ParallelChipRunner:
         self.stats = RunnerStats()
         self._inline = _InlineBatchExecutor(config)
         self._pool = _PoolBatchExecutor(config, self.workers)
-        self._fleet: Optional[Any] = None
+        self._fleet = fleet
+        self._owns_fleet = fleet is None
+        self.run_id = f"{os.getpid()}-{next(_RUN_IDS)}"
+        """Names this runner's tasks on a fleet, whose workers drop their
+        per-process caches when the run they serve changes."""
         self._journal = (
             RunJournal(config.checkpoint_dir, resume=config.resume)
             if config.checkpoint_dir is not None else None
@@ -629,7 +647,8 @@ class ParallelChipRunner:
             results[index] = value
             state["completed"] += 1
             if journal is not None:
-                # A no-op for a fleet result: its worker stored it here.
+                # A no-op for a result a fleet worker stored in this
+                # journal; a borrowed fleet keeps its own store.
                 journal.record(keys[index], value)
                 flushed.add(keys[index])
             dispatch(observer, ChipCompleted(label, state["completed"], total))
@@ -646,7 +665,8 @@ class ParallelChipRunner:
                 from repro.service.fleet import SubprocessFleetExecutor
 
                 self._fleet = SubprocessFleetExecutor(self.config, journal)
-            self._supervise(self._fleet, fn, items, finish, notify, label)
+            self._supervise(self._fleet, fn, items, finish, notify, label,
+                            run_id=self.run_id)
         else:
             if self.workers > 1 and len(items) > 1 and not self._degraded:
                 items = self._supervise(
@@ -671,6 +691,7 @@ class ParallelChipRunner:
         finish: Callable[[int, Any], None],
         notify: Callable[[Any], None],
         label: str,
+        **batch_options: Any,
     ) -> List[BatchItem]:
         """The one retry loop: rounds of attempts until every item is done.
 
@@ -681,7 +702,9 @@ class ParallelChipRunner:
         batch with :class:`ExecutionError` -- except on the pool, which
         sets it aside (quarantine).  Returns the items set aside for
         inline execution: quarantined tasks, plus every unfinished item
-        once repeated pool breakdowns degrade the run.
+        once repeated pool breakdowns degrade the run.  ``batch_options``
+        go to every ``run_batch`` call; an exception raised here (say, a
+        cancelling subscriber) closes the executor's batch first.
         """
         config = self.config
         failures = dict.fromkeys((item.index for item in items), 0)
@@ -691,47 +714,48 @@ class ParallelChipRunner:
             retry: List[BatchItem] = []
             resume_at = 0.0
             broke = False
-            for index, outcome in executor.run_batch(
-                fn, items, notify, label
-            ):
-                item = by_index[index]
-                if outcome is LOST:
-                    broke = True
-                    retry.append(replace(item, attempt=item.attempt + 1))
-                    continue
-                if isinstance(outcome, trace_mod.TracedResult):
-                    # Unwrap BEFORE journalling/returning: profiling
-                    # data must never reach results or checkpoints.
-                    notify(SpansCollected(
-                        label, outcome.spans, outcome.pid,
-                        outcome.peak_rss_kb,
-                    ))
-                    outcome = outcome.value
-                if isinstance(outcome, CorruptedPayload):
-                    outcome = TaskFailed(
-                        f"corrupted payload (attempt {outcome.attempt})"
-                    )
-                if not isinstance(outcome, TaskFailed):
-                    finish(index, outcome)
-                    continue
-                broke = broke or outcome.broke_pool
-                failures[index] += 1
-                item = replace(item, attempt=item.attempt + 1)
-                if failures[index] > config.max_retries:
-                    if executor is not self._pool:
-                        raise ExecutionError(
-                            f"task {index} of batch {label!r} failed "
-                            f"{failures[index]} times; giving up: "
-                            f"{outcome.reason}"
-                        ) from outcome.error
-                    self.stats.tasks_quarantined += 1
-                    set_aside.append(item)
-                    continue
-                notify(TaskRetried(label, index, failures[index],
-                                   outcome.reason))
-                resume_at = max(resume_at, time.monotonic()
-                                + config.retry_backoff(failures[index]))
-                retry.append(item)
+            with contextlib.closing(executor.run_batch(
+                fn, items, notify, label, **batch_options
+            )) as outcomes:
+                for index, outcome in outcomes:
+                    item = by_index[index]
+                    if outcome is LOST:
+                        broke = True
+                        retry.append(replace(item, attempt=item.attempt + 1))
+                        continue
+                    if isinstance(outcome, trace_mod.TracedResult):
+                        # Unwrap BEFORE journalling/returning: profiling
+                        # data must never reach results or checkpoints.
+                        notify(SpansCollected(
+                            label, outcome.spans, outcome.pid,
+                            outcome.peak_rss_kb,
+                        ))
+                        outcome = outcome.value
+                    if isinstance(outcome, CorruptedPayload):
+                        outcome = TaskFailed(
+                            f"corrupted payload (attempt {outcome.attempt})"
+                        )
+                    if not isinstance(outcome, TaskFailed):
+                        finish(index, outcome)
+                        continue
+                    broke = broke or outcome.broke_pool
+                    failures[index] += 1
+                    item = replace(item, attempt=item.attempt + 1)
+                    if failures[index] > config.max_retries:
+                        if executor is not self._pool:
+                            raise ExecutionError(
+                                f"task {index} of batch {label!r} failed "
+                                f"{failures[index]} times; giving up: "
+                                f"{outcome.reason}"
+                            ) from outcome.error
+                        self.stats.tasks_quarantined += 1
+                        set_aside.append(item)
+                        continue
+                    notify(TaskRetried(label, index, failures[index],
+                                       outcome.reason))
+                    resume_at = max(resume_at, time.monotonic()
+                                    + config.retry_backoff(failures[index]))
+                    retry.append(item)
             retry.sort(key=lambda item: item.index)
             if broke:
                 self._pool_failures += 1
@@ -790,13 +814,14 @@ class ParallelChipRunner:
     # ------------------------------------------------------------------
 
     def close(self) -> None:
-        """Shut the worker pool and the fleet down.
+        """Shut the worker pool and the runner's own fleet down.
 
         A later batch re-creates the pool and the fleet; the task store
-        keeps every result this runner recorded.
+        keeps every result this runner recorded.  A borrowed fleet is
+        left running for its owner.
         """
         self._pool.close()
-        if self._fleet is not None:
+        if self._fleet is not None and self._owns_fleet:
             self._fleet.close()
             self._fleet = None
 

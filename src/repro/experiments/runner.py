@@ -154,6 +154,12 @@ class ExperimentContext:
             self._runner = ParallelChipRunner(config=self.engine)
         return self._runner
 
+    @runner.setter
+    def runner(self, runner: ParallelChipRunner) -> None:
+        """Install a runner built elsewhere (the job service's, which
+        borrows the service's fleet); derived contexts share it."""
+        self._runner = runner
+
     def close(self) -> None:
         """Shut down the worker pool, if one was started."""
         if self._runner is not None:

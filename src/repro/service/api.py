@@ -16,10 +16,16 @@ filesystem operations alone.
   jobs are additionally *coalesced* through an in-flight registry (the
   second waits for the first and is served as a cache hit instead of
   recomputing).
-* **Crash recovery** -- each job journals its chip batches under its own
-  ``checkpoints/`` directory with ``resume=True``, so :meth:`recover`
-  (after a service crash or SIGKILL) re-runs interrupted jobs
-  bit-identically, restoring completed work instead of recomputing it.
+* **Crash recovery** -- each job journals every completed chip-batch
+  task, whichever backend computed it, under its own ``checkpoints/``
+  directory with ``resume=True``, so :meth:`recover` (after a service
+  crash or SIGKILL) re-runs interrupted jobs bit-identically, restoring
+  completed work instead of recomputing it.
+* **One warm fleet** -- jobs on the ``subprocess-fleet`` backend share
+  one :class:`~repro.service.fleet.SubprocessFleetExecutor` per fleet
+  size, started by the first such job on a private queue directory and
+  stopped by :meth:`close`; each job's runner borrows it, so only the
+  first fleet job pays for worker start-up.
 
 Determinism note: the service never reads wall-clock time; waits use
 monotonic deadlines, and results carry no timestamps.
@@ -39,7 +45,7 @@ from typing import Any, Dict, Iterator, List, Optional, Union
 from repro.errors import ConfigurationError, ExecutionError, JobCancelled
 from repro.engine.cache import ShardedResultCache
 from repro.engine.checkpoint import durable_write
-from repro.engine.config import EngineConfig
+from repro.engine.config import EngineConfig, SUBPROCESS_FLEET_BACKEND
 from repro.engine.events import (
     EngineEvent,
     EventStream,
@@ -147,6 +153,9 @@ class ExecutionService:
             self.root / "cache", shard_prefix_len=shard_prefix_len
         )
         self._threads: Dict[str, threading.Thread] = {}
+        self._fleets: Dict[int, Any] = {}
+        """The shared fleet executors, by fleet size (started lazily)."""
+        self._fleets_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # submission
@@ -256,15 +265,40 @@ class ExecutionService:
             engine_fields["backend"] = spec.backend
         if spec.fleet_size is not None:
             engine_fields["fleet_size"] = spec.fleet_size
-        return ExperimentContext(
+        engine = self.engine_template.replace(**engine_fields)
+        context = ExperimentContext(
             n_chips=spec.chips,
             n_references=spec.refs,
             seed=spec.seed,
             technology=spec.technology,
             geometry=_geometry_from_spec(spec.geometry),
-            engine=self.engine_template.replace(**engine_fields),
+            engine=engine,
             observer=observer,
         )
+        if engine.backend == SUBPROCESS_FLEET_BACKEND:
+            from repro.engine.parallel import ParallelChipRunner
+
+            context.runner = ParallelChipRunner(
+                engine, fleet=self._fleet_for(engine)
+            )
+        return context
+
+    def _fleet_for(self, engine: EngineConfig):
+        """This service's fleet of ``engine``'s size, created on first
+        use over a private queue directory (no other process can stop
+        its workers).  Its store is not a job's journal: each job's
+        runner journals the results it receives."""
+        from repro.service.fleet import SubprocessFleetExecutor
+
+        size = engine.effective_fleet_size
+        with self._fleets_lock:
+            fleet = self._fleets.get(size)
+            if fleet is None:
+                fleet = SubprocessFleetExecutor(engine.replace(
+                    queue_dir=None, checkpoint_dir=None, resume=False,
+                ))
+                self._fleets[size] = fleet
+        return fleet
 
     def _run_job_guarded(self, job_id: str) -> None:
         job_dir = self.jobs_dir / job_id
@@ -545,8 +579,14 @@ class ExecutionService:
         return self.jobs()
 
     def close(self) -> None:
-        """Wait for this process's running jobs to finish."""
+        """Wait for this process's running jobs to finish, then stop and
+        reap every fleet worker this service started."""
         self.drain()
+        with self._fleets_lock:
+            fleets = list(self._fleets.values())
+            self._fleets.clear()
+        for fleet in fleets:
+            fleet.close()
 
     def __enter__(self) -> "ExecutionService":
         return self

@@ -30,7 +30,7 @@ from repro.engine.config import (
 )
 from repro.errors import ReproError
 from repro.service.api import ExecutionService, WAIT_POLL_S
-from repro.service.jobs import QUEUED
+from repro.service.jobs import DONE, QUEUED
 
 
 def _add_root(parser: argparse.ArgumentParser) -> None:
@@ -127,28 +127,32 @@ def _cmd_submit(args: argparse.Namespace) -> int:
     print(handle.job_id)
     if args.detach:
         return 0
-    if args.wait:
+    try:
         status = handle.wait()
-        print(service.report(handle.job_id), end="")
-        return 0 if status.state == "done" else 1
-    service.close()
-    return 0 if service.status(handle.job_id).state == "done" else 1
+        if args.wait:
+            print(service.report(handle.job_id), end="")
+    finally:
+        service.close()
+    return 0 if status.state == DONE else 1
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     service = _service(args)
-    recovered = service.recover()
-    for job_id in recovered:
-        print(f"recovered {job_id}")
-    while True:
-        for job_id in service.run_pending():
-            print(f"started {job_id}")
-        service.drain()
-        if not args.keep_alive:
-            break
-        queued = [s for s in service.jobs() if s.state == QUEUED]
-        if not queued:
-            time.sleep(args.poll)
+    try:
+        recovered = service.recover()
+        for job_id in recovered:
+            print(f"recovered {job_id}")
+        while True:
+            for job_id in service.run_pending():
+                print(f"started {job_id}")
+            service.drain()
+            if not args.keep_alive:
+                break
+            queued = [s for s in service.jobs() if s.state == QUEUED]
+            if not queued:
+                time.sleep(args.poll)
+    finally:
+        service.close()
     return 0
 
 

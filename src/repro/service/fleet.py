@@ -13,25 +13,32 @@ claimed tasks are requeued
 (:class:`~repro.engine.events.WorkerRespawned` fires).
 
 Workers record results in the queue root's task store (layout in
-:mod:`repro.service.queue`).  By default that root is the run's
-``checkpoint_dir``, so the store and its trust rule are the runner's
-own.  An explicit ``queue_dir`` is the fleet-wide memo: a second run --
-or a concurrent client sharing it -- never recomputes a key any worker
-has finished, and :attr:`SubprocessFleetExecutor.deduped` counts exactly
-those skips.
+:mod:`repro.service.queue`).  The root is resolved by
+:func:`resolve_queue_dir`: an explicit ``queue_dir`` is the fleet-wide
+memo (a second run -- or a concurrent client sharing it -- never
+recomputes a key any worker has finished, and
+:attr:`SubprocessFleetExecutor.deduped` counts exactly those skips);
+otherwise the run's ``checkpoint_dir``, so the store and its trust rule
+are the runner's own; with neither, a private temporary directory that
+no other process knows.  The job service keeps one executor per fleet
+size on such a private root and lends it to every fleet job, so one
+executor can serve several runners at once; a batch abandoned mid-way
+(a cancelled job) withdraws the unclaimed tasks no other batch awaits.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 import pathlib
 import shutil
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 from dataclasses import replace
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.errors import ConfigurationError, ExecutionError
 from repro.engine.checkpoint import RunJournal
@@ -81,7 +88,12 @@ def resolve_queue_dir(config: EngineConfig) -> Tuple[pathlib.Path, bool]:
 
 
 class SubprocessFleetExecutor:
-    """Coordinates persistent worker subprocesses over one durable queue."""
+    """Coordinates persistent worker subprocesses over one durable queue.
+
+    Thread-safe: concurrent runners may share one executor.  Its lock
+    guards the worker table, the counters, and which batches await
+    which keys.
+    """
 
     def __init__(
         self, config: EngineConfig, journal: Optional[RunJournal] = None
@@ -104,9 +116,17 @@ class SubprocessFleetExecutor:
             self.store = RunJournal(self.queue_dir, resume=True)
         self.deduped = 0
         """Batch items served from results already in the store."""
+        self.spawned = 0
+        """Worker processes started so far, respawns included."""
         self._workers: Dict[str, subprocess.Popen] = {}
         self._respawns = 0
         self._closed = False
+        self._lock = threading.Lock()
+        self._batch_ids = itertools.count()
+        self._waiting: Dict[str, Set[int]] = {}
+        """Per key, the batches awaiting the outcome of its attempt."""
+        self._failures: Dict[str, Tuple[str, Set[int]]] = {}
+        """Per key, a consumed failure and the batches yet to see it."""
 
     # ------------------------------------------------------------------
 
@@ -123,28 +143,89 @@ class SubprocessFleetExecutor:
             stdout=subprocess.DEVNULL,
             stderr=subprocess.DEVNULL,
         )
+        self.spawned += 1
 
     def ensure_fleet(self) -> None:
         """Spawn (or top up) the worker fleet."""
-        self.queue.clear_stop()
-        for n in range(self.fleet_size):
-            worker_id = f"w{n:03d}"
-            if worker_id not in self._workers:
-                self._spawn(worker_id)
+        with self._lock:
+            self.queue.clear_stop()
+            for n in range(self.fleet_size):
+                worker_id = f"w{n:03d}"
+                if worker_id not in self._workers:
+                    self._spawn(worker_id)
 
     def _supervise_workers(
         self, notify: Callable[[EngineEvent], None], label: str
     ) -> None:
         """Respawn dead workers, requeueing their claimed tasks."""
-        for worker_id in sorted(self._workers):
-            process = self._workers[worker_id]
-            if process.poll() is None:
-                continue
-            self.queue.requeue_worker(worker_id)
-            del self._workers[worker_id]
-            self._respawns += 1
-            notify(WorkerRespawned(label, self._respawns))
-            self._spawn(worker_id)
+        respawns = []
+        with self._lock:
+            for worker_id in sorted(self._workers):
+                if self._workers[worker_id].poll() is None:
+                    continue
+                self.queue.requeue_worker(worker_id)
+                self._respawns += 1
+                respawns.append(self._respawns)
+                self._spawn(worker_id)
+        for count in respawns:
+            notify(WorkerRespawned(label, count))
+
+    # -- which batches await which keys (callers hold the lock) ---------
+
+    def _await(self, key: str, batch: int, envelope: TaskEnvelope) -> bool:
+        """Register ``batch`` as awaiting ``key``; True when the store
+        already holds the result.  Otherwise an attempt is queued unless
+        another batch awaits a live one."""
+        stored = key in self.store
+        retry = key in self._failures
+        if not stored and (retry or not self._waiting.get(key)):
+            if not retry:
+                # A stale failure belongs to an earlier attempt, and an
+                # untrusted entry must not answer for this one.
+                self.queue.take_failure(key)
+                self.store.discard(key)
+            # False when a concurrent client enqueued the key first;
+            # either way its result arrives.
+            self.queue.enqueue(key, envelope)
+        self._waiting.setdefault(key, set()).add(batch)
+        return stored
+
+    def _outcome(self, key: str, batch: int) -> Any:
+        """``key``'s value or :class:`TaskFailed` for ``batch``, or
+        ``_MISSING`` while its attempt is still running.
+
+        A failure is consumed from the queue once and shown to every
+        batch that awaited that attempt.
+        """
+        value = self.store.load(key, _MISSING)
+        if value is _MISSING:
+            failure = self._failures.get(key)
+            if failure is None:
+                reason = self.queue.take_failure(key)
+                if reason is None:
+                    return _MISSING
+                failure = (reason, set(self._waiting[key]))
+                self._failures[key] = failure
+            if batch not in failure[1]:
+                return _MISSING  # it awaits a later attempt
+            value = TaskFailed(failure[0])
+        self._release(key, batch)
+        return value
+
+    def _release(self, key: str, batch: int, withdraw: bool = False) -> None:
+        waiting = self._waiting[key]
+        waiting.discard(batch)
+        failure = self._failures.get(key)
+        if failure is not None:
+            failure[1].discard(batch)
+            if not failure[1]:
+                del self._failures[key]
+        if not waiting:
+            self._waiting.pop(key, None)
+            # Only a private queue: a shared one may have clients that
+            # await the same key without this executor knowing.
+            if withdraw and self._private_queue:
+                self.queue.withdraw(key)
 
     # ------------------------------------------------------------------
 
@@ -154,6 +235,7 @@ class SubprocessFleetExecutor:
         items: List[BatchItem],
         notify: Callable[[EngineEvent], None],
         label: str = "batch",
+        run_id: str = "",
     ) -> Iterator[Tuple[int, Any]]:
         """Run one attempt of each item; yield ``(index, outcome)``.
 
@@ -161,7 +243,9 @@ class SubprocessFleetExecutor:
         result yields its value; a recorded failure is consumed and
         yields a :class:`~repro.engine.parallel.TaskFailed`.  Identical
         keys within a batch are computed once and fanned out to every
-        index.
+        index.  ``run_id`` names the submitting run in each envelope.
+        Closing the generator early withdraws the batch's unclaimed
+        tasks that no other batch awaits.
         """
         if self._closed:
             raise ExecutionError("fleet executor already closed")
@@ -171,55 +255,54 @@ class SubprocessFleetExecutor:
             by_key.setdefault(item.key, []).append(item.index)
             tasks_by_key[item.key] = item.task
         # Built up front so a lambda or closure is rejected before any I/O.
-        envelope = TaskEnvelope.for_call(fn, None)
+        envelope = TaskEnvelope.for_call(fn, None, run_id)
+        batch = next(self._batch_ids)
         pending = sorted(by_key)
-        for key in pending:
-            if key in self.store:
-                self.deduped += len(by_key[key])
-                continue
-            # A stale failure belongs to an earlier attempt, and an
-            # untrusted entry must not answer for this one.
-            self.queue.take_failure(key)
-            self.store.discard(key)
-            # False when a concurrent client enqueued the key first;
-            # either way its result arrives.
-            self.queue.enqueue(key, replace(envelope, task=tasks_by_key[key]))
-        self.ensure_fleet()
-        while pending:
-            progressed = False
-            for key in list(pending):
-                value = self.store.load(key, _MISSING)
-                if value is _MISSING:
-                    reason = self.queue.take_failure(key)
-                    if reason is None:
+        with self._lock:
+            for key in pending:
+                task = replace(envelope, task=tasks_by_key[key])
+                if self._await(key, batch, task):
+                    self.deduped += len(by_key[key])
+        try:
+            self.ensure_fleet()
+            while pending:
+                progressed = False
+                for key in list(pending):
+                    with self._lock:
+                        value = self._outcome(key, batch)
+                    if value is _MISSING:
                         continue
-                    value = TaskFailed(reason)
-                pending.remove(key)
-                progressed = True
-                for index in by_key[key]:
-                    yield index, value
-            if pending and not progressed:
-                self._supervise_workers(notify, label)
-                time.sleep(RESULT_POLL_S)
+                    pending.remove(key)
+                    progressed = True
+                    for index in by_key[key]:
+                        yield index, value
+                if pending and not progressed:
+                    self._supervise_workers(notify, label)
+                    time.sleep(RESULT_POLL_S)
+        finally:
+            with self._lock:
+                for key in pending:
+                    self._release(key, batch, withdraw=True)
 
     # ------------------------------------------------------------------
 
     def close(self) -> None:
-        """Stop the fleet; a private queue directory is removed."""
-        if self._closed:
-            return
-        self._closed = True
+        """Stop and reap the fleet; a private queue directory is removed."""
+        with self._lock:
+            if self._closed:
+                return
+            self._closed = True
+            workers = [self._workers[w] for w in sorted(self._workers)]
+            self._workers.clear()
         self.queue.request_stop()
         deadline = time.monotonic() + SHUTDOWN_GRACE_S
-        for worker_id in sorted(self._workers):
-            process = self._workers[worker_id]
+        for process in workers:
             budget = max(0.0, deadline - time.monotonic())
             try:
                 process.wait(timeout=budget)
             except subprocess.TimeoutExpired:
                 process.kill()
                 process.wait()
-        self._workers.clear()
         if self._private_queue:
             shutil.rmtree(self.queue_dir, ignore_errors=True)
 

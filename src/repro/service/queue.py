@@ -23,7 +23,9 @@ so ``results/`` is the runner's own task store)::
 
 Envelope functions are referenced by ``module:qualname`` (never pickled
 by value), mirroring the engine's rule that task functions cross
-process boundaries by name.
+process boundaries by name.  An envelope also names the run that
+submitted it, so a worker serving many runs can tell when its
+per-process caches belong to an earlier one.
 """
 
 from __future__ import annotations
@@ -48,9 +50,13 @@ class TaskEnvelope:
     fn_module: str
     fn_qualname: str
     task: Any
+    run_id: str = ""
+    """The submitting runner's id (see ``ParallelChipRunner.run_id``)."""
 
     @classmethod
-    def for_call(cls, fn: Any, task: Any) -> "TaskEnvelope":
+    def for_call(
+        cls, fn: Any, task: Any, run_id: str = ""
+    ) -> "TaskEnvelope":
         module = getattr(fn, "__module__", None)
         qualname = getattr(fn, "__qualname__", None)
         if (
@@ -63,7 +69,9 @@ class TaskEnvelope:
                 f"queue task functions must be module-level (importable "
                 f"by name from any process); got {fn!r}"
             )
-        return cls(fn_module=module, fn_qualname=qualname, task=task)
+        return cls(
+            fn_module=module, fn_qualname=qualname, task=task, run_id=run_id
+        )
 
 
 class DurableTaskQueue:
@@ -115,6 +123,18 @@ class DurableTaskQueue:
             self.task_path(key),
             pickle.dumps(envelope, protocol=pickle.HIGHEST_PROTOCOL),
         )
+        return True
+
+    def withdraw(self, key: str) -> bool:
+        """Take an unclaimed task back out of the ready set.
+
+        False when no worker can still claim it: it was never queued, or
+        a worker already claimed it (its outcome is recorded as usual).
+        """
+        try:
+            self.task_path(key).unlink()
+        except FileNotFoundError:
+            return False
         return True
 
     def take_failure(self, key: str) -> Optional[str]:

@@ -8,9 +8,11 @@ by ``module:qualname``, run it, and durably record ``("ok", result)`` or
 appears or its coordinating parent process dies (``--parent-pid``), so
 an abandoned fleet never outlives its run.
 
-Workers hold the same per-process evaluator LRU as pool workers, which
-is what makes a persistent fleet amortise trace construction across
-many jobs.
+Workers hold the same per-process evaluator LRU as pool workers, so a
+run's tasks share its traces.  The LRU is scoped to one run: a worker
+that claims a task from a different run (the envelope's ``run_id``)
+clears it first, so a long-lived fleet serving many jobs holds only the
+current job's evaluators.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import traceback
 from typing import Any, Optional
 
 from repro.errors import ConfigurationError
+from repro.engine import parallel
 from repro.service.queue import DurableTaskQueue, ERROR, OK
 
 #: How long an idle worker sleeps between claim attempts.
@@ -67,6 +70,7 @@ def serve(
     queue = DurableTaskQueue(queue_dir)
     queue.write_worker_pid(worker_id, os.getpid())
     executed = 0
+    run_id = None
     while not queue.stop_requested() and _parent_alive(parent_pid):
         if max_tasks is not None and executed >= max_tasks:
             break
@@ -75,6 +79,9 @@ def serve(
             time.sleep(idle_poll_s)
             continue
         key, envelope = claimed
+        if envelope.run_id != run_id:
+            parallel._EVALUATOR_CACHE.clear()
+            run_id = envelope.run_id
         try:
             fn = resolve_function(envelope.fn_module, envelope.fn_qualname)
             value = fn(envelope.task)

@@ -283,8 +283,11 @@ KERNEL_FUZZ_EXAMPLES = int(os.environ.get("KERNEL_FUZZ_EXAMPLES", "200"))
 
 #: Retentions the kernel fuzzer builds grids from: 0 is a dead line and
 #: 10**9 outlives every generated trace.  The same values serve as
-#: access gaps, so accesses land exactly on expiry cycles.
-FUZZ_RETENTIONS = (0, 500, 2_000, 10_000, 50_000, 10**9)
+#: access gaps, so accesses land exactly on expiry cycles.  Under partial
+#: refresh (6,000-cycle threshold) a 4,000-cycle line is refreshed to
+#: live 8,000 cycles and outlives a 6,000-cycle one, so an RSP set can
+#: hold an expired slot above a live one.
+FUZZ_RETENTIONS = (0, 500, 2_000, 4_000, 6_000, 10_000, 50_000, 10**9)
 
 
 #: Registered backends whose sampled maps the kernel fuzzer also replays:
@@ -330,8 +333,13 @@ def _fuzz_trace(data, n_sets, n_lines, seed):
                 st.integers(min_value=0, max_value=3000),
                 st.sampled_from(FUZZ_RETENTIONS[:-1]),
             ),
-            # Lines below n_lines re-reference the warmup prefix.
-            st.integers(min_value=0, max_value=2 * n_lines - 1),
+            # Lines below n_lines re-reference the warmup prefix.  Lines
+            # below 2 * n_sets make wide accesses overlap part-way, so
+            # one step mixes first touches with hits on earlier blocks.
+            st.one_of(
+                st.integers(min_value=0, max_value=2 * n_lines - 1),
+                st.integers(min_value=0, max_value=2 * n_sets - 1),
+            ),
             st.booleans(),
             st.booleans(),
         ),
@@ -382,7 +390,7 @@ def _fuzz_trace(data, n_sets, n_lines, seed):
     suppress_health_check=[HealthCheck.too_slow],
 )
 @given(
-    n_sets=st.sampled_from([1, 8, 64, 128]),
+    n_sets=st.sampled_from([1, 8, 64, 128, 256]),
     ways=st.sampled_from([1, 2, 4, 8]),
     replacement=st.sampled_from(["LRU", "DSP", "RSP-FIFO", "RSP-LRU"]),
     refresh=st.sampled_from(["none", "partial", "full", "global"]),
@@ -399,9 +407,11 @@ def test_kernels_match_controller(
     ``RetentionAwareCache.run_trace`` on every stats field, including
     the stalls of a write buffer small or slow enough to fill.
 
-    Geometries run from one set to 128 and from direct-mapped to
+    Geometries run from one set to 256 and from direct-mapped to
     8-way, so wide traces take the kernels' lockstep steps and hand off
-    to their scalar tails; a warmup prefix like the evaluator's fills
+    to their scalar tails (at 256 sets a wide access re-touches enough
+    sets to keep RSP stepping in lockstep past its first fills, with
+    dirty blocks promoted); a warmup prefix like the evaluator's fills
     every line first.  The retention grid is either drawn from a small
     palette or a registered backend's map sampled at the drawn geometry
     and quantised like the evaluator's.

@@ -21,6 +21,7 @@ from repro.engine.events import (
     ChipCompleted,
     ExperimentEnded,
     ExperimentStarted,
+    RunResumed,
 )
 from repro.errors import ConfigurationError, ExecutionError, JobCancelled
 from repro.service import ExecutionService, JobHandle, JobSpec, JobStatus
@@ -42,6 +43,10 @@ GOLDEN_FIG10_DIGEST = (
 )
 #: Smaller-than-golden scale for tests that run several jobs.
 SMALL_KWARGS = dict(chips=2, refs=400, seed=9)
+#: A one-worker subprocess-fleet engine for service jobs.
+FLEET_ENGINE = EngineConfig(
+    workers=1, backend=SUBPROCESS_FLEET_BACKEND, fleet_size=1
+)
 
 
 @pytest.fixture
@@ -72,6 +77,19 @@ class TestJobSpec:
             JobSpec(experiment="")
         with pytest.raises(ConfigurationError):
             JobSpec(experiment=EXPERIMENT, chips=0)
+
+
+#: A fleet job whose six chip builds queue up behind one worker.
+FLEET_CANCEL_KWARGS = dict(chips=6, refs=400, seed=9)
+
+
+def _cancel_after_first_result(handle):
+    """Cancel ``handle`` once its first task result is in; its state."""
+    for event in handle.events(follow=True):
+        if isinstance(event, ChipCompleted):
+            handle.cancel()
+            break
+    return handle.wait(timeout=300).state
 
 
 class TestSubmitLifecycle:
@@ -160,6 +178,21 @@ class TestFailureAndCancellation:
         status = handle.wait(timeout=300)
         assert status.state == CANCELLED
 
+    def test_cancel_mid_run_on_the_fleet(self, tmp_path):
+        service = ExecutionService(tmp_path / "svc", engine=FLEET_ENGINE)
+        try:
+            handle = service.submit(EXPERIMENT, **FLEET_CANCEL_KWARGS)
+            assert _cancel_after_first_result(handle) == CANCELLED
+            # Its unclaimed tasks left the shared queue at once ...
+            assert service._fleets[1].queue.pending_tasks() == []
+            # ... while the results it received stay in its journal.
+            journal = service.jobs_dir / handle.job_id / "checkpoints"
+            assert list(journal.glob("results/*/*.result"))
+            after = service.submit(EXPERIMENT, **SMALL_KWARGS)
+            assert after.wait(timeout=300).state == DONE
+        finally:
+            service.close()
+
     def test_cancel_after_done_returns_false(self, service):
         handle = service.submit(EXPERIMENT, **SMALL_KWARGS)
         handle.wait(timeout=300)
@@ -198,6 +231,70 @@ class TestFleetWideDedupe:
         sa, sb = a.wait(timeout=300), b.wait(timeout=300)
         assert (sa.cached, sb.cached) == (False, False)
         assert pickle.dumps(a.result()) != pickle.dumps(b.result())
+
+
+class TestSharedFleet:
+    """Every fleet job of one service runs on one warm worker fleet."""
+
+    def test_building_the_service_starts_no_process(
+        self, tmp_path, child_pids
+    ):
+        before = child_pids()
+        service = ExecutionService(
+            tmp_path / "svc", engine=FLEET_ENGINE.replace(fleet_size=2)
+        )
+        assert service.jobs() == []
+        assert child_pids() == before
+        service.close()
+
+    def test_sequential_jobs_share_one_warm_fleet(self, tmp_path):
+        service = ExecutionService(
+            tmp_path / "svc", engine=FLEET_ENGINE.replace(fleet_size=2)
+        )
+        try:
+            pids = []
+            for seed in (9, 10, 11):
+                handle = service.submit(
+                    EXPERIMENT, chips=2, refs=400, seed=seed
+                )
+                assert handle.wait(timeout=300).state == DONE
+                fleet = service._fleets[2]
+                pids.append({p.pid for p in fleet._workers.values()})
+            # Two workers served all three jobs: none was respawned.
+            assert fleet.spawned == 2
+            assert pids[0] == pids[1] == pids[2]
+            workers = list(fleet._workers.values())
+        finally:
+            service.close()
+        assert all(process.poll() is not None for process in workers)
+        assert service._fleets == {}
+
+    def test_concurrent_fleet_jobs_match_the_local_backend(self, tmp_path):
+        seeds = (9, 10)
+        with ExecutionService(tmp_path / "local") as local:
+            expected = {
+                seed: pickle.dumps(local.submit(
+                    EXPERIMENT, chips=2, refs=400, seed=seed
+                ).result(timeout=300))
+                for seed in seeds
+            }
+        service = ExecutionService(
+            tmp_path / "fleet", engine=FLEET_ENGINE.replace(fleet_size=2)
+        )
+        try:
+            handles = {
+                seed: service.submit(
+                    EXPERIMENT, chips=2, refs=400, seed=seed
+                )
+                for seed in seeds
+            }
+            for seed, handle in handles.items():
+                assert pickle.dumps(handle.result(timeout=600)) == (
+                    expected[seed]
+                )
+            assert service._fleets[2].spawned == 2
+        finally:
+            service.close()
 
 
 class TestCrashRecovery:
@@ -248,6 +345,30 @@ class TestCrashRecovery:
         assert (
             pickle.dumps(handle.result()) == pickle.dumps(uninterrupted)
         )
+
+    def test_recover_resumes_a_fleet_job_from_its_journal(self, tmp_path):
+        service = ExecutionService(tmp_path / "svc", engine=FLEET_ENGINE)
+        try:
+            handle = service.submit(EXPERIMENT, **FLEET_CANCEL_KWARGS)
+            assert _cancel_after_first_result(handle) == CANCELLED
+            job_dir = service.jobs_dir / handle.job_id
+            (job_dir / "cancel").unlink()
+            write_status(job_dir, JobStatus(
+                job_id=handle.job_id, state=RUNNING, experiment=EXPERIMENT,
+            ))
+            (job_dir / "claim").write_text("999999999")
+            assert service.recover() == [handle.job_id]
+            recovered = handle.result(timeout=300)
+            # The coordinator journalled what the fleet computed, and the
+            # re-run restored it.
+            assert any(isinstance(e, RunResumed) for e in handle.events())
+        finally:
+            service.close()
+        with ExecutionService(tmp_path / "local") as local:
+            expected = local.submit(
+                EXPERIMENT, **FLEET_CANCEL_KWARGS
+            ).result(timeout=300)
+        assert pickle.dumps(recovered) == pickle.dumps(expected)
 
     def test_recover_skips_live_and_terminal_jobs(self, service):
         done = service.submit(EXPERIMENT, **SMALL_KWARGS)

@@ -68,6 +68,23 @@ class TestSubmitCommand:
         assert job_id in listing
         assert "done" in listing
 
+    def test_serve_stops_the_fleet_it_started(
+        self, tmp_path, capsys, child_pids
+    ):
+        root = root_args(tmp_path)
+        fleet = ["--backend", "subprocess-fleet", "--fleet-size", "2"]
+        before = child_pids()
+        for seed in ("9", "10"):
+            assert main(
+                ["submit", "fig10_hundred_chips", "--chips", "2",
+                 "--refs", "400", "--seed", seed, "--detach", *fleet] + root
+            ) == 0
+        assert main(["serve"] + root) == 0
+        assert main(["jobs"] + root) == 0
+        listing = capsys.readouterr().out
+        assert listing.count(" done ") == 2
+        assert child_pids() == before
+
     def test_jobs_on_empty_root(self, tmp_path, capsys):
         assert main(["jobs"] + root_args(tmp_path)) == 0
         assert capsys.readouterr().out == "no jobs\n"

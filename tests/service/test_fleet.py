@@ -4,6 +4,7 @@ import os
 import signal
 import sys
 import textwrap
+import time
 
 import pytest
 
@@ -142,6 +143,16 @@ SLOW_MODULE = textwrap.dedent(
         marker_dir, value = task
         os.close(tempfile.mkstemp(dir=marker_dir)[0])
         return value * value
+
+    def cached_seeds(task):
+        # This worker's pid and the seeds of its cached evaluators,
+        # after it fetched the task's evaluator.
+        from repro.engine import parallel
+
+        spec, _ = task
+        parallel.evaluator_for(spec)
+        time.sleep(0.05)  # lets every worker take a share of the batch
+        return os.getpid(), sorted(s.seed for s in parallel._EVALUATOR_CACHE)
     """
 )
 
@@ -269,3 +280,114 @@ class TestOneTaskStore:
         assert runner.stats.results_resumed == len(tasks)
         assert len(list(markers.iterdir())) == len(tasks)  # never called
         assert restored == stored
+
+
+class TestSharedFleet:
+    """One executor lent to several runners, as the job service does."""
+
+    def test_runs_reuse_warm_workers_with_run_scoped_caches(
+        self, tmp_path, slow_helper
+    ):
+        from repro.engine.parallel import EvaluatorSpec
+        from repro.technology.node import NODE_32NM
+
+        config = fleet_config(tmp_path, queue_dir=None)
+        executor = SubprocessFleetExecutor(config)
+        served = {}
+        try:
+            for seed in (1, 2, 3):
+                spec = EvaluatorSpec(
+                    node=NODE_32NM, n_references=50, seed=seed,
+                    benchmarks=("applu",),
+                )
+                with ParallelChipRunner(config, fleet=executor) as runner:
+                    out = runner.map(
+                        slow_helper.cached_seeds,
+                        [(spec, n) for n in range(4)], label=f"job{seed}",
+                    )
+                # Whatever the worker cached for an earlier run is gone.
+                assert {tuple(seeds) for _, seeds in out} == {(seed,)}
+                served[seed] = {pid for pid, _ in out}
+            workers = list(executor._workers.values())
+            assert executor.spawned == config.fleet_size
+        finally:
+            executor.close()
+        # Three runs on two workers: some worker served two of them.
+        pids = [pid for run in served.values() for pid in run]
+        assert len(set(pids)) < len(pids)
+        # The runners never closed the borrowed fleet; close() reaped it.
+        assert all(process.poll() is not None for process in workers)
+
+    def test_abandoned_batch_withdraws_its_unclaimed_tasks(
+        self, tmp_path, slow_helper
+    ):
+        import threading
+
+        from repro.engine.checkpoint import task_key
+        from repro.service.backends import BatchItem
+
+        executor = SubprocessFleetExecutor(
+            fleet_config(tmp_path, queue_dir=None, fleet_size=1)
+        )
+        fn = slow_helper.slow_square
+        items = [
+            BatchItem(i, task_key(fn, (0.2, i)), (0.2, i)) for i in range(6)
+        ]
+        # Workers claim in key order: the last key stays unclaimed longest.
+        shared = max(items, key=lambda item: item.key)
+        second_out = []
+        try:
+            # A second batch awaits one of the first batch's keys.
+            second = threading.Thread(target=lambda: second_out.extend(
+                executor.run_batch(fn, [shared], lambda e: None)
+            ))
+            second.start()
+            while not executor._waiting.get(shared.key):
+                time.sleep(0.01)
+            first = executor.run_batch(fn, items, lambda e: None)
+            next(first)
+            first.close()
+            assert executor.queue.pending_tasks() == [shared.key]
+            second.join(timeout=60)
+            assert second_out == [(shared.index, shared.index ** 2)]
+        finally:
+            executor.close()
+
+    def test_concurrent_runners_stress_one_executor(self, tmp_path):
+        import threading
+
+        config = fleet_config(tmp_path, queue_dir=None)
+        executor = SubprocessFleetExecutor(config)
+        results, errors = {}, []
+
+        def client(n):
+            try:
+                with ParallelChipRunner(config, fleet=executor) as runner:
+                    # Overlapping key ranges: clients await each other's
+                    # keys as well as their own.
+                    for round_ in range(3):
+                        values = [-(v + 4 * n + round_) for v in range(8)]
+                        results[n, round_] = (values, runner.map(abs, values))
+            except BaseException as exc:  # reported by the main thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=client, args=(n,)) for n in range(4)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+            assert not any(thread.is_alive() for thread in threads)
+            assert errors == []
+            assert len(results) == 4 * 3
+            for values, out in results.values():
+                assert out == [abs(v) for v in values]
+            assert executor._waiting == {} and executor._failures == {}
+            assert executor.spawned == config.fleet_size
+        finally:
+            sys.setswitchinterval(interval)
+            executor.close()
