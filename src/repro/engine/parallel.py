@@ -365,10 +365,12 @@ def _supervised_call(
 
 # ----------------------------------------------------------------------
 # Executors: inline and pool here, the subprocess fleet in
-# repro.service.fleet.  Each has ``run_batch(fn, items, notify, label)``,
-# which runs ONE attempt of the items it is given and yields every
-# item's ``(index, outcome)`` exactly once, in any order -- the outcome
-# is the task's value, a TaskFailed, or LOST -- and ``close()``.
+# repro.service.fleet.  Each has ``run_batch(fn, items, notify, label,
+# run_id)``, which runs ONE attempt of the items it is given and yields
+# every item's ``(index, outcome)`` exactly once, in any order -- the
+# outcome is the task's value, a TaskFailed, or LOST -- and ``close()``.
+# ``run_id`` names the submitting runner; only the fleet, whose workers
+# outlive a run, uses it.
 # Executors keep no retry state: budgets, backoff, attempt numbering,
 # quarantine and degradation all live in ParallelChipRunner._supervise.
 
@@ -412,7 +414,7 @@ class _InlineBatchExecutor:
     def __init__(self, config: EngineConfig):
         self.plan = config.fault_plan
 
-    def run_batch(self, fn, items, notify, label="batch"):
+    def run_batch(self, fn, items, notify, label="batch", run_id=""):
         for item in items:
             try:
                 outcome = _supervised_call(
@@ -443,7 +445,7 @@ class _PoolBatchExecutor:
         self.workers = workers
         self._pool: Optional[ProcessPoolExecutor] = None
 
-    def run_batch(self, fn, items, notify, label="batch"):
+    def run_batch(self, fn, items, notify, label="batch", run_id=""):
         config = self.config
         if self._pool is None:
             self._pool = ProcessPoolExecutor(max_workers=self.workers)
@@ -665,8 +667,7 @@ class ParallelChipRunner:
                 from repro.service.fleet import SubprocessFleetExecutor
 
                 self._fleet = SubprocessFleetExecutor(self.config, journal)
-            self._supervise(self._fleet, fn, items, finish, notify, label,
-                            run_id=self.run_id)
+            self._supervise(self._fleet, fn, items, finish, notify, label)
         else:
             if self.workers > 1 and len(items) > 1 and not self._degraded:
                 items = self._supervise(
@@ -691,7 +692,6 @@ class ParallelChipRunner:
         finish: Callable[[int, Any], None],
         notify: Callable[[Any], None],
         label: str,
-        **batch_options: Any,
     ) -> List[BatchItem]:
         """The one retry loop: rounds of attempts until every item is done.
 
@@ -702,9 +702,9 @@ class ParallelChipRunner:
         batch with :class:`ExecutionError` -- except on the pool, which
         sets it aside (quarantine).  Returns the items set aside for
         inline execution: quarantined tasks, plus every unfinished item
-        once repeated pool breakdowns degrade the run.  ``batch_options``
-        go to every ``run_batch`` call; an exception raised here (say, a
-        cancelling subscriber) closes the executor's batch first.
+        once repeated pool breakdowns degrade the run.  Every batch
+        carries this runner's :attr:`run_id`; an exception raised here
+        (say, a cancelling subscriber) closes the executor's batch first.
         """
         config = self.config
         failures = dict.fromkeys((item.index for item in items), 0)
@@ -715,7 +715,7 @@ class ParallelChipRunner:
             resume_at = 0.0
             broke = False
             with contextlib.closing(executor.run_batch(
-                fn, items, notify, label, **batch_options
+                fn, items, notify, label, self.run_id
             )) as outcomes:
                 for index, outcome in outcomes:
                     item = by_index[index]

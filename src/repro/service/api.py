@@ -149,6 +149,11 @@ class ExecutionService:
         self.engine_template = (
             engine if engine is not None else EngineConfig(workers=1)
         )
+        if self.engine_template.queue_dir is not None:
+            raise ConfigurationError(
+                "the job service runs fleet jobs on its own private "
+                "queue; an engine queue_dir is not supported"
+            )
         self.cache = ShardedResultCache(
             self.root / "cache", shard_prefix_len=shard_prefix_len
         )
@@ -287,7 +292,9 @@ class ExecutionService:
         """This service's fleet of ``engine``'s size, created on first
         use over a private queue directory (no other process can stop
         its workers).  Its store is not a job's journal: each job's
-        runner journals the results it receives."""
+        runner journals the results it receives.  Of ``engine`` the
+        executor reads only the fleet size, so which job creates it does
+        not matter."""
         from repro.service.fleet import SubprocessFleetExecutor
 
         size = engine.effective_fleet_size
@@ -329,12 +336,14 @@ class ExecutionService:
         ))
         log = _JobEventLog(job_dir / "events.jsonl", job_dir / "cancel")
         stream = EventStream([log])
-        context = self._context_for(spec, job_dir, stream)
-        effective = experiment.context_for(context)
-        key = self.cache.key_for(experiment, effective)
-        owned = self._acquire_inflight(key, job_id)
-        hits_before = self.cache.stats.hits
+        context = None
+        owned = False
         try:
+            context = self._context_for(spec, job_dir, stream)
+            effective = experiment.context_for(context)
+            key = self.cache.key_for(experiment, effective)
+            owned = self._acquire_inflight(key, job_id)
+            hits_before = self.cache.stats.hits
             if not owned:
                 self._await_inflight(key)
             stream.emit(ExperimentStarted(spec.experiment))
@@ -351,7 +360,8 @@ class ExecutionService:
         finally:
             if owned:
                 self._release_inflight(key)
-            context.close()
+            if context is not None:
+                context.close()
             log.close()
 
     def _write_result(
@@ -566,6 +576,11 @@ class ExecutionService:
     def drain(self, timeout: Optional[float] = None) -> List[JobStatus]:
         """Start pending jobs and wait for every local job to finish."""
         self.run_pending()
+        self._join(timeout)
+        return self.jobs()
+
+    def _join(self, timeout: Optional[float] = None) -> None:
+        """Wait for every job this process has started."""
         deadline = (
             time.monotonic() + timeout if timeout is not None else None
         )
@@ -576,12 +591,12 @@ class ExecutionService:
             thread.join(timeout=budget)
             if thread.is_alive():
                 raise TimeoutError(f"{job_id} did not finish in time")
-        return self.jobs()
 
     def close(self) -> None:
-        """Wait for this process's running jobs to finish, then stop and
-        reap every fleet worker this service started."""
-        self.drain()
+        """Wait for the jobs this process has started, then stop and
+        reap every fleet worker this service started.  Queued jobs are
+        left for a ``serve`` loop: closing never claims one."""
+        self._join()
         with self._fleets_lock:
             fleets = list(self._fleets.values())
             self._fleets.clear()

@@ -20,7 +20,9 @@ recomputes a key any worker has finished, and
 :attr:`SubprocessFleetExecutor.deduped` counts exactly those skips);
 otherwise the run's ``checkpoint_dir``, so the store and its trust rule
 are the runner's own; with neither, a private temporary directory that
-no other process knows.  The job service keeps one executor per fleet
+no other process knows.  A private store holds a result only until
+every batch awaiting it has received it, so it stays small however
+long the executor lives.  The job service keeps one executor per fleet
 size on such a private root and lends it to every fleet job, so one
 executor can serve several runners at once; a batch abandoned mid-way
 (a cancelled job) withdraws the unclaimed tasks no other batch awaits.
@@ -223,9 +225,15 @@ class SubprocessFleetExecutor:
         if not waiting:
             self._waiting.pop(key, None)
             # Only a private queue: a shared one may have clients that
-            # await the same key without this executor knowing.
-            if withdraw and self._private_queue:
+            # await the same key without this executor knowing.  A
+            # private store keeps a result only while a batch awaits it;
+            # each batch's runner keeps (and journals) what it received.
+            if not self._private_queue:
+                return
+            if withdraw:
                 self.queue.withdraw(key)
+            else:
+                self.store.discard(key)
 
     # ------------------------------------------------------------------
 

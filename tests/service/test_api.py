@@ -12,6 +12,7 @@ import os
 import pathlib
 import pickle
 import time
+import warnings
 
 import pytest
 
@@ -148,6 +149,15 @@ class TestSubmitLifecycle:
         assert started == [handle.job_id]
         assert handle.wait(timeout=300).state == DONE
 
+    def test_close_leaves_queued_jobs_for_a_serve_loop(self, tmp_path):
+        service = ExecutionService(tmp_path / "svc")
+        queued = service.submit(EXPERIMENT, start=False, **SMALL_KWARGS)
+        running = service.submit(EXPERIMENT, chips=2, refs=400, seed=10)
+        service.close()
+        # close() waited for the job it had started and claimed no other.
+        assert running.status().state == DONE
+        assert queued.status().state == QUEUED
+
 
 class TestFailureAndCancellation:
     def test_failing_job_reports_failed_with_detail(self, service):
@@ -190,6 +200,25 @@ class TestFailureAndCancellation:
             assert list(journal.glob("results/*/*.result"))
             after = service.submit(EXPERIMENT, **SMALL_KWARGS)
             assert after.wait(timeout=300).state == DONE
+        finally:
+            service.close()
+
+    def test_fleet_job_that_cannot_build_its_fleet_fails(self, tmp_path):
+        service = ExecutionService(
+            tmp_path / "svc", engine=FLEET_ENGINE.replace(task_timeout=5.0)
+        )
+        try:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", ResourceWarning)
+                handle = service.submit(EXPERIMENT, **SMALL_KWARGS)
+                status = handle.wait(timeout=60)
+                service._threads[handle.job_id].join(timeout=60)
+            assert status.state == FAILED
+            assert "task_timeout is not supported" in status.detail
+            assert service._fleets == {}
+            # The job closed its event log rather than leaving it to
+            # the garbage collector.
+            assert not [w for w in caught if w.category is ResourceWarning]
         finally:
             service.close()
 
@@ -236,6 +265,13 @@ class TestFleetWideDedupe:
 class TestSharedFleet:
     """Every fleet job of one service runs on one warm worker fleet."""
 
+    def test_an_engine_queue_dir_is_rejected(self, tmp_path):
+        with pytest.raises(ConfigurationError, match="queue_dir"):
+            ExecutionService(
+                tmp_path / "svc",
+                engine=FLEET_ENGINE.replace(queue_dir=tmp_path / "queue"),
+            )
+
     def test_building_the_service_starts_no_process(
         self, tmp_path, child_pids
     ):
@@ -260,6 +296,10 @@ class TestSharedFleet:
                 assert handle.wait(timeout=300).state == DONE
                 fleet = service._fleets[2]
                 pids.append({p.pid for p in fleet._workers.values()})
+                # The job journal holds the results; the fleet's store
+                # keeps none of them between jobs.
+                assert fleet.store._entries == {}
+                assert list(fleet.queue_dir.glob("results/*/*")) == []
             # Two workers served all three jobs: none was respawned.
             assert fleet.spawned == 2
             assert pids[0] == pids[1] == pids[2]

@@ -85,6 +85,24 @@ class TestSubmitCommand:
         assert listing.count(" done ") == 2
         assert child_pids() == before
 
+    def test_submit_wait_leaves_other_queued_jobs_alone(
+        self, tmp_path, capsys
+    ):
+        root = root_args(tmp_path)
+        assert main(
+            ["submit", "fig10_hundred_chips", *ARGS, "--detach"] + root
+        ) == 0
+        queued = capsys.readouterr().out.strip()
+        assert main(
+            ["submit", "fig10_hundred_chips", "--chips", "2", "--refs",
+             "400", "--seed", "10", "--wait"] + root
+        ) == 0
+        capsys.readouterr()
+        assert main(["jobs"] + root) == 0
+        listing = capsys.readouterr().out
+        assert f"{queued}  queued " in listing
+        assert listing.count(" done ") == 1
+
     def test_jobs_on_empty_root(self, tmp_path, capsys):
         assert main(["jobs"] + root_args(tmp_path)) == 0
         assert capsys.readouterr().out == "no jobs\n"

@@ -387,6 +387,9 @@ class TestSharedFleet:
             for values, out in results.values():
                 assert out == [abs(v) for v in values]
             assert executor._waiting == {} and executor._failures == {}
+            # Every result was delivered, so the private store is empty.
+            assert executor.store._entries == {}
+            assert list(executor.queue_dir.glob("results/*/*")) == []
             assert executor.spawned == config.fleet_size
         finally:
             sys.setswitchinterval(interval)
