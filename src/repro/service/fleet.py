@@ -25,7 +25,9 @@ every batch awaiting it has received it, so it stays small however
 long the executor lives.  The job service keeps one executor per fleet
 size on such a private root and lends it to every fleet job, so one
 executor can serve several runners at once; a batch abandoned mid-way
-(a cancelled job) withdraws the unclaimed tasks no other batch awaits.
+(a cancelled job) withdraws the unclaimed tasks no other batch awaits,
+and the outcome of one a worker had already claimed is dropped once it
+lands, unless a later batch awaits that key.
 """
 
 from __future__ import annotations
@@ -129,6 +131,9 @@ class SubprocessFleetExecutor:
         """Per key, the batches awaiting the outcome of its attempt."""
         self._failures: Dict[str, Tuple[str, Set[int]]] = {}
         """Per key, a consumed failure and the batches yet to see it."""
+        self._orphans: Set[str] = set()
+        """Withdrawn keys a worker had already claimed: their outcomes
+        land with no batch awaiting them."""
 
     # ------------------------------------------------------------------
 
@@ -177,10 +182,15 @@ class SubprocessFleetExecutor:
     def _await(self, key: str, batch: int, envelope: TaskEnvelope) -> bool:
         """Register ``batch`` as awaiting ``key``; True when the store
         already holds the result.  Otherwise an attempt is queued unless
-        another batch awaits a live one."""
+        one is live: another batch awaits it, or a worker claimed it
+        before its batch withdrew."""
         stored = key in self.store
         retry = key in self._failures
-        if not stored and (retry or not self._waiting.get(key)):
+        # A withdrawn key a worker had claimed: that attempt is live and
+        # now answers this batch.
+        live = bool(self._waiting.get(key)) or key in self._orphans
+        self._orphans.discard(key)
+        if not stored and (retry or not live):
             if not retry:
                 # A stale failure belongs to an earlier attempt, and an
                 # untrusted entry must not answer for this one.
@@ -231,9 +241,18 @@ class SubprocessFleetExecutor:
             if not self._private_queue:
                 return
             if withdraw:
-                self.queue.withdraw(key)
+                if not self.queue.withdraw(key):
+                    self._orphans.add(key)
             else:
                 self.store.discard(key)
+
+    def _sweep_orphans(self) -> None:
+        """Drop the outcomes of withdrawn tasks that have landed."""
+        for key in sorted(self._orphans):
+            if (self.store.entry_path(key).exists()
+                    or self.queue.take_failure(key) is not None):
+                self.store.discard(key)
+                self._orphans.discard(key)
 
     # ------------------------------------------------------------------
 
@@ -291,6 +310,7 @@ class SubprocessFleetExecutor:
             with self._lock:
                 for key in pending:
                     self._release(key, batch, withdraw=True)
+                self._sweep_orphans()
 
     # ------------------------------------------------------------------
 

@@ -200,6 +200,11 @@ class TestFailureAndCancellation:
             assert list(journal.glob("results/*/*.result"))
             after = service.submit(EXPERIMENT, **SMALL_KWARGS)
             assert after.wait(timeout=300).state == DONE
+            # The task a worker had claimed when the job was cancelled
+            # finished later; the fleet's store did not keep its result.
+            fleet = service._fleets[1]
+            assert list(fleet.queue_dir.glob("results/*/*")) == []
+            assert fleet._orphans == set()
         finally:
             service.close()
 

@@ -353,6 +353,52 @@ class TestSharedFleet:
         finally:
             executor.close()
 
+    @pytest.mark.parametrize("await_again", [False, True])
+    def test_a_withdrawn_claimed_task_leaves_no_result(
+        self, tmp_path, slow_helper, await_again
+    ):
+        from repro.engine.checkpoint import task_key
+        from repro.service.backends import BatchItem
+
+        executor = SubprocessFleetExecutor(
+            fleet_config(tmp_path, queue_dir=None, fleet_size=1)
+        )
+        fn = slow_helper.slow_square
+        items = [
+            BatchItem(i, task_key(fn, (0.3, i)), (0.3, i)) for i in range(3)
+        ]
+        claims = executor.queue.claims_dir
+        try:
+            first = executor.run_batch(fn, items, lambda e: None)
+            done = items[next(first)[0]].key
+
+            def in_flight():
+                return {p.stem for p in claims.glob("*/*.task")} - {done}
+
+            while not in_flight():
+                time.sleep(0.01)
+            (claimed,) = in_flight()
+            first.close()
+            assert executor._orphans == {claimed}
+            if await_again:
+                # The claimed attempt answers a batch that awaits its key
+                # again; it is not queued a second time.
+                item = next(i for i in items if i.key == claimed)
+                out = list(executor.run_batch(fn, [item], lambda e: None))
+                assert out == [(item.index, item.index ** 2)]
+            else:
+                # Its result lands during another batch, which drops it.
+                other = BatchItem(0, task_key(fn, (0.0, 7)), (0.0, 7))
+                assert list(
+                    executor.run_batch(fn, [other], lambda e: None)
+                ) == [(0, 49)]
+            assert executor._orphans == set()
+            assert executor.queue.pending_tasks() == []
+            assert list(claims.glob("*/*.task")) == []
+            assert list(executor.queue_dir.glob("results/*/*")) == []
+        finally:
+            executor.close()
+
     def test_concurrent_runners_stress_one_executor(self, tmp_path):
         import threading
 
