@@ -127,14 +127,14 @@ class Baseline:
                 new.append(finding)
         stale = [e for e in self.entries if budget.get(e.key, 0) > 0]
         consumed: Dict[Tuple[str, str, str], int] = {}
-        deduped_stale: List[BaselineEntry] = []
+        unused: List[BaselineEntry] = []
         for entry in stale:
             remaining = budget.get(entry.key, 0)
             used = consumed.get(entry.key, 0)
             if used < remaining:
-                deduped_stale.append(entry)
+                unused.append(entry)
                 consumed[entry.key] = used + 1
-        return new, matched, deduped_stale
+        return new, matched, unused
 
 
 __all__ = [

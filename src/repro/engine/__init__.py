@@ -33,7 +33,7 @@ The engine has six pieces:
   reporters, metrics collectors, and the tracer all consume.
 * :mod:`repro.engine.observer` -- the standard event consumers
   (CLI progress, JSON metrics) built on the typed :class:`RunObserver`
-  ``handle(event)`` base (the legacy ``on_*`` shims were removed).
+  ``handle(event)`` base.
 * :mod:`repro.engine.trace` -- cross-process hierarchical tracing and
   profiling: ambient :func:`span` context managers, worker-side span
   collection shipped home with task results, Chrome ``trace_event``

@@ -4,10 +4,9 @@ A :class:`RunJournal` maps the content digest of one engine task
 (:func:`task_key`: the task function's qualified name plus the pickled
 task payload) to that task's result.  The
 :class:`~repro.engine.parallel.ParallelChipRunner` records every
-completed work item as soon as it arrives, and subprocess-fleet workers
-record theirs into the same store, so a run killed at any point --
-including mid-write -- restarts with ``--resume`` and recomputes only the
-missing items.
+completed work item as soon as it arrives, whichever executor computed
+it, so a run killed at any point -- including mid-write -- restarts
+with ``--resume`` and recomputes only the missing items.
 
 Because keys are content digests, stored entries are only ever reused
 for *byte-identical* task payloads executed by the same function: any

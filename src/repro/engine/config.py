@@ -9,11 +9,8 @@ resume flag, per-task timeout, retry budget, pool-failure budget, fault
 plan).  None of these knobs ever affect results -- serial, parallel,
 cached, resumed, and fault-injected runs stay bit-identical -- so the
 config deliberately contributes nothing to cache fingerprints.
-
-The legacy keyword signatures (``ExperimentContext(workers=...)``,
-``ParallelChipRunner(workers=...)``) completed their deprecation cycle
-and were removed; :class:`EngineConfig` is the only way to configure
-the engine (see DESIGN.md section 3d).
+:class:`EngineConfig` is the only way to configure the engine (see
+DESIGN.md section 3d).
 """
 
 from __future__ import annotations
@@ -59,12 +56,10 @@ class EngineConfig:
     """Worker-process count for the subprocess-fleet backend; ``None``
     falls back to :attr:`effective_workers`.  Ignored by ``"local"``."""
     queue_dir: Optional[pathlib.Path] = None
-    """Durable task-queue directory for queue-based backends; ``None``
-    uses ``checkpoint_dir`` itself, so fleet workers record into the
-    run's task store (a private temporary directory when no checkpoint
-    dir is configured either).  An explicit queue directory dedupes
-    work fleet-wide, whatever ``resume`` says: every result in its
-    store is reused by any run or client sharing it."""
+    """Where a subprocess fleet makes its private queue directory;
+    ``None`` uses the system temp dir.  The directory is removed when
+    the fleet closes; results outlive it only in the runner's task
+    store (``checkpoint_dir``)."""
     cache_dir: Optional[pathlib.Path] = None
     """Result-cache directory (experiment-level memoisation)."""
     checkpoint_dir: Optional[pathlib.Path] = None

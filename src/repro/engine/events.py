@@ -1,18 +1,12 @@
 """Typed engine events and the single emit/subscribe surface.
 
-The engine used to report progress through a zoo of positional
-callbacks on :class:`~repro.engine.observer.RunObserver`
-(``on_task_retried``, ``on_worker_respawned``, ...); every new
-capability grew the callback list and every consumer had to override
-the right subset.  This module replaces that surface with *typed
-events*: one frozen dataclass per thing that can happen, dispatched
-through a single :meth:`EventStream.emit` call to any number of
-subscribers.
+The engine reports through *typed events*: one frozen dataclass per
+thing that can happen, dispatched through a single
+:meth:`EventStream.emit` call to any number of subscribers.
 
 A subscriber is anything with a ``handle(event)`` method (a plain
-callable also works).  The legacy ``on_*`` routing shims completed
-their deprecation cycle and were removed (DESIGN.md section 3d);
-``handle``/``dispatch`` is the only delivery surface.
+callable also works); ``handle``/``dispatch`` is the only delivery
+surface.
 
 Events are strictly *observational*: they carry timings and counters,
 never results, so attaching or detaching subscribers can never change
@@ -147,7 +141,7 @@ class SpansCollected(EngineEvent):
 
     ``spans`` is a tuple of :class:`~repro.engine.trace.Span`; the event
     exists so worker-side profiling data flows through the same emit
-    surface as every other engine signal (a tracer subscribes, legacy
+    surface as every other engine signal (a tracer subscribes, other
     observers ignore it).  ``peak_rss_kb`` is the worker's peak resident
     set size at the time the task finished (0 when unavailable).
     """

@@ -15,15 +15,6 @@ standard consumers:
 Subscribers are strictly passive -- they never influence results, so
 serial, parallel, cached, and traced runs stay bit-identical regardless
 of what is attached.
-
-**Removed surface.**  The legacy per-event ``on_*`` callbacks
-(``on_task_retried``, ``on_worker_respawned``, ...) and the
-``LegacyEmitShims`` emitter mixin completed their deprecation cycle and
-are gone (DESIGN.md section 3d).  Subscribers override
-:meth:`RunObserver.handle` and match on event types; defining an old
-``on_*`` name on a :class:`RunObserver` subclass is now a hard
-:class:`~repro.errors.ConfigurationError` at class-definition time, so
-a stale subscriber fails loudly instead of silently observing nothing.
 """
 
 from __future__ import annotations
@@ -34,7 +25,6 @@ import sys
 import time
 from typing import Any, Dict, Optional, Sequence, TextIO, Tuple
 
-from repro.errors import ConfigurationError
 from repro.engine.events import (
     BatchEnded,
     BatchStarted,
@@ -52,23 +42,6 @@ from repro.engine.events import (
     WorkerRespawned,
 )
 
-#: Callback names of the removed legacy observer surface.  A subclass
-#: defining any of these almost certainly expected the old ``handle``
-#: routing, so class creation rejects them outright.
-_REMOVED_CALLBACK_NAMES = frozenset({
-    "on_run_start",
-    "on_experiment_start",
-    "on_experiment_end",
-    "on_batch_start",
-    "on_chip_done",
-    "on_batch_end",
-    "on_task_retried",
-    "on_worker_respawned",
-    "on_run_checkpointed",
-    "on_run_resumed",
-    "on_run_end",
-})
-
 
 class RunObserver:
     """Base subscriber: override :meth:`handle` and match on event types.
@@ -77,23 +50,7 @@ class RunObserver:
     handle what they care about.  Handlers must be cheap and
     side-effect-free with respect to the computation -- they run on the
     coordinating process, between result arrivals.
-
-    The legacy ``on_*`` callback routing was removed; defining one of
-    those names on a subclass raises
-    :class:`~repro.errors.ConfigurationError` immediately, naming the
-    typed-event surface to migrate to.
     """
-
-    def __init_subclass__(cls, **kwargs: Any) -> None:
-        super().__init_subclass__(**kwargs)
-        stale = sorted(_REMOVED_CALLBACK_NAMES.intersection(vars(cls)))
-        if stale:
-            raise ConfigurationError(
-                f"{cls.__name__} defines removed legacy observer "
-                f"callback(s) {', '.join(stale)}; the on_* surface was "
-                "removed -- override handle(event) and match on "
-                "repro.engine.events types instead"
-            )
 
     def handle(self, event: EngineEvent) -> None:
         """Deliver one typed event (base implementation ignores it)."""
@@ -203,7 +160,6 @@ class JSONMetricsObserver(RunObserver):
         self.path = pathlib.Path(path) if path is not None else None
         self.tracer = tracer
         self.metrics: Dict[str, Any] = self._empty_metrics()
-        self._batch_starts: Dict[str, float] = {}
         self._current: Optional[Dict[str, Any]] = None
 
     @staticmethod
@@ -273,10 +229,6 @@ class JSONMetricsObserver(RunObserver):
         self._current = None
 
     def _batch_started(self, event: BatchStarted) -> None:
-        # Monotonic clock: batch durations must not jump with the wall
-        # clock (the recorded elapsed comes from the engine, also
-        # perf_counter-based; this start only guards unmatched ends).
-        self._batch_starts[event.label] = time.perf_counter()
         if self._current is not None:
             self._current["batches"].append({
                 "label": event.label,
@@ -285,7 +237,6 @@ class JSONMetricsObserver(RunObserver):
             })
 
     def _batch_ended(self, event: BatchEnded) -> None:
-        self._batch_starts.pop(event.label, None)
         if self._current is not None:
             for batch in reversed(self._current["batches"]):
                 if batch["label"] == event.label and batch["elapsed_s"] is None:

@@ -610,7 +610,7 @@ class ParallelChipRunner:
         ``fn`` must be a module-level callable (it crosses the process
         boundary by reference).  ``observer`` is any typed-event
         subscriber (an :class:`~repro.engine.events.EventStream`, a
-        legacy :class:`RunObserver`, or a bare callable); it sees one
+        :class:`RunObserver`, or a bare callable); it sees one
         :class:`~repro.engine.events.ChipCompleted` per computed item in
         completion order, the batch lifecycle events, the robustness
         events when recovery paths fire, and -- on traced pool runs --
@@ -649,8 +649,6 @@ class ParallelChipRunner:
             results[index] = value
             state["completed"] += 1
             if journal is not None:
-                # A no-op for a result a fleet worker stored in this
-                # journal; a borrowed fleet keeps its own store.
                 journal.record(keys[index], value)
                 flushed.add(keys[index])
             dispatch(observer, ChipCompleted(label, state["completed"], total))
@@ -666,7 +664,7 @@ class ParallelChipRunner:
             if self._fleet is None:
                 from repro.service.fleet import SubprocessFleetExecutor
 
-                self._fleet = SubprocessFleetExecutor(self.config, journal)
+                self._fleet = SubprocessFleetExecutor(self.config)
             self._supervise(self._fleet, fn, items, finish, notify, label)
         else:
             if self.workers > 1 and len(items) > 1 and not self._degraded:

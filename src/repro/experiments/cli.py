@@ -116,13 +116,6 @@ def engine_parent_parser() -> argparse.ArgumentParser:
         "(default: --workers)",
     )
     engine.add_argument(
-        "--queue-dir", type=pathlib.Path, default=None,
-        help="durable task-queue directory for the subprocess-fleet "
-        "backend; share it across runs for fleet-wide dedupe, with or "
-        "without --resume (default: CHECKPOINT_DIR, whose task store "
-        "the workers then fill, else a private temporary directory)",
-    )
-    engine.add_argument(
         "--trace", type=pathlib.Path, default=None, metavar="PATH",
         help="profile the run and write a Chrome trace_event JSON "
         "(load in chrome://tracing or Perfetto); outputs stay "
@@ -188,7 +181,6 @@ def engine_config_from_args(args: argparse.Namespace) -> EngineConfig:
         fault_plan=fault_plan,
         backend=getattr(args, "backend", LOCAL_BACKEND),
         fleet_size=getattr(args, "fleet_size", None),
-        queue_dir=getattr(args, "queue_dir", None),
     )
 
 

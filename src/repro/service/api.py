@@ -149,11 +149,6 @@ class ExecutionService:
         self.engine_template = (
             engine if engine is not None else EngineConfig(workers=1)
         )
-        if self.engine_template.queue_dir is not None:
-            raise ConfigurationError(
-                "the job service runs fleet jobs on its own private "
-                "queue; an engine queue_dir is not supported"
-            )
         self.cache = ShardedResultCache(
             self.root / "cache", shard_prefix_len=shard_prefix_len
         )
@@ -290,20 +285,18 @@ class ExecutionService:
 
     def _fleet_for(self, engine: EngineConfig):
         """This service's fleet of ``engine``'s size, created on first
-        use over a private queue directory (no other process can stop
-        its workers).  Its store is not a job's journal: each job's
-        runner journals the results it receives.  Of ``engine`` the
-        executor reads only the fleet size, so which job creates it does
-        not matter."""
+        use over its own private queue directory.  Its store is not a
+        job's journal: each job's runner journals the results it
+        receives.  Of ``engine`` the executor reads the fleet size and
+        the template's ``queue_dir`` and ``task_timeout``, so which job
+        creates it does not matter."""
         from repro.service.fleet import SubprocessFleetExecutor
 
         size = engine.effective_fleet_size
         with self._fleets_lock:
             fleet = self._fleets.get(size)
             if fleet is None:
-                fleet = SubprocessFleetExecutor(engine.replace(
-                    queue_dir=None, checkpoint_dir=None, resume=False,
-                ))
+                fleet = SubprocessFleetExecutor(engine)
                 self._fleets[size] = fleet
         return fleet
 

@@ -12,22 +12,19 @@ supervise is its own processes: a SIGKILLed worker is respawned and its
 claimed tasks are requeued
 (:class:`~repro.engine.events.WorkerRespawned` fires).
 
-Workers record results in the queue root's task store (layout in
-:mod:`repro.service.queue`).  The root is resolved by
-:func:`resolve_queue_dir`: an explicit ``queue_dir`` is the fleet-wide
-memo (a second run -- or a concurrent client sharing it -- never
-recomputes a key any worker has finished, and
-:attr:`SubprocessFleetExecutor.deduped` counts exactly those skips);
-otherwise the run's ``checkpoint_dir``, so the store and its trust rule
-are the runner's own; with neither, a private temporary directory that
-no other process knows.  A private store holds a result only until
-every batch awaiting it has received it, so it stays small however
-long the executor lives.  The job service keeps one executor per fleet
-size on such a private root and lends it to every fleet job, so one
-executor can serve several runners at once; a batch abandoned mid-way
-(a cancelled job) withdraws the unclaimed tasks no other batch awaits,
-and the outcome of one a worker had already claimed is dropped once it
-lands, unless a later batch awaits that key.
+Every executor owns a fresh private queue directory (layout in
+:mod:`repro.service.queue`), made under ``EngineConfig.queue_dir`` when
+that is set and under the system temp dir otherwise, and removed by
+:meth:`SubprocessFleetExecutor.close`; no other process knows it.  Its
+store holds a result only until every batch awaiting it has received
+it, so it stays small however long the executor lives: the runner
+journals every result it receives in its own task store, and reusing
+tasks across runs is ``--checkpoint-dir DIR --resume``.  The job service
+keeps one executor per fleet size and lends it to every fleet job, so
+one executor can serve several runners at once; a batch abandoned
+mid-way (a cancelled job) withdraws the unclaimed tasks no other batch
+awaits, and the outcome of one a worker had already claimed is dropped
+once it lands, unless a later batch awaits that key.
 """
 
 from __future__ import annotations
@@ -42,10 +39,9 @@ import tempfile
 import threading
 import time
 from dataclasses import replace
-from typing import Any, Callable, Dict, Iterator, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Set, Tuple
 
 from repro.errors import ConfigurationError, ExecutionError
-from repro.engine.checkpoint import RunJournal
 from repro.engine.config import EngineConfig
 from repro.engine.events import EngineEvent, WorkerRespawned
 from repro.engine.parallel import BatchItem, TaskFailed
@@ -74,23 +70,6 @@ def _worker_env() -> Dict[str, str]:
     return env
 
 
-def resolve_queue_dir(config: EngineConfig) -> Tuple[pathlib.Path, bool]:
-    """The queue directory for ``config``; True when it is private.
-
-    An explicit ``queue_dir`` (shared fleet-wide dedupe) wins; otherwise
-    the queue lives in ``checkpoint_dir`` itself, around the run's task
-    store; with neither, a private temporary directory is created (and
-    removed when the executor closes).
-    """
-    if config.queue_dir is not None:
-        return config.queue_dir, False
-    if config.checkpoint_dir is not None:
-        return config.checkpoint_dir, False
-    return (
-        pathlib.Path(tempfile.mkdtemp(prefix="repro-fleet-queue-")), True
-    )
-
-
 class SubprocessFleetExecutor:
     """Coordinates persistent worker subprocesses over one durable queue.
 
@@ -99,27 +78,21 @@ class SubprocessFleetExecutor:
     which keys.
     """
 
-    def __init__(
-        self, config: EngineConfig, journal: Optional[RunJournal] = None
-    ):
+    def __init__(self, config: EngineConfig):
         if config.task_timeout is not None:
             raise ConfigurationError(
                 "task_timeout is not supported by the subprocess-fleet "
                 "backend (workers own their tasks durably); use the "
                 "local backend for timeout supervision"
             )
-        self.config = config
         self.fleet_size = config.effective_fleet_size
-        self.queue_dir, self._private_queue = resolve_queue_dir(config)
+        if config.queue_dir is not None:
+            config.queue_dir.mkdir(parents=True, exist_ok=True)
+        self.queue_dir = pathlib.Path(tempfile.mkdtemp(
+            prefix="repro-fleet-queue-", dir=config.queue_dir
+        ))
+        """This executor's private queue root, removed by :meth:`close`."""
         self.queue = DurableTaskQueue(self.queue_dir)
-        if config.queue_dir is None and journal is not None:
-            # The queue root is the checkpoint dir: share the runner's
-            # store, and with it the trust rule and this run's records.
-            self.store = journal
-        else:
-            self.store = RunJournal(self.queue_dir, resume=True)
-        self.deduped = 0
-        """Batch items served from results already in the store."""
         self.spawned = 0
         """Worker processes started so far, respawns included."""
         self._workers: Dict[str, subprocess.Popen] = {}
@@ -155,7 +128,6 @@ class SubprocessFleetExecutor:
     def ensure_fleet(self) -> None:
         """Spawn (or top up) the worker fleet."""
         with self._lock:
-            self.queue.clear_stop()
             for n in range(self.fleet_size):
                 worker_id = f"w{n:03d}"
                 if worker_id not in self._workers:
@@ -179,28 +151,21 @@ class SubprocessFleetExecutor:
 
     # -- which batches await which keys (callers hold the lock) ---------
 
-    def _await(self, key: str, batch: int, envelope: TaskEnvelope) -> bool:
-        """Register ``batch`` as awaiting ``key``; True when the store
-        already holds the result.  Otherwise an attempt is queued unless
-        one is live: another batch awaits it, or a worker claimed it
-        before its batch withdrew."""
-        stored = key in self.store
-        retry = key in self._failures
+    def _await(self, key: str, batch: int, envelope: TaskEnvelope) -> None:
+        """Register ``batch`` as awaiting ``key``.  An attempt is queued
+        unless one is live: another batch awaits it, or a worker claimed
+        it before its batch withdrew.  Every file in the private queue
+        belongs to such an attempt, so no earlier run's outcome can
+        answer for this one."""
         # A withdrawn key a worker had claimed: that attempt is live and
         # now answers this batch.
         live = bool(self._waiting.get(key)) or key in self._orphans
         self._orphans.discard(key)
-        if not stored and (retry or not live):
-            if not retry:
-                # A stale failure belongs to an earlier attempt, and an
-                # untrusted entry must not answer for this one.
-                self.queue.take_failure(key)
-                self.store.discard(key)
-            # False when a concurrent client enqueued the key first;
-            # either way its result arrives.
+        if key in self._failures or not live:
+            # A no-op when the result has landed or a retry of another
+            # batch queued the key first; either way its outcome arrives.
             self.queue.enqueue(key, envelope)
         self._waiting.setdefault(key, set()).add(batch)
-        return stored
 
     def _outcome(self, key: str, batch: int) -> Any:
         """``key``'s value or :class:`TaskFailed` for ``batch``, or
@@ -209,7 +174,7 @@ class SubprocessFleetExecutor:
         A failure is consumed from the queue once and shown to every
         batch that awaited that attempt.
         """
-        value = self.store.load(key, _MISSING)
+        value = self.queue.results.load(key, _MISSING)
         if value is _MISSING:
             failure = self._failures.get(key)
             if failure is None:
@@ -234,24 +199,20 @@ class SubprocessFleetExecutor:
                 del self._failures[key]
         if not waiting:
             self._waiting.pop(key, None)
-            # Only a private queue: a shared one may have clients that
-            # await the same key without this executor knowing.  A
-            # private store keeps a result only while a batch awaits it;
+            # The store keeps a result only while a batch awaits it;
             # each batch's runner keeps (and journals) what it received.
-            if not self._private_queue:
-                return
             if withdraw:
                 if not self.queue.withdraw(key):
                     self._orphans.add(key)
             else:
-                self.store.discard(key)
+                self.queue.results.discard(key)
 
     def _sweep_orphans(self) -> None:
         """Drop the outcomes of withdrawn tasks that have landed."""
         for key in sorted(self._orphans):
-            if (self.store.entry_path(key).exists()
+            if (self.queue.results.entry_path(key).exists()
                     or self.queue.take_failure(key) is not None):
-                self.store.discard(key)
+                self.queue.results.discard(key)
                 self._orphans.discard(key)
 
     # ------------------------------------------------------------------
@@ -287,9 +248,9 @@ class SubprocessFleetExecutor:
         pending = sorted(by_key)
         with self._lock:
             for key in pending:
-                task = replace(envelope, task=tasks_by_key[key])
-                if self._await(key, batch, task):
-                    self.deduped += len(by_key[key])
+                self._await(
+                    key, batch, replace(envelope, task=tasks_by_key[key])
+                )
         try:
             self.ensure_fleet()
             while pending:
@@ -315,7 +276,7 @@ class SubprocessFleetExecutor:
     # ------------------------------------------------------------------
 
     def close(self) -> None:
-        """Stop and reap the fleet; a private queue directory is removed."""
+        """Stop and reap the fleet, then remove its queue directory."""
         with self._lock:
             if self._closed:
                 return
@@ -331,13 +292,11 @@ class SubprocessFleetExecutor:
             except subprocess.TimeoutExpired:
                 process.kill()
                 process.wait()
-        if self._private_queue:
-            shutil.rmtree(self.queue_dir, ignore_errors=True)
+        shutil.rmtree(self.queue_dir, ignore_errors=True)
 
 
 __all__ = [
     "RESULT_POLL_S",
     "SHUTDOWN_GRACE_S",
     "SubprocessFleetExecutor",
-    "resolve_queue_dir",
 ]

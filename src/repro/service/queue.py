@@ -7,12 +7,12 @@ mutual-exclusion primitive -- exactly one claimant wins), and completed
 results land in the task store under ``results/`` through
 :meth:`repro.engine.checkpoint.RunJournal.record`.  Because every
 filename is the :func:`repro.engine.checkpoint.task_key` content digest
-of its payload, the queue dedupes fleet-wide for free: enqueueing work
-that any client already completed is a no-op, and a crashed worker's
-claims can be requeued without ever recomputing a finished key.
+of its payload, enqueueing a key whose result or task is already in
+the queue is a no-op, and a crashed worker's claims can be requeued
+without ever recomputing a finished key.
 
-Layout under one queue root (by default the run's ``checkpoint_dir``,
-so ``results/`` is the runner's own task store)::
+Layout under one queue root (a fresh private directory per
+:class:`~repro.service.fleet.SubprocessFleetExecutor`)::
 
     tasks/<key>.task                  ready work (pickled TaskEnvelope)
     claims/<worker-id>/               tasks a live worker is executing
@@ -75,7 +75,7 @@ class TaskEnvelope:
 
 
 class DurableTaskQueue:
-    """Filesystem work queue shared by clients and fleet workers."""
+    """Filesystem work queue shared by one coordinator and its workers."""
 
     def __init__(self, root: pathlib.Path):
         self.root = pathlib.Path(root)
@@ -109,11 +109,7 @@ class DurableTaskQueue:
     # -- producer side -------------------------------------------------
 
     def enqueue(self, key: str, envelope: TaskEnvelope) -> bool:
-        """Offer one task; False if its result or the task already exists.
-
-        The result check is the fleet-wide dedupe: a key any client ever
-        completed through this queue is never recomputed.
-        """
+        """Offer one task; False if its result or the task already exists."""
         if (
             self.results.entry_path(key).exists()
             or self.task_path(key).exists()
@@ -233,12 +229,6 @@ class DurableTaskQueue:
     def request_stop(self) -> None:
         """Ask every worker on this queue to exit after its current task."""
         durable_write(self.stop_path, b"stop\n")
-
-    def clear_stop(self) -> None:
-        try:
-            self.stop_path.unlink()
-        except FileNotFoundError:
-            pass
 
     def stop_requested(self) -> bool:
         return self.stop_path.exists()

@@ -4,9 +4,6 @@ import io
 import json
 import warnings
 
-import pytest
-
-from repro.errors import ConfigurationError
 from repro.engine.events import (
     BatchEnded,
     BatchStarted,
@@ -124,23 +121,6 @@ def test_composite_fans_out_in_order():
 
 
 class TestLegacySurfaceRemoved:
-    def test_defining_on_star_callback_is_a_hard_error(self):
-        with pytest.raises(ConfigurationError, match="on_experiment_start"):
-            class Stale(RunObserver):
-                def on_experiment_start(self, name):
-                    pass
-
-    def test_error_names_every_stale_callback(self):
-        with pytest.raises(
-            ConfigurationError, match="on_chip_done, on_run_end"
-        ):
-            class Stale(RunObserver):
-                def on_chip_done(self, label, completed, total):
-                    pass
-
-                def on_run_end(self, elapsed):
-                    pass
-
     def test_builtins_expose_no_emitter_shims(self):
         reporter = CLIProgressReporter(stream=io.StringIO())
         for consumer in (reporter, JSONMetricsObserver(), NULL_OBSERVER):

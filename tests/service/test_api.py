@@ -274,12 +274,17 @@ class TestFleetWideDedupe:
 class TestSharedFleet:
     """Every fleet job of one service runs on one warm worker fleet."""
 
-    def test_an_engine_queue_dir_is_rejected(self, tmp_path):
-        with pytest.raises(ConfigurationError, match="queue_dir"):
-            ExecutionService(
-                tmp_path / "svc",
-                engine=FLEET_ENGINE.replace(queue_dir=tmp_path / "queue"),
-            )
+    def test_fleet_queues_live_under_an_engine_queue_dir(self, tmp_path):
+        queue_dir = tmp_path / "queue"
+        service = ExecutionService(
+            tmp_path / "svc", engine=FLEET_ENGINE.replace(queue_dir=queue_dir)
+        )
+        try:
+            fleet = service._fleet_for(service.engine_template)
+            assert fleet.queue_dir.parent == queue_dir
+        finally:
+            service.close()
+        assert list(queue_dir.iterdir()) == []
 
     def test_building_the_service_starts_no_process(
         self, tmp_path, child_pids
@@ -307,7 +312,7 @@ class TestSharedFleet:
                 pids.append({p.pid for p in fleet._workers.values()})
                 # The job journal holds the results; the fleet's store
                 # keeps none of them between jobs.
-                assert fleet.store._entries == {}
+                assert fleet.queue.results._entries == {}
                 assert list(fleet.queue_dir.glob("results/*/*")) == []
             # Two workers served all three jobs: none was respawned.
             assert fleet.spawned == 2

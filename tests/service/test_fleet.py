@@ -1,6 +1,7 @@
-"""The subprocess-fleet executor: identity, dedupe, crash recovery."""
+"""The subprocess-fleet executor: identity, private queues, crash recovery."""
 
 import os
+import pathlib
 import signal
 import sys
 import textwrap
@@ -11,7 +12,7 @@ import pytest
 from repro.engine.config import EngineConfig, SUBPROCESS_FLEET_BACKEND
 from repro.engine.parallel import ParallelChipRunner
 from repro.errors import ConfigurationError
-from repro.service.fleet import SubprocessFleetExecutor, resolve_queue_dir
+from repro.service.fleet import SubprocessFleetExecutor
 from repro.variation import harmonic_mean
 
 TASKS = [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0], [2.0, 9.0], [7.0, 8.0]]
@@ -29,29 +30,37 @@ def fleet_config(tmp_path, **overrides) -> EngineConfig:
 
 
 class TestQueueDirResolution:
+    """Every executor makes a fresh private queue and deletes it."""
+
     def test_explicit_queue_dir_wins(self, tmp_path):
         config = fleet_config(tmp_path, checkpoint_dir=tmp_path / "ckpt")
-        path, private = resolve_queue_dir(config)
-        assert path == tmp_path / "queue"
-        assert private is False
-
-    def test_checkpoint_dir_hosts_the_queue(self, tmp_path):
-        config = EngineConfig(
-            backend=SUBPROCESS_FLEET_BACKEND,
-            checkpoint_dir=tmp_path / "ckpt",
-        )
-        path, private = resolve_queue_dir(config)
-        assert path == tmp_path / "ckpt"
-        assert private is False
-
-    def test_fallback_is_a_private_tempdir(self):
-        config = EngineConfig(backend=SUBPROCESS_FLEET_BACKEND)
-        path, private = resolve_queue_dir(config)
+        assert not config.queue_dir.exists()
+        executors = [SubprocessFleetExecutor(config) for _ in range(2)]
         try:
-            assert private is True
-            assert path.is_dir()
+            first, second = (e.queue_dir for e in executors)
+            assert first != second
+            assert first.parent == second.parent == config.queue_dir
+            assert (first / "tasks").is_dir()
+            assert not config.checkpoint_dir.exists()
         finally:
-            path.rmdir()
+            for executor in executors:
+                executor.close()
+        assert list(config.queue_dir.iterdir()) == []
+
+    def test_fallback_is_a_private_tempdir(self, tmp_path):
+        import tempfile
+
+        executor = SubprocessFleetExecutor(
+            fleet_config(tmp_path, queue_dir=None)
+        )
+        try:
+            assert executor.queue_dir.is_dir()
+            assert executor.queue_dir.parent == pathlib.Path(
+                tempfile.gettempdir()
+            )
+        finally:
+            executor.close()
+        assert not executor.queue_dir.exists()
 
     def test_task_timeout_unsupported(self, tmp_path):
         config = fleet_config(tmp_path, task_timeout=1.0)
@@ -67,65 +76,11 @@ class TestFleetIdentity:
             local = runner.map(harmonic_mean, TASKS, label="identity")
         assert fleet == local
 
-    def test_shared_queue_dedupes_across_runs(self, tmp_path):
-        config = fleet_config(tmp_path)
-        with ParallelChipRunner(config) as runner:
-            first = runner.map(harmonic_mean, TASKS, label="dedupe")
-        # A second runner over the same queue directory never recomputes.
-        with ParallelChipRunner(config) as runner:
-            runner.map(harmonic_mean, TASKS, label="dedupe")
-            executor = runner._fleet
-            assert executor.deduped == len(TASKS)
-            second = [
-                v for v in runner.map(harmonic_mean, TASKS, label="dedupe")
-            ]
-        assert second == first
-
     def test_duplicate_keys_within_a_batch_fan_out(self, tmp_path):
         tasks = [[2.0, 2.0], [2.0, 2.0], [4.0, 4.0]]
         with ParallelChipRunner(fleet_config(tmp_path)) as runner:
             out = runner.map(harmonic_mean, tasks, label="fanout")
         assert out == [2.0, 2.0, 4.0]
-
-
-class TestStaleErrorResults:
-    """An ERROR result already in the queue belongs to an earlier run."""
-
-    @staticmethod
-    def _plant_error(config, key):
-        from repro.service.queue import DurableTaskQueue, ERROR
-
-        DurableTaskQueue(config.queue_dir).complete(
-            "w000", key, ERROR, "ValueError: an earlier run failed"
-        )
-
-    def test_stale_error_is_recomputed_not_deduped(self, tmp_path):
-        from repro.engine.checkpoint import task_key
-        from repro.service.backends import BatchItem
-
-        config = fleet_config(tmp_path, fleet_size=1)
-        key = task_key(abs, -3)
-        self._plant_error(config, key)
-        events = []
-        executor = SubprocessFleetExecutor(config)
-        try:
-            out = list(executor.run_batch(
-                abs, [BatchItem(0, key, -3)], events.append,
-            ))
-        finally:
-            executor.close()
-        assert out == [(0, 3)]
-        assert executor.deduped == 0
-        assert events == []
-
-    def test_stale_error_is_not_charged_to_the_batch(self, tmp_path):
-        from repro.engine.checkpoint import task_key
-
-        config = fleet_config(tmp_path, fleet_size=1, max_retries=0)
-        self._plant_error(config, task_key(abs, -3))
-        with ParallelChipRunner(config) as runner:
-            assert runner.map(abs, [-3]) == [3]
-        assert runner.stats.task_retries == 0
 
 
 SLOW_MODULE = textwrap.dedent(
@@ -142,6 +97,15 @@ SLOW_MODULE = textwrap.dedent(
     def marked_square(task):
         marker_dir, value = task
         os.close(tempfile.mkstemp(dir=marker_dir)[0])
+        return value * value
+
+    def fails_first(task):
+        # Fails the first attempt at each value, then squares it.
+        marker_dir, value = task
+        marker = os.path.join(marker_dir, str(value))
+        if not os.path.exists(marker):
+            open(marker, "w").close()
+            raise ValueError(f"first attempt at {value}")
         return value * value
 
     def cached_seeds(task):
@@ -229,7 +193,7 @@ class TestCrashRecovery:
 
 
 class TestOneTaskStore:
-    """The fleet shares the runner's task store under ``checkpoint_dir``."""
+    """The runner's journal is the only durable store of fleet results."""
 
     @staticmethod
     def _run(helper, config, tasks):
@@ -260,6 +224,31 @@ class TestOneTaskStore:
         assert runner.stats.results_resumed == len(tasks)
         assert len(list(markers.iterdir())) == 2 * len(tasks)
         assert third == first
+
+    def test_a_fleet_run_leaves_only_the_journal(
+        self, tmp_path, slow_helper
+    ):
+        markers = tmp_path / "markers"
+        markers.mkdir()
+        tasks = [(str(markers), n) for n in range(4)]
+        checkpoints = tmp_path / "ckpt"
+        fleet = EngineConfig(
+            workers=1, backend=SUBPROCESS_FLEET_BACKEND, fleet_size=1,
+            checkpoint_dir=checkpoints,
+        )
+        with ParallelChipRunner(fleet) as runner:
+            stored = runner.map(slow_helper.marked_square, tasks)
+            queue_dir = runner._fleet.queue_dir
+        assert runner.stats.results_checkpointed == len(tasks)
+        assert [p.name for p in checkpoints.iterdir()] == ["results"]
+        assert not queue_dir.exists()
+        local = EngineConfig(
+            workers=1, checkpoint_dir=checkpoints, resume=True
+        )
+        restored, runner = self._run(slow_helper, local, tasks)
+        assert runner.stats.results_resumed == len(tasks)
+        assert len(list(markers.iterdir())) == len(tasks)  # never rerun
+        assert restored == stored == [0, 1, 4, 9]
 
     def test_local_resume_restores_what_the_fleet_stored(
         self, tmp_path, slow_helper
@@ -399,6 +388,37 @@ class TestSharedFleet:
         finally:
             executor.close()
 
+    def test_consumed_failures_leave_nothing_for_a_later_run(
+        self, tmp_path, slow_helper
+    ):
+        config = fleet_config(
+            tmp_path, queue_dir=None, fleet_size=1, retry_backoff_s=0.001
+        )
+        executor = SubprocessFleetExecutor(config)
+        markers = tmp_path / "markers"
+        markers.mkdir()
+        tasks = [(str(markers), n) for n in range(3)]
+        queue = executor.queue
+        try:
+            retries = []
+            for _ in range(2):
+                with ParallelChipRunner(config, fleet=executor) as runner:
+                    assert runner.map(slow_helper.fails_first, tasks) == [
+                        0, 1, 4,
+                    ]
+                retries.append(runner.stats.task_retries)
+                # At rest the private queue holds no task, claim,
+                # failure or result that a later batch could pick up.
+                assert queue.pending_tasks() == []
+                assert list(queue.claims_dir.glob("*/*")) == []
+                assert list(queue.failed_dir.iterdir()) == []
+                assert list(executor.queue_dir.glob("results/*/*")) == []
+            # Each task failed once in the first run; the second run is
+            # charged nothing.
+            assert retries == [len(tasks), 0]
+        finally:
+            executor.close()
+
     def test_concurrent_runners_stress_one_executor(self, tmp_path):
         import threading
 
@@ -434,7 +454,7 @@ class TestSharedFleet:
                 assert out == [abs(v) for v in values]
             assert executor._waiting == {} and executor._failures == {}
             # Every result was delivered, so the private store is empty.
-            assert executor.store._entries == {}
+            assert executor.queue.results._entries == {}
             assert list(executor.queue_dir.glob("results/*/*")) == []
             assert executor.spawned == config.fleet_size
         finally:

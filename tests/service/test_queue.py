@@ -132,8 +132,6 @@ class TestRequeueAndStop:
         assert not queue.stop_requested()
         queue.request_stop()
         assert queue.stop_requested()
-        queue.clear_stop()
-        assert not queue.stop_requested()
 
     def test_worker_pid_breadcrumb(self, tmp_path):
         queue = DurableTaskQueue(tmp_path / "q")
