@@ -26,7 +26,6 @@ from repro.array.chip import (
     DRAM3T1DChipSample,
     OperatingPoint,
     SRAMChipSample,
-    merge_build_batches,
 )
 
 __all__ = [
@@ -48,7 +47,6 @@ __all__ = [
     "derived_access_latency_cycles",
     "derived_tag_bits",
     "leakage_factor",
-    "merge_build_batches",
     "read_energy_factor",
     "reference_metrics",
 ]

@@ -15,7 +15,7 @@ architecture study consumes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -241,10 +241,10 @@ class ChipBuildTask:
     sequence a serial ``sample_*_chips`` loop would have drawn.
 
     ``points`` are the operating points the chip is solved at.  Reserved
-    tasks carry one; :meth:`merge` joins tasks that reserved the same
-    chip, so that one build draws the chip's per-cell fields once and
-    solves every point from them, bit-identically to building each
-    point on its own.
+    tasks carry one; ``ParallelChipRunner.build_chips`` joins the points
+    of tasks that reserved the same chip, so that one build draws the
+    chip's per-cell fields once and solves every point from them,
+    bit-identically to building each point on its own.
     """
 
     points: Tuple[OperatingPoint, ...]
@@ -273,28 +273,6 @@ class ChipBuildTask:
                 "(sigma_vth_rel > 0) each"
             )
 
-    @staticmethod
-    def merge(tasks: Sequence["ChipBuildTask"]) -> "ChipBuildTask":
-        """One task solving every given task's points from one chip draw.
-
-        The tasks must have reserved the same chip: equal chip id, chip
-        seed, geometry, kind and technology.
-        """
-        if not tasks:
-            raise ConfigurationError("nothing to merge")
-        first = tasks[0]
-        for task in tasks[1:]:
-            for name in ("chip_id", "chip_seed", "geometry", "kind",
-                         "technology"):
-                if getattr(task, name) != getattr(first, name):
-                    raise ConfigurationError(
-                        f"cannot merge chip builds with different {name}: "
-                        f"{getattr(first, name)!r} vs {getattr(task, name)!r}"
-                    )
-        return replace(
-            first, points=tuple(p for task in tasks for p in task.points)
-        )
-
     def build(self) -> Tuple[Union[DRAM3T1DChipSample, SRAMChipSample], ...]:
         """Realize the reserved chip: one sample per operating point."""
         # Deferred: the repro.engine package imports this module.
@@ -318,21 +296,6 @@ class ChipBuildTask:
                 chips, [point.size_factor for point in self.points],
                 self.geometry,
             ))
-
-
-def merge_build_batches(
-    batches: Sequence[Sequence[ChipBuildTask]],
-) -> List[ChipBuildTask]:
-    """Merge equal-length batches chip by chip (:meth:`ChipBuildTask.merge`).
-
-    Task ``k`` of the result carries batch ``b``'s point as its point
-    ``b``, so building it yields every batch's chip ``k``.
-    """
-    if len({len(batch) for batch in batches}) > 1:
-        raise ConfigurationError(
-            "merged batches must reserve the same number of chips"
-        )
-    return [ChipBuildTask.merge(group) for group in zip(*batches)]
 
 
 def _sram_samples(
@@ -498,7 +461,8 @@ class ChipSampler:
         sampling, so ``[t.build()[0] for t in tasks]`` -- or realizing
         the tasks across worker processes -- equals ``sample_3t1d_chips``
         / ``sample_sram_chips`` bit for bit.  Each task has one operating
-        point; see :func:`merge_build_batches` to share draws.
+        point; ``ParallelChipRunner.build_chips`` shares draws between
+        batches that reserved the same chips.
         """
         if kind not in ("3t1d", "sram"):
             raise ConfigurationError(

@@ -92,10 +92,3 @@ class CacheStats:
     def blocked_cycles(self) -> int:
         """Cycles during which refresh or line moves held cache ports."""
         return self.refresh_blocked_cycles + self.move_blocked_cycles
-
-    def merge(self, other: "CacheStats") -> "CacheStats":
-        """Return the sum of two stat windows."""
-        merged = CacheStats()
-        for attr in vars(self):
-            setattr(merged, attr, getattr(self, attr) + getattr(other, attr))
-        return merged

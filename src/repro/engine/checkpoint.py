@@ -14,6 +14,11 @@ change to the context (seed, scale, node, schemes) changes the task
 bytes and misses the store, which is what keeps resumed runs
 bit-identical to uninterrupted ones.
 
+The store holds each result once, on disk: a journal instance keeps
+only the set of keys it trusts, and every read goes to the entry file,
+so neither a run nor a fleet worker's queue keeps a second, in-memory
+copy of every result it has recorded.
+
 Layout under one store root (a run's ``checkpoint_dir``)::
 
     results/<key[:2]>/<key>.result
@@ -35,7 +40,7 @@ import os
 import pathlib
 import pickle
 import tempfile
-from typing import Any, Callable, Dict
+from typing import Any, Callable, Set
 
 from repro.engine.trace import span as trace_span
 
@@ -112,15 +117,17 @@ class RunJournal:
     The trust rule: with ``resume=True`` every intact entry under the
     root is a hit; with ``resume=False`` only the keys this instance
     recorded (or :meth:`load`-ed) are, and its writes replace older
-    entries.  The store is an engine-internal durability layer: entries
-    are keyed by :func:`task_key` digests, never inspected by
-    experiments.
+    entries.  An instance keeps the set of keys it trusts, never their
+    values: :meth:`get` reads the entry from disk, so a long run (or a
+    long-lived fleet worker) holds no second copy of every result.  The
+    store is an engine-internal durability layer: entries are keyed by
+    :func:`task_key` digests, never inspected by experiments.
     """
 
     def __init__(self, root: pathlib.Path, resume: bool = False):
         self.root = pathlib.Path(root)
         self.resume = resume
-        self._entries: Dict[str, Any] = {}
+        self._trusted: Set[str] = set()
 
     def entry_path(self, key: str) -> pathlib.Path:
         """File holding ``key``'s entry, sharded by key prefix."""
@@ -149,19 +156,19 @@ class RunJournal:
             return default
         if stored_key != key:
             return default
-        self._entries[key] = value
+        self._trusted.add(key)
         return value
 
     def __contains__(self, key: str) -> bool:
-        if key in self._entries:
+        if key in self._trusted:
             return True
         return self.resume and self.load(key, _MISSING) is not _MISSING
 
     def get(self, key: str, default: Any = None) -> Any:
-        """The stored result for ``key`` under the trust rule, or
-        ``default``."""
-        if key in self:
-            return self._entries[key]
+        """The stored result for ``key`` under the trust rule, read from
+        disk, or ``default``."""
+        if key in self._trusted or self.resume:
+            return self.load(key, default)
         return default
 
     def record(self, key: str, value: Any) -> bool:
@@ -172,7 +179,7 @@ class RunJournal:
         key whose entry was discarded since is written again.
         """
         path = self.entry_path(key)
-        if key in self._entries and path.exists():
+        if key in self._trusted and path.exists():
             return False
         with trace_span("journal_record", cat="checkpoint"):
             blob = pickle.dumps(
@@ -182,12 +189,12 @@ class RunJournal:
             durable_write(
                 path, hashlib.sha256(blob).digest()[:_DIGEST_BYTES] + blob
             )
-        self._entries[key] = value
+        self._trusted.add(key)
         return True
 
     def discard(self, key: str) -> None:
         """Drop ``key``'s entry, on disk and in this instance."""
-        self._entries.pop(key, None)
+        self._trusted.discard(key)
         self.entry_path(key).unlink(missing_ok=True)
 
 

@@ -770,14 +770,50 @@ class ParallelChipRunner:
 
     def build_chips(
         self,
-        tasks: Sequence[ChipBuildTask],
+        batches: Dict[Any, Sequence[ChipBuildTask]],
         observer: Subscriber = NULL_OBSERVER,
         label: str = "sample chips",
-    ) -> List[Any]:
-        """Realize reserved chip-build tasks: one sample per operating
-        point, in task (reservation) order, then point order."""
-        built = self.map(run_build_task, tasks, observer=observer, label=label)
-        return [sample for samples in built for sample in samples]
+    ) -> Dict[Any, List[Any]]:
+        """Realize reserved one-point chip batches in one request.
+
+        Returns ``{key: samples}``, each key's samples in reservation
+        order.  Batches with per-cell variation that reserved the same
+        chips (equal kind, technology, geometry and ``(chip_id,
+        chip_seed)``, task by task) form one group, and chip ``k`` of a
+        group is one task: it draws the chip's fields once and solves
+        every batch's point from them, bit-identically to building each
+        batch on its own.  A batch without per-cell variation draws
+        nothing to share and is a group of its own.
+        """
+        groups: Dict[Any, List[Any]] = {}
+        for key, batch in batches.items():
+            if any(len(task.points) != 1 for task in batch):
+                raise ConfigurationError(
+                    "build_chips takes reserved one-point batches"
+                )
+            shared = all(
+                task.points[0].params.sigma_vth_rel > 0 for task in batch
+            )
+            group = tuple(
+                (task.kind, task.technology, task.geometry,
+                 task.chip_id, task.chip_seed)
+                for task in batch
+            ) if shared else object()
+            groups.setdefault(group, []).append(key)
+        tasks = [
+            replace(chip[0], points=tuple(task.points[0] for task in chip))
+            for members in groups.values()
+            for chip in zip(*(batches[key] for key in members))
+        ]
+        built = iter(self.map(
+            run_build_task, tasks, observer=observer, label=label
+        ))
+        samples: Dict[Any, List[Any]] = {key: [] for key in batches}
+        for members in groups.values():
+            for _ in batches[members[0]]:
+                for key, sample in zip(members, next(built)):
+                    samples[key].append(sample)
+        return samples
 
     def evaluate(
         self,

@@ -30,11 +30,7 @@ from repro.technology.node import (
     TechnologyNode,
 )
 from repro.variation.parameters import VariationParams
-from repro.array.chip import (
-    ChipSampler,
-    DRAM3T1DChipSample,
-    merge_build_batches,
-)
+from repro.array.chip import ChipSampler, DRAM3T1DChipSample
 from repro.array.geometry import CacheGeometry
 from repro.cells.sram6t import SRAM6TCell
 from repro.core.schemes import HEADLINE_SCHEMES, RetentionScheme
@@ -103,9 +99,14 @@ def synthetic_chip(
 
 
 def locate_design_points(
-    n_chips: int = 10, seed: int = 7
+    context: ExperimentContext, n_chips: int = 10, seed: int = 7
 ) -> List[DesignPoint]:
-    """Sample real chips to place the paper's design points on the plane."""
+    """Sample real chips to place the paper's design points on the plane.
+
+    The chips are built through ``context``'s runner (journaled, spread
+    over its workers) but at a fixed ``n_chips`` and ``seed`` of their
+    own, whatever the context's scale.
+    """
     cases = [
         ("1: 65nm typical 1.1V", NODE_65NM, VariationParams.typical()),
         ("2: 45nm typical 1.1V", NODE_45NM, VariationParams.typical()),
@@ -128,19 +129,22 @@ def locate_design_points(
     ]
     # The six points reserve the same chip seeds: each chip is one task
     # that draws its fields once and is solved at all six points.
-    tasks = merge_build_batches([
-        ChipSampler(node, params, seed=seed).reserve_build_tasks(
-            n_chips, kind="3t1d"
-        )
-        for _, node, params in cases
-    ])
-    built = [task.build() for task in tasks]
+    built = context.runner.build_chips(
+        {
+            label: ChipSampler(node, params, seed=seed).reserve_build_tasks(
+                n_chips, kind="3t1d"
+            )
+            for label, node, params in cases
+        },
+        observer=context.observer,
+        label="fig12: design points",
+    )
     points = []
-    for i, (label, node, _) in enumerate(cases):
+    for label, node, _ in cases:
         mus = []
         ratios = []
-        for samples in built:
-            cycles = samples[i].retention_by_line * node.frequency
+        for chip in built[label]:
+            cycles = chip.retention_by_line * node.frequency
             mean = float(np.mean(cycles))
             if mean <= 0:
                 continue
@@ -203,7 +207,7 @@ def run(
     )
     for (i, j, scheme), (outcome,) in zip(grid, outcomes):
         surfaces[scheme.name][i, j] = outcome.normalized_performance
-    points = locate_design_points() if include_design_points else []
+    points = locate_design_points(context) if include_design_points else []
     return Fig12Result(
         mu_cycles=mu_cycles,
         sigma_ratios=sigma_ratios,

@@ -37,7 +37,7 @@ from __future__ import annotations
 import argparse
 import pathlib
 import time
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.engine import trace as trace_mod
 from repro.engine.cache import ResultCache
@@ -63,15 +63,15 @@ from repro.experiments.reporting import write_csv
 def run_all(
     context: ExperimentContext,
     out_dir: pathlib.Path,
-    progress: Callable[[str], None] = print,
     csv_exports: bool = True,
     cache: Optional[ResultCache] = None,
 ) -> pathlib.Path:
     """Run every registered experiment; returns the combined summary path.
 
-    ``progress`` receives one human-readable line per experiment (pass a
-    no-op when an attached :class:`CLIProgressReporter` already prints).
-    ``cache`` enables result reuse across invocations.
+    The context's observer sees one
+    :class:`~repro.engine.events.ExperimentEnded` per experiment (an
+    attached :class:`CLIProgressReporter` prints it).  ``cache`` enables
+    result reuse across invocations.
     """
     out_dir.mkdir(parents=True, exist_ok=True)
     experiments = all_experiments()
@@ -89,8 +89,6 @@ def run_all(
         if csv_exports:
             for export in experiment.csv_exports(result):
                 write_csv(out_dir / export.filename, export.headers, export.rows)
-        suffix = " (cached)" if cached else ""
-        progress(f"{experiment.name}: done in {elapsed:.1f}s{suffix}")
         dispatch(observer, ExperimentEnded(experiment.name, elapsed, cached))
         summary_parts.append(f"{'=' * 72}\n{experiment.name}\n{'=' * 72}")
         summary_parts.append(text)
@@ -120,11 +118,7 @@ def main(argv=None) -> None:
     context = context_from_args(args, observer=stream)
     try:
         with trace_mod.activate(tracer):
-            # The reporter already announces each experiment; silence
-            # the legacy progress callback to avoid double printing.
-            summary = run_all(
-                context, args.out, progress=lambda line: None, cache=cache
-            )
+            summary = run_all(context, args.out, cache=cache)
     finally:
         context.close()
     if tracer is not None:

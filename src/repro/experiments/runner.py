@@ -2,8 +2,8 @@
 
 Every figure driver takes an :class:`ExperimentContext`, which fixes the
 Monte-Carlo scale (number of chips, trace length), memoises the expensive
-inputs (chip batches per scenario, evaluators per configuration), and
-owns the execution engine: a
+inputs (chip batches per scenario; evaluators per configuration live in
+the engine's process-local cache), and owns the execution engine: a
 :class:`~repro.engine.parallel.ParallelChipRunner` that fans chip builds
 and evaluations across worker processes when ``workers > 1``, plus the
 :class:`~repro.engine.observer.RunObserver` progress hooks.  Per-chip
@@ -25,14 +25,17 @@ from repro.array.chip import (
     ChipSampler,
     DRAM3T1DChipSample,
     SRAMChipSample,
-    merge_build_batches,
 )
 from repro.array.geometry import CacheGeometry
 from repro.core.evaluation import Evaluator
 from repro.engine.config import EngineConfig
 from repro.engine.events import Subscriber
 from repro.engine.observer import NULL_OBSERVER
-from repro.engine.parallel import EvaluatorSpec, ParallelChipRunner
+from repro.engine.parallel import (
+    EvaluatorSpec,
+    ParallelChipRunner,
+    evaluator_for,
+)
 
 
 @dataclass
@@ -78,9 +81,6 @@ class ExperimentContext:
     _chips_sram: Dict[Tuple[str, float], List[SRAMChipSample]] = field(
         init=False, default_factory=dict, repr=False
     )
-    _evaluators: Dict[
-        Tuple[str, int, str, Optional[CacheGeometry]], Evaluator
-    ] = field(init=False, default_factory=dict, repr=False)
     _runner: Optional[ParallelChipRunner] = field(
         init=False, default=None, repr=False, compare=False
     )
@@ -284,36 +284,17 @@ class ExperimentContext:
         """Build the uncached batches of ``keys`` in one runner request.
 
         ``reserve(key)`` reserves a key's one-point tasks.  The keys
-        reserve the same chip seeds, so the batches with per-cell
-        variation merge chip by chip (:func:`merge_build_batches`): one
-        build draws a chip's fields once and solves every key from them,
-        bit-identically to building each key on its own.  A scenario
-        without per-cell variation draws nothing to share, so its
-        one-point tasks join the same request unmerged.  Each key's batch
-        is cached as it would be on its own.
+        reserve the same chip seeds, so
+        :meth:`~repro.engine.parallel.ParallelChipRunner.build_chips`
+        draws each chip's fields once for every key with per-cell
+        variation.  Each key's batch is cached as it would be on its own.
         """
         todo = [key for key in dict.fromkeys(keys) if key not in cache]
         if todo:
-            batches = {key: reserve(key) for key in todo}
-            shared = [
-                key for key in todo
-                if batches[key][0].points[0].params.sigma_vth_rel > 0
-            ]
-            alone = [key for key in todo if key not in shared]
-            tasks = merge_build_batches([batches[key] for key in shared])
-            for key in alone:
-                tasks.extend(batches[key])
-            samples = self.runner.build_chips(
-                tasks, observer=self.observer, label=label(todo)
-            )
-            # Merged tasks come first, one sample per shared key each;
-            # then each unmerged batch in turn.
-            stride, end = len(shared), len(shared) * self.n_chips
-            for offset, key in enumerate(shared):
-                cache[key] = samples[offset:end:stride]
-            for key in alone:
-                cache[key] = samples[end:end + self.n_chips]
-                end += self.n_chips
+            cache.update(self.runner.build_chips(
+                {key: reserve(key) for key in todo},
+                observer=self.observer, label=label(todo),
+            ))
         return {key: cache[key] for key in keys}
 
     def _sampler_geometry(self) -> Dict[str, CacheGeometry]:
@@ -359,9 +340,6 @@ class ExperimentContext:
         ways: Optional[int] = None,
         geometry: Optional[CacheGeometry] = None,
     ) -> Evaluator:
-        """The cached evaluator for a configuration (traces shared)."""
-        spec = self.evaluator_spec(ways, geometry)
-        key = (self.node.name, spec.ways, self.technology, spec.geometry)
-        if key not in self._evaluators:
-            self._evaluators[key] = spec.build()
-        return self._evaluators[key]
+        """The process-local cached evaluator for a configuration (the
+        one inline evaluation tasks use, traces shared)."""
+        return evaluator_for(self.evaluator_spec(ways, geometry))

@@ -20,11 +20,9 @@ from repro.technology.node import ALL_NODES, TechnologyNode
 from repro.variation.parameters import VariationParams
 from repro.variation.statistics import harmonic_mean, median_chip_index
 from repro.array.chip import (
-    ChipBuildTask,
     ChipSampler,
     DRAM3T1DChipSample,
     SRAMChipSample,
-    merge_build_batches,
 )
 from repro.array.power import CachePowerModel
 from repro.core.schemes import SCHEME_GLOBAL
@@ -155,32 +153,25 @@ def run(context: Optional[ExperimentContext] = None) -> Table3Result:
     context = context or ExperimentContext(n_chips=30)
     nodes = [ALL_NODES[name] for name in NODE_ORDER]
 
-    # Phase 1: every node's 6T and 3T1D chip batch, one parallel batch.
-    # The nodes reserve the same chip seeds, so each chip is one task
-    # that draws its fields once and is solved at all three nodes.
-    def merged_batch(seed: int, kind: str) -> List[ChipBuildTask]:
-        return merge_build_batches([
-            ChipSampler(
+    # Phase 1: every node's 6T and 3T1D chip batch, one request.  The
+    # nodes reserve the same chip seeds, so each chip is one task that
+    # draws its fields once and is solved at all three nodes.
+    chips = context.runner.build_chips(
+        {
+            (kind, node.name): ChipSampler(
                 node, VariationParams.typical(), seed=seed
             ).reserve_build_tasks(context.n_chips, kind=kind)
+            for kind, seed in (
+                ("sram", context.seed), ("3t1d", context.seed + 5),
+            )
             for node in nodes
-        ])
-
-    sram_tasks = merged_batch(context.seed, "sram")
-    dram_tasks = merged_batch(context.seed + 5, "3t1d")
-    chips = context.runner.build_chips(
-        sram_tasks + dram_tasks,
+        },
         observer=context.observer,
         label="table3: chip batches",
     )
-    # One sample per (chip, node), chip-major: node i's chips are every
-    # k-th sample from offset i.
-    k = len(nodes)
-    n_sram = len(sram_tasks) * k
-    sram_chips, dram_chips = chips[:n_sram], chips[n_sram:]
     batches = {
-        node.name: (sram_chips[i::k], dram_chips[i::k])
-        for i, node in enumerate(nodes)
+        node.name: (chips["sram", node.name], chips["3t1d", node.name])
+        for node in nodes
     }
 
     # Phase 2: per-node ideal IPC + median-3T1D evaluation, one batch.

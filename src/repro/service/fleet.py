@@ -15,7 +15,9 @@ claimed tasks are requeued
 Every executor owns a fresh private queue directory (layout in
 :mod:`repro.service.queue`), made under ``EngineConfig.queue_dir`` when
 that is set and under the system temp dir otherwise, and removed by
-:meth:`SubprocessFleetExecutor.close`; no other process knows it.  Its
+:meth:`SubprocessFleetExecutor.close` -- or, when the coordinator dies
+without closing, by its workers as they leave; no other process knows
+it.  Its
 store holds a result only until every batch awaiting it has received
 it, so it stays small however long the executor lives: the runner
 journals every result it receives in its own task store, and reusing

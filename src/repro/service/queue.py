@@ -18,8 +18,14 @@ Layout under one queue root (a fresh private directory per
     claims/<worker-id>/               tasks a live worker is executing
     results/<key[:2]>/<key>.result    OK results (the RunJournal layout)
     failed/<key>                      failure reason, consumed once
-    workers/<worker-id>.pid           liveness breadcrumb
     stop                              sentinel: workers drain and exit
+
+The root lives only as long as its coordinator: ``close()`` removes it,
+and a worker whose coordinator died removes it on its way out (see
+:func:`repro.service.worker.serve`).  The ``results/`` store keeps the
+keys it trusts, not their values (see
+:class:`~repro.engine.checkpoint.RunJournal`), so a long-lived worker
+holds no copy of the results it has recorded.
 
 Envelope functions are referenced by ``module:qualname`` (never pickled
 by value), mirroring the engine's rule that task functions cross
@@ -82,11 +88,7 @@ class DurableTaskQueue:
         self.tasks_dir = self.root / "tasks"
         self.claims_dir = self.root / "claims"
         self.failed_dir = self.root / "failed"
-        self.workers_dir = self.root / "workers"
-        for directory in (
-            self.tasks_dir, self.claims_dir, self.failed_dir,
-            self.workers_dir,
-        ):
+        for directory in (self.tasks_dir, self.claims_dir, self.failed_dir):
             directory.mkdir(parents=True, exist_ok=True)
         self.results = RunJournal(self.root)
         """The task store workers record OK results in."""
@@ -181,22 +183,18 @@ class DurableTaskQueue:
         An ``OK`` value goes to the task store, an ``ERROR`` reason to
         ``failed/<key>``.  Outcome-before-claim-release ordering means a
         crash between the two steps leaves a stale claim whose requeue
-        skips the already-recorded key.
+        skips the already-recorded key.  Into a root another worker has
+        removed, the outcome recreates its directory and is written.
         """
         if status == OK:
             self.results.record(key, value)
         else:
+            self.failed_dir.mkdir(parents=True, exist_ok=True)
             durable_write(self.failure_path(key), str(value).encode())
         try:
             self.claim_path(worker_id, key).unlink()
         except FileNotFoundError:
             pass
-
-    def write_worker_pid(self, worker_id: str, pid: int) -> None:
-        """Leave the worker's liveness breadcrumb."""
-        durable_write(
-            self.workers_dir / f"{worker_id}.pid", str(pid).encode()
-        )
 
     # -- coordinator side ----------------------------------------------
 

@@ -6,7 +6,9 @@ the :class:`~repro.service.queue.DurableTaskQueue`, resolve its function
 by ``module:qualname``, run it, and durably record ``("ok", result)`` or
 ``("error", reason)``.  The worker exits when the queue's stop sentinel
 appears or its coordinating parent process dies (``--parent-pid``), so
-an abandoned fleet never outlives its run.
+an abandoned fleet never outlives its run.  A worker that leaves because
+its parent died removes the queue directory, which only that parent
+could read: the last worker out leaves nothing behind.
 
 Workers hold the same per-process evaluator LRU as pool workers, so a
 run's tasks share its traces.  The LRU is scoped to one run: a worker
@@ -21,6 +23,7 @@ import argparse
 import importlib
 import os
 import pathlib
+import shutil
 import time
 import traceback
 from typing import Any, Optional
@@ -65,42 +68,48 @@ def serve(
     """Run the worker loop; returns the number of tasks executed.
 
     ``max_tasks`` exists for tests (execute N tasks then return); the
-    fleet runs with it unset and exits on stop/orphan only.
+    fleet runs with it unset and exits on stop/orphan only.  An orphaned
+    worker removes ``queue_dir`` on its way out.
     """
     queue = DurableTaskQueue(queue_dir)
-    queue.write_worker_pid(worker_id, os.getpid())
     executed = 0
     run_id = None
-    while not queue.stop_requested() and _parent_alive(parent_pid):
-        if max_tasks is not None and executed >= max_tasks:
-            break
-        claimed = queue.claim(worker_id)
-        if claimed is None:
-            time.sleep(idle_poll_s)
-            continue
-        key, envelope = claimed
-        if envelope.run_id != run_id:
-            parallel._EVALUATOR_CACHE.clear()
-            run_id = envelope.run_id
-        try:
-            fn = resolve_function(envelope.fn_module, envelope.fn_qualname)
-            value = fn(envelope.task)
-            status, payload = OK, value
-        except BaseException as exc:
-            status = ERROR
-            payload = "".join(
-                traceback.format_exception_only(type(exc), exc)
-            ).strip()
-        try:
-            queue.complete(worker_id, key, status, payload)
-        except Exception:
-            # An unpicklable result value: record the failure shape
-            # instead so the coordinator can retry or surface it.
-            queue.complete(
-                worker_id, key, ERROR,
-                f"result for {key[:12]} could not be serialised",
-            )
-        executed += 1
+    try:
+        while not queue.stop_requested() and _parent_alive(parent_pid):
+            if max_tasks is not None and executed >= max_tasks:
+                break
+            claimed = queue.claim(worker_id)
+            if claimed is None:
+                time.sleep(idle_poll_s)
+                continue
+            key, envelope = claimed
+            if envelope.run_id != run_id:
+                parallel._EVALUATOR_CACHE.clear()
+                run_id = envelope.run_id
+            try:
+                fn = resolve_function(envelope.fn_module, envelope.fn_qualname)
+                value = fn(envelope.task)
+                status, payload = OK, value
+            except BaseException as exc:
+                status = ERROR
+                payload = "".join(
+                    traceback.format_exception_only(type(exc), exc)
+                ).strip()
+            try:
+                queue.complete(worker_id, key, status, payload)
+            except Exception:
+                # An unpicklable result value: record the failure shape
+                # instead so the coordinator can retry or surface it.
+                queue.complete(
+                    worker_id, key, ERROR,
+                    f"result for {key[:12]} could not be serialised",
+                )
+            executed += 1
+    finally:
+        if not _parent_alive(parent_pid):
+            # No one will read this private queue again: the last worker
+            # out leaves nothing behind.
+            shutil.rmtree(queue.root, ignore_errors=True)
     return executed
 
 

@@ -36,22 +36,6 @@ class TestDerivedMetrics:
         assert stats.blocked_cycles == 16
 
 
-class TestMerge:
-    def test_merge_adds_fields(self):
-        a = CacheStats(loads=3, hits=2, line_moves=1)
-        b = CacheStats(loads=4, hits=1, line_refreshes=7)
-        merged = a.merge(b)
-        assert merged.loads == 7
-        assert merged.hits == 3
-        assert merged.line_moves == 1
-        assert merged.line_refreshes == 7
-
-    def test_merge_does_not_mutate(self):
-        a = CacheStats(loads=3)
-        a.merge(CacheStats(loads=4))
-        assert a.loads == 3
-
-
 class TestOutcomeEnum:
     def test_values(self):
         assert AccessOutcome.HIT.value == "hit"

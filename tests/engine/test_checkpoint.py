@@ -1,5 +1,6 @@
 """The task store: durable entries, the trust rule, kill points, keys."""
 
+import gc
 import os
 import pathlib
 import pickle
@@ -7,7 +8,9 @@ import signal
 import subprocess
 import sys
 import textwrap
+import weakref
 
+import numpy as np
 import pytest
 
 import repro
@@ -82,6 +85,19 @@ class TestRunJournalRoundTrip:
         journal = RunJournal(tmp_path, resume=True)
         assert journal.get("absent") is None
         assert journal.get("absent", 7) == 7
+
+    def test_recorded_value_is_not_retained(self, tmp_path):
+        # The journal keeps trusted keys, not values: the entry on disk
+        # is the one copy, and ``get`` reads it back.
+        journal = RunJournal(tmp_path)
+        value = np.arange(1000.0)
+        alive = weakref.ref(value)
+        assert journal.record("k", value) is True
+        del value
+        gc.collect()
+        assert alive() is None
+        assert "k" in journal
+        assert np.array_equal(journal.get("k"), np.arange(1000.0))
 
 
 KEY = "ab" + "0" * 62

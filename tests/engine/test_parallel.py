@@ -65,7 +65,8 @@ class TestRunnerBasics:
         sampler = ChipSampler(NODE_32NM, VariationParams.severe(), seed=30)
         tasks = sampler.reserve_build_tasks(4, kind="3t1d")
         with ParallelChipRunner(EngineConfig(workers=2)) as runner:
-            parallel = runner.build_chips(tasks)
+            (parallel,) = runner.build_chips({"severe": tasks}).values()
+        assert len(parallel) == 4
         for a, b in zip(serial, parallel):
             assert a.chip_id == b.chip_id
             assert np.array_equal(a.retention_by_line, b.retention_by_line)

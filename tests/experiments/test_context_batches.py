@@ -12,7 +12,7 @@ import pickle
 import pytest
 
 from repro.array import CacheGeometry
-from repro.engine.parallel import ParallelChipRunner
+from repro.engine.parallel import ParallelChipRunner, run_build_task
 from repro.experiments import ExperimentContext, fig10_hundred_chips
 
 GEOMETRY = CacheGeometry.from_capacity(16 * 1024, 4, banks=2)
@@ -27,15 +27,16 @@ def make_context(technology="3t1d", **overrides):
 
 @pytest.fixture
 def built(monkeypatch):
-    """Every task list handed to ``ParallelChipRunner.build_chips``."""
+    """The tasks of every chip-build batch a ``build_chips`` request runs."""
     requests = []
-    original = ParallelChipRunner.build_chips
+    original = ParallelChipRunner.map
 
-    def build_chips(self, tasks, *args, **kwargs):
-        requests.append(list(tasks))
-        return original(self, tasks, *args, **kwargs)
+    def map(self, fn, tasks, *args, **kwargs):
+        if fn is run_build_task:
+            requests.append(list(tasks))
+        return original(self, fn, tasks, *args, **kwargs)
 
-    monkeypatch.setattr(ParallelChipRunner, "build_chips", build_chips)
+    monkeypatch.setattr(ParallelChipRunner, "map", map)
     return requests
 
 

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.array import ChipBuildTask
+from repro.engine.config import EngineConfig
 from repro.errors import ConfigurationError
 from repro.experiments import ExperimentContext, reporting
 from repro.experiments import (
@@ -184,12 +186,34 @@ class TestFig12:
         assert np.mean(cycles) == pytest.approx(10000, rel=0.05)
         assert np.std(cycles) == pytest.approx(2000, rel=0.15)
 
-    def test_design_points_ordered(self):
-        points = fig12_sensitivity.locate_design_points(n_chips=3, seed=2)
+    def test_design_points_ordered(self, context):
+        points = fig12_sensitivity.locate_design_points(
+            context, n_chips=3, seed=2
+        )
         by_label = {p.label.split(":")[0]: p for p in points}
         # Scaling and severity shrink mu (points 1 -> 3 -> 4).
         assert by_label["1"].mu_cycles > by_label["3"].mu_cycles
         assert by_label["4"].sigma_ratio > by_label["3"].sigma_ratio
+
+    def test_design_points_resume_from_the_journal(
+        self, tmp_path, monkeypatch
+    ):
+        def locate(resume):
+            engine = EngineConfig(
+                workers=1, checkpoint_dir=tmp_path, resume=resume
+            )
+            with ExperimentContext(n_chips=2, engine=engine) as context:
+                return fig12_sensitivity.locate_design_points(
+                    context, n_chips=2, seed=2
+                )
+
+        first = locate(resume=False)
+
+        def rebuild(task):
+            raise AssertionError("a journaled design-point chip was rebuilt")
+
+        monkeypatch.setattr(ChipBuildTask, "build", rebuild)
+        assert locate(resume=True) == first
 
 
 class TestTable3:

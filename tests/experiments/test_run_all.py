@@ -7,17 +7,23 @@ from repro.experiments.runner import ExperimentContext
 from repro.experiments.run_all import run_all
 
 
+def _cached_flags(observer):
+    return [e["cached"] for e in observer.metrics["experiments"]]
+
+
 def test_run_all_writes_reports(tmp_path):
-    context = ExperimentContext(n_chips=4, n_references=1500, seed=3)
-    messages = []
-    summary = run_all(context, tmp_path, progress=messages.append)
+    observer = JSONMetricsObserver(tmp_path / "metrics.json")
+    context = ExperimentContext(
+        n_chips=4, n_references=1500, seed=3, observer=observer
+    )
+    summary = run_all(context, tmp_path)
 
     assert summary.exists()
     combined = summary.read_text()
     for experiment in all_experiments():
         assert (tmp_path / f"{experiment.name}.txt").exists()
         assert experiment.name in combined or experiment.name == "table3"
-    assert len(messages) == len(all_experiments())
+    assert len(_cached_flags(observer)) == len(all_experiments())
     assert "Figure 9" in combined
     assert "Table 3" in combined
     # Machine-readable exports come from the experiments' csv_rows hooks.
@@ -33,7 +39,7 @@ def test_run_all_summary_contains_no_timings(tmp_path):
     import re
 
     context = ExperimentContext(n_chips=2, n_references=800, seed=9)
-    summary = run_all(context, tmp_path, progress=lambda line: None)
+    summary = run_all(context, tmp_path)
     # Timing lives in progress lines and metrics, never in the summary --
     # that is what keeps serial/parallel/cached summaries byte-identical.
     text = summary.read_text()
@@ -44,18 +50,18 @@ def test_run_all_summary_contains_no_timings(tmp_path):
 
 def test_run_all_reuses_result_cache(tmp_path):
     cache = ResultCache(tmp_path / "cache")
-    context = ExperimentContext(n_chips=2, n_references=800, seed=11)
-    first_messages = []
-    first = run_all(
-        context, tmp_path / "a", progress=first_messages.append, cache=cache
+    first_observer = JSONMetricsObserver(tmp_path / "first.json")
+    context = ExperimentContext(
+        n_chips=2, n_references=800, seed=11, observer=first_observer
     )
-    assert not any("(cached)" in line for line in first_messages)
+    first = run_all(context, tmp_path / "a", cache=cache)
+    assert not any(_cached_flags(first_observer))
 
-    second_messages = []
-    second = run_all(
-        context, tmp_path / "b", progress=second_messages.append, cache=cache
-    )
-    assert all("(cached)" in line for line in second_messages)
+    second_observer = JSONMetricsObserver(tmp_path / "second.json")
+    context.observer = second_observer
+    second = run_all(context, tmp_path / "b", cache=cache)
+    assert all(_cached_flags(second_observer))
+    assert len(_cached_flags(second_observer)) == len(all_experiments())
     assert first.read_text() == second.read_text()
 
 
@@ -64,7 +70,7 @@ def test_run_all_emits_observer_events(tmp_path):
     context = ExperimentContext(
         n_chips=2, n_references=800, seed=13, observer=observer
     )
-    run_all(context, tmp_path, progress=lambda line: None)
+    run_all(context, tmp_path)
     assert (tmp_path / "metrics.json").exists()
     recorded = [e["name"] for e in observer.metrics["experiments"]]
     assert recorded == list(experiment_names())

@@ -4,7 +4,9 @@ The headline robustness guarantee: a run killed at an arbitrary point
 and restarted with ``--resume`` emits outputs byte-identical to an
 uninterrupted run, while restoring (not recomputing) every chip result
 that reached the journal.  Exercised end-to-end through the real CLIs
-for fig10 (the 100-chip experiment) and table3.
+for fig10 (the 100-chip experiment), table3 and fig12 (whose design
+points are chip builds of their own).  A SIGKILLed subprocess-fleet
+coordinator must also leave no queue directory behind.
 """
 
 import json
@@ -22,6 +24,7 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
 CASES = {
     "fig10_hundred_chips": ["--chips", "3", "--refs", "400"],
     "table3": ["--chips", "4", "--refs", "300"],
+    "fig12_sensitivity": ["--chips", "2", "--refs", "300"],
 }
 
 
@@ -111,3 +114,42 @@ def test_seeded_fault_injection_preserves_outputs(tmp_path):
         ],
     ))
     assert _outputs(faulty_dir) == _outputs(clean_dir)
+
+
+def _fleet_workers(marker):
+    """Pids of live fleet workers whose command line names ``marker``."""
+    pids = []
+    for cmdline in pathlib.Path("/proc").glob("[0-9]*/cmdline"):
+        try:
+            args = cmdline.read_bytes().decode(errors="replace")
+        except OSError:
+            continue
+        if "repro.service.worker" in args and marker in args:
+            pids.append(int(cmdline.parent.name))
+    return pids
+
+
+def test_killed_fleet_coordinator_leaves_no_queue(tmp_path):
+    if not pathlib.Path("/proc/self/cmdline").exists():
+        pytest.skip("needs /proc")
+    out = tmp_path / "out"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(REPO_ROOT / "src")
+    env["TMPDIR"] = str(tmp_path)  # where the fleet makes its queue
+    coordinator = subprocess.Popen(
+        [
+            sys.executable, "-m", "repro.experiments.run_all",
+            "--chips", "2", "--refs", "300", "--no-cache",
+            "--backend", "subprocess-fleet", "--fleet-size", "2",
+            "--out", str(out),
+        ],
+        cwd=REPO_ROOT, env=env,
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    )
+    assert _kill_once_journal_grows(coordinator, out / ".checkpoints")
+    # The orphaned workers notice the dead coordinator and leave.
+    deadline = time.monotonic() + 120
+    while _fleet_workers(str(tmp_path)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert _fleet_workers(str(tmp_path)) == []
+    assert list(tmp_path.glob("repro-fleet-queue-*")) == []

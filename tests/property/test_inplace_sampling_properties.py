@@ -15,11 +15,13 @@ reassociation, reordering or lost select shows up.
     time), extreme gate-length deviation, and widths that are not a
     multiple of the 64-bit word.
 (c) whole retention maps and 6T chips versus the old per-pair loops.
-(d) one chip seed built at several operating points at once versus one
-    build per point, through every registered backend.
+(d) one chip seed built at several operating points at once (the
+    runner's keyed ``build_chips`` request) versus one build per point,
+    through every registered backend.
 """
 
 import copy
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,19 +30,16 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro import units
-from repro.array import CacheGeometry, ChipBuildTask, ChipSampler, cactimodel
-from repro.array.chip import (
-    SRAMChipSample,
-    _dram_samples,
-    _sram_samples,
-    merge_build_batches,
-)
+from repro.array import CacheGeometry, ChipSampler, cactimodel
+from repro.array.chip import SRAMChipSample, _dram_samples, _sram_samples
 from repro.cells import DRAM3T1DCell, RetentionModel, SRAM6TCell
 from repro.cells import dram3t1d, sram6t
 from repro.cells.leakage import (
     LEAKAGE_ROLLOFF_PER_REL_L,
     LEAKAGE_VARIATION_IDEALITY,
 )
+from repro.engine.config import EngineConfig
+from repro.engine.parallel import ParallelChipRunner, run_build_task
 from repro.technology import NODE_32NM, NODE_45NM, NODE_65NM, calibration
 from repro.technology.backends import (
     WORDS_PER_LINE,
@@ -547,6 +546,26 @@ def assert_same_sample(a, b):
             )
 
 
+def build_chips(batches):
+    """``batches`` built through the runner's keyed request, inline."""
+    return ParallelChipRunner(EngineConfig(workers=1)).build_chips(batches)
+
+
+@pytest.fixture
+def build_tasks(monkeypatch):
+    """Every chip-build task a ``build_chips`` request runs."""
+    tasks = []
+    original = ParallelChipRunner.map
+
+    def map(self, fn, batch, *args, **kwargs):
+        if fn is run_build_task:
+            tasks.extend(batch)
+        return original(self, fn, batch, *args, **kwargs)
+
+    monkeypatch.setattr(ParallelChipRunner, "map", map)
+    return tasks
+
+
 class TestGroupedBuilds:
     @settings(
         deadline=None,
@@ -563,10 +582,14 @@ class TestGroupedBuilds:
     def test_grouped_build_equals_per_point_builds(
         self, seed, geometry, kind, technology, points
     ):
-        (merged,) = merge_build_batches(
+        batches = dict(enumerate(
             point_tasks(seed, geometry, kind, points, technology=technology)
+        ))
+        # The one task per chip the keyed request builds for the group.
+        merged = replace(
+            batches[0][0],
+            points=tuple(batch[0].points[0] for batch in batches.values()),
         )
-        assert len(merged.points) == len(points)
         # One build per point, each drawing from its own generator.
         samplers, chips = realize(merged)
         singles = [
@@ -591,31 +614,43 @@ class TestGroupedBuilds:
                 shared_chip.rng.bit_generator.state
                 == chip.rng.bit_generator.state
             )
-        built = merged.build()
-        assert len(built) == len(points)
-        for sample, single in zip(built, singles):
+        built = build_chips(batches)
+        assert list(built) == list(batches)
+        for (sample,), single in zip(built.values(), singles):
             assert_same_sample(sample, single)
 
-    def test_point_without_per_cell_variation_does_not_merge(self):
-        typical, none = point_tasks(
-            3, CacheGeometry(), "3t1d",
-            [(NODE_32NM, "typical", 1.1, 1.0), (NODE_32NM, "none", 1.1, 1.0)],
+    def test_point_without_per_cell_variation_does_not_merge(
+        self, build_tasks
+    ):
+        typical, none, severe = point_tasks(
+            3, CacheGeometry(), "3t1d", [
+                (NODE_32NM, scenario, 1.1, 1.0)
+                for scenario in ("typical", "none", "severe")
+            ], count=2,
         )
-        with pytest.raises(ConfigurationError):
-            ChipBuildTask.merge([typical[0], none[0]])
+        batches = {"typical": typical, "none": none, "severe": severe}
+        built = build_chips(batches)
+        # typical and severe share each chip's draws; none is built alone.
+        assert [len(task.points) for task in build_tasks] == [2, 2, 1, 1]
+        for key, batch in batches.items():
+            for sample, task in zip(built[key], batch):
+                (alone,) = task.build()
+                assert_same_sample(sample, alone)
 
-    def test_different_chip_seeds_do_not_merge(self):
+    def test_different_chip_seeds_do_not_merge(self, build_tasks):
+        # Batches with different chip seeds are built as separate groups.
         first = ChipSampler(NODE_32NM, VariationParams.typical(), seed=3)
         second = ChipSampler(NODE_45NM, VariationParams.typical(), seed=4)
-        with pytest.raises(ConfigurationError):
-            ChipBuildTask.merge([
-                first.reserve_build_tasks(1)[0],
-                second.reserve_build_tasks(1)[0],
-            ])
-        with pytest.raises(ConfigurationError):
-            merge_build_batches([
-                first.reserve_build_tasks(2), second.reserve_build_tasks(1),
-            ])
+        batches = {
+            "first": first.reserve_build_tasks(2),
+            "second": second.reserve_build_tasks(2),
+        }
+        built = build_chips(batches)
+        assert [len(task.points) for task in build_tasks] == [1, 1, 1, 1]
+        for key, batch in batches.items():
+            for sample, task in zip(built[key], batch):
+                (alone,) = task.build()
+                assert_same_sample(sample, alone)
 
     def test_points_at_different_generator_states_do_not_share(self):
         # Without die-to-die variation the chip-level draws consume one
@@ -623,14 +658,13 @@ class TestGroupedBuilds:
         no_d2d = VariationParams(
             sigma_l_wid_rel=0.05, sigma_vth_rel=0.10, sigma_l_d2d_rel=0.0
         )
-        tasks = [
-            ChipSampler(NODE_32NM, params, seed=3).reserve_build_tasks(
-                1, kind=kind
-            )[0]
-            for params in (VariationParams.typical(), no_d2d)
-            for kind in ("3t1d", "sram")
-        ]
-        for kind_index in (0, 1):
-            merged = ChipBuildTask.merge(tasks[kind_index::2])
+        for kind in ("3t1d", "sram"):
+            typical, other = [
+                ChipSampler(NODE_32NM, params, seed=3).reserve_build_tasks(
+                    1, kind=kind
+                )[0]
+                for params in (VariationParams.typical(), no_d2d)
+            ]
+            merged = replace(typical, points=typical.points + other.points)
             with pytest.raises(ConfigurationError):
                 merged.build()

@@ -312,7 +312,7 @@ class TestSharedFleet:
                 pids.append({p.pid for p in fleet._workers.values()})
                 # The job journal holds the results; the fleet's store
                 # keeps none of them between jobs.
-                assert fleet.queue.results._entries == {}
+                assert fleet.queue.results._trusted == set()
                 assert list(fleet.queue_dir.glob("results/*/*")) == []
             # Two workers served all three jobs: none was respawned.
             assert fleet.spawned == 2

@@ -453,8 +453,9 @@ class TestSharedFleet:
             for values, out in results.values():
                 assert out == [abs(v) for v in values]
             assert executor._waiting == {} and executor._failures == {}
-            # Every result was delivered, so the private store is empty.
-            assert executor.queue.results._entries == {}
+            # Every result was delivered, so the private store holds no entry
+            # on disk and trusts no key.
+            assert executor.queue.results._trusted == set()
             assert list(executor.queue_dir.glob("results/*/*")) == []
             assert executor.spawned == config.fleet_size
         finally:

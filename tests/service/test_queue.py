@@ -1,5 +1,7 @@
 """The durable task queue: claims, results, dedupe, requeue."""
 
+import shutil
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -90,6 +92,22 @@ class TestEnqueueClaimComplete:
         assert queue.take_failure("k1") == "ValueError: boom"
         assert queue.take_failure("k1") is None
 
+    @pytest.mark.parametrize("status,value", [(OK, 1.5), (ERROR, "boom")])
+    def test_outcome_into_a_removed_root_is_written(
+        self, tmp_path, status, value
+    ):
+        # A worker still finishing a task after another orphaned worker
+        # removed the queue must not crash on its outcome.
+        queue = DurableTaskQueue(tmp_path / "q")
+        queue.enqueue("k1", envelope([1.0]))
+        key, _ = queue.claim("w0")
+        shutil.rmtree(tmp_path / "q")
+        queue.complete("w0", key, status, value)
+        if status == OK:
+            assert queue.results.load("k1") == 1.5
+        else:
+            assert queue.take_failure("k1") == "boom"
+
     def test_unreadable_result_is_a_miss(self, tmp_path):
         queue = DurableTaskQueue(tmp_path / "q")
         path = queue.results.entry_path("k1")
@@ -132,8 +150,3 @@ class TestRequeueAndStop:
         assert not queue.stop_requested()
         queue.request_stop()
         assert queue.stop_requested()
-
-    def test_worker_pid_breadcrumb(self, tmp_path):
-        queue = DurableTaskQueue(tmp_path / "q")
-        queue.write_worker_pid("w0", 12345)
-        assert (queue.workers_dir / "w0.pid").read_text().strip() == "12345"

@@ -35,12 +35,6 @@ class TestServe:
         assert queue.results.load("k1") == 2.0
         assert queue.results.load("k2") == 4.0
 
-    def test_records_worker_pid(self, tmp_path):
-        queue = DurableTaskQueue(tmp_path / "q")
-        serve(tmp_path / "q", "w7", max_tasks=0)
-        pid_file = queue.workers_dir / "w7.pid"
-        assert pid_file.read_text().strip() == str(os.getpid())
-
     def test_task_exceptions_become_error_results(self, tmp_path):
         queue = DurableTaskQueue(tmp_path / "q")
         queue.enqueue(
@@ -76,3 +70,10 @@ class TestServe:
             tmp_path / "q", "w0", parent_pid=2 ** 22 + 1, max_tasks=5
         )
         assert executed == 0
+        # Only the dead parent could read the queue: the worker removes it.
+        assert not (tmp_path / "q").exists()
+
+    def test_live_parent_keeps_the_queue(self, tmp_path):
+        DurableTaskQueue(tmp_path / "q").request_stop()
+        serve(tmp_path / "q", "w0", parent_pid=os.getpid(), max_tasks=5)
+        assert (tmp_path / "q" / "stop").exists()
