@@ -13,6 +13,7 @@ sweeps one and checks the direction the paper's choice implies:
 import numpy as np
 import pytest
 
+from repro.array import ChipSampler
 from repro.cache.config import CacheConfig
 from repro.cache.counters import LineCounterConfig
 from repro.core import (
@@ -117,14 +118,13 @@ def test_ablation_partial_refresh_threshold(benchmark, context):
 
 def test_ablation_word_level_refresh(benchmark, context):
     """The extension the paper declined: word-granularity refresh."""
-    chips = context.chips_3t1d("severe")
+    # The severe chips' reserved builds; each solves its own word map.
+    tasks = ChipSampler(
+        context.node, context.scenario("severe"), seed=context.seed
+    ).reserve_build_tasks(context.n_chips)
 
     def sweep():
-        comparisons = [
-            compare_refresh_granularity(chip)
-            for chip in chips
-            if chip.retention_by_word is not None
-        ]
+        comparisons = [compare_refresh_granularity(task) for task in tasks]
         return [c for c in comparisons if c.weak_lines > 0]
 
     comparisons = run_once(benchmark, sweep)

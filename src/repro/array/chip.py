@@ -112,11 +112,6 @@ class DRAM3T1DChipSample:
     retention_by_line: np.ndarray
     leakage_power: float
     golden_leakage_power: float
-    retention_by_word: Optional[np.ndarray] = None
-    """Optional per-word retention, shape ``(n_lines, words_per_line)``;
-    word 0 also covers the line's tag cells.  Populated by the sampler to
-    support word-granularity refresh studies; the per-line values are the
-    row-wise minima of this array."""
     technology: str = DEFAULT_TECHNOLOGY
     """Registered technology backend this chip was sampled with.  The
     class name predates the backend protocol; a sample is the generic
@@ -132,14 +127,6 @@ class DRAM3T1DChipSample:
                 f"retention_by_line must have shape ({self.geometry.n_lines},), "
                 f"got {self.retention_by_line.shape}"
             )
-        if self.retention_by_word is not None:
-            if (
-                self.retention_by_word.ndim != 2
-                or self.retention_by_word.shape[0] != self.geometry.n_lines
-            ):
-                raise ConfigurationError(
-                    "retention_by_word must have one row per line"
-                )
         if self.latency_factor_by_line is not None:
             if self.latency_factor_by_line.shape != (self.geometry.n_lines,):
                 raise ConfigurationError(
@@ -214,7 +201,6 @@ class DRAM3T1DChipSample:
             retention_by_line=self.retention_by_line,
             leakage_power=self.leakage_power,
             golden_leakage_power=self.golden_leakage_power,
-            retention_by_word=self.retention_by_word,
             technology=self.technology,
             latency_factor_by_line=self.latency_factor_by_line,
         )
@@ -282,12 +268,7 @@ class ChipBuildTask:
             "array.chip.build", cat="build", kind=self.kind,
             technology=self.technology, points=len(self.points),
         ):
-            chips = [
-                ChipSampler(
-                    point.node, point.params, geometry=self.geometry,
-                )._sampler.chip_from_seed(self.chip_id, self.chip_seed)
-                for point in self.points
-            ]
+            chips = self._chips()
             if self.kind == "3t1d":
                 return tuple(_dram_samples(
                     chips, self.geometry, get_backend(self.technology)
@@ -296,6 +277,41 @@ class ChipBuildTask:
                 chips, [point.size_factor for point in self.points],
                 self.geometry,
             ))
+
+    def word_retention(self) -> np.ndarray:
+        """The reserved chip's per-word retention, seconds.
+
+        Shape ``(n_lines, WORDS_PER_LINE)``; word 0 also covers the
+        line's tag cells, and each row's minimum is the line retention
+        ``build()`` gives the chip.  Only a one-point retention-map
+        (``"3t1d"``) task has word maps.
+        """
+        if self.kind != "3t1d" or len(self.points) != 1:
+            raise ConfigurationError(
+                "word retention needs a one-point '3t1d' build task"
+            )
+        (chip,) = self._chips()
+        return get_backend(self.technology).sample_word_retention(
+            chip, self.geometry
+        )
+
+    def _chips(self) -> List[ChipVariation]:
+        """The reserved chip's variation draw at each operating point."""
+        return [
+            ChipSampler(
+                point.node, point.params, geometry=self.geometry,
+            )._sampler.chip_from_seed(self.chip_id, self.chip_seed)
+            for point in self.points
+        ]
+
+
+def _nominal_leakage(
+    cell: Union[SRAM6TCell, DRAM3T1DCell], geometry: CacheGeometry
+) -> float:
+    """Leakage of a no-variation array of ``cell``, banking included."""
+    return cactimodel.scale_chip_leakage(
+        cell.nominal_cell_leakage_power() * geometry.total_cells, geometry
+    )
 
 
 def _sram_samples(
@@ -367,10 +383,7 @@ def _sram_samples(
             leakage_power=cactimodel.scale_chip_leakage(
                 leakage[i], geometry
             ),
-            golden_leakage_power=cactimodel.scale_chip_leakage(
-                cell.nominal_cell_leakage_power() * geometry.total_cells,
-                geometry,
-            ),
+            golden_leakage_power=_nominal_leakage(cell, geometry),
             # Each point's generator continues from the shared draws.
             flip_count=(
                 int(chip.rng.binomial(geometry.total_cells, p_flip))
@@ -399,10 +412,10 @@ def _dram_samples(
             leakage_power=cactimodel.scale_chip_leakage(
                 rmap.leakage_power, geometry
             ),
-            golden_leakage_power=cactimodel.scale_chip_leakage(
-                rmap.golden_leakage_power, geometry
+            # Normalised to the no-variation 6T array (Figure 7b).
+            golden_leakage_power=_nominal_leakage(
+                SRAM6TCell(chip.node), geometry
             ),
-            retention_by_word=rmap.retention_by_word,
             technology=backend.name,
             latency_factor_by_line=rmap.latency_factor_by_line,
         )
@@ -536,9 +549,7 @@ class ChipSampler:
         """The no-variation 6T chip (the normalisation reference)."""
         geometry = geometry or CacheGeometry()
         cell = SRAM6TCell(node, size_factor=size_factor)
-        golden_leak = cactimodel.scale_chip_leakage(
-            cell.nominal_cell_leakage_power() * geometry.total_cells, geometry
-        )
+        golden_leak = _nominal_leakage(cell, geometry)
         return SRAMChipSample(
             node=node,
             cell_label=cell.label,
@@ -562,19 +573,11 @@ class ChipSampler:
         cell = DRAM3T1DCell(node)
         model = RetentionModel(cell)
         nominal = model.nominal_retention_time()
-        sram_golden = cactimodel.scale_chip_leakage(
-            SRAM6TCell(node).nominal_cell_leakage_power()
-            * geometry.total_cells,
-            geometry,
-        )
         return DRAM3T1DChipSample(
             node=node,
             geometry=geometry,
             chip_id=-1,
             retention_by_line=np.full(geometry.n_lines, nominal),
-            leakage_power=cactimodel.scale_chip_leakage(
-                cell.nominal_cell_leakage_power() * geometry.total_cells,
-                geometry,
-            ),
-            golden_leakage_power=sram_golden,
+            leakage_power=_nominal_leakage(cell, geometry),
+            golden_leakage_power=_nominal_leakage(SRAM6TCell(node), geometry),
         )

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.array.chip import DRAM3T1DChipSample
+from repro.array.chip import ChipBuildTask
 from repro.technology import calibration
 
 
@@ -71,12 +71,15 @@ class WordLevelComparison:
 
 
 def compare_refresh_granularity(
-    chip: DRAM3T1DChipSample,
+    task: ChipBuildTask,
     threshold_cycles: int = 6000,
     counter_bits: int = 3,
 ) -> WordLevelComparison:
-    """Quantify line-level vs word-level partial refresh for ``chip``.
+    """Quantify line-level vs word-level partial refresh for ``task``'s chip.
 
+    ``task`` is a reserved one-point 3T1D build (see
+    :meth:`~repro.array.chip.ChipSampler.reserve_build_tasks`); its word
+    map is solved here, and each line's retention is its row minimum.
     Steady-state model: every resident line whose (line or word) retention
     sits in ``(0, threshold)`` is refreshed once per its retention period,
     as the partial-refresh policy does while data lives past the
@@ -84,15 +87,10 @@ def compare_refresh_granularity(
     """
     if threshold_cycles < 1:
         raise ConfigurationError("threshold_cycles must be >= 1")
-    if chip.retention_by_word is None:
-        raise ConfigurationError(
-            "chip sample carries no per-word retention; resample with the "
-            "current ChipSampler"
-        )
-    frequency = chip.node.frequency
-    geometry = chip.geometry
-    line_cycles = chip.retention_by_line * frequency
-    word_cycles = chip.retention_by_word * frequency
+    node = task.points[0].node
+    geometry = task.geometry
+    word_cycles = task.word_retention() * node.frequency
+    line_cycles = word_cycles.min(axis=1)
     words_per_line = word_cycles.shape[1]
 
     weak_line_mask = (line_cycles > 0) & (line_cycles < threshold_cycles)
@@ -100,7 +98,7 @@ def compare_refresh_granularity(
     # A word only needs refreshing if its line is otherwise alive.
     weak_word_mask &= (line_cycles > 0)[:, None]
 
-    line_energy = calibration.refresh_line_energy(chip.node)
+    line_energy = calibration.refresh_line_energy(node)
     cycles_per_line_refresh = geometry.refresh_cycles_per_line
     n_pairs = geometry.n_pairs
 

@@ -161,9 +161,7 @@ class RetentionMap:
     """
 
     retention_by_line: np.ndarray
-    retention_by_word: np.ndarray
     leakage_power: float
-    golden_leakage_power: float
     latency_factor_by_line: Optional[np.ndarray] = None
 
 
@@ -178,15 +176,22 @@ _WORD_BITS: int = 64
 ROW_BLOCK: int = 128
 
 
-def _line_and_word_minima(
-    cell_retention: np.ndarray, rows: int, cells: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Reduce a (rows, cells) retention draw to line and word minima.
+def _map_shape(geometry: "CacheGeometry", words: bool) -> Tuple[int, ...]:
+    """One map's retention array: a value per line, or a row of words."""
+    if words:
+        return (geometry.n_lines, WORDS_PER_LINE)
+    return (geometry.n_lines,)
 
-    Shared by every backend so word-granularity refresh studies see the
+
+def _cell_minima(cell_retention: np.ndarray, words: bool) -> np.ndarray:
+    """A (rows, cells) retention block's line minima, or its word minima.
+
+    Shared by every backend so the word-level refresh study sees the
     same tag-folding convention regardless of technology.
     """
-    line_retention = np.min(cell_retention, axis=1)
+    if not words:
+        return np.min(cell_retention, axis=1)
+    rows, cells = cell_retention.shape
     data_bits = WORDS_PER_LINE * _WORD_BITS
     data_words = np.min(
         cell_retention[:, :data_bits].reshape(rows, WORDS_PER_LINE, _WORD_BITS),
@@ -195,28 +200,7 @@ def _line_and_word_minima(
     if cells > data_bits:
         tag_min = np.min(cell_retention[:, data_bits:], axis=1)
         data_words[:, 0] = np.minimum(data_words[:, 0], tag_min)
-    return line_retention, data_words
-
-
-def _shared_draws(
-    backend: "TechnologyBackend",
-    chips: Sequence["ChipVariation"],
-    geometry: "CacheGeometry",
-) -> List[RetentionMap]:
-    """``backend``'s maps of one chip seed's points, fields drawn once.
-
-    ``chips`` are the same chip seed realised at several operating
-    points; ``backend._solve_maps`` draws their shared per-cell fields
-    from one generator (checked by :func:`shared_generator`), and every
-    point's generator then continues from its end state.  One point is
-    one ``sample_retention_map`` call.
-    """
-    if len(chips) == 1:
-        return [backend.sample_retention_map(chips[0], geometry)]
-    rng = shared_generator(chips)
-    maps = backend._solve_maps(chips, geometry, rng)
-    continue_from(chips, rng)
-    return maps
+    return data_words
 
 
 # ---------------------------------------------------------------------------
@@ -289,12 +273,49 @@ class TechnologyBackend(ABC):
         """One map per operating point of one chip seed.
 
         ``chips`` are the same chip seed realised at several operating
-        points (see :class:`~repro.array.chip.ChipBuildTask`); each map
-        equals ``sample_retention_map(chip, geometry)`` bit for bit.  The
-        default samples the points one after another; the registered
-        backends override it to draw the shared per-cell fields once.
+        points (see :class:`~repro.array.chip.ChipBuildTask`).
+        :meth:`_solve_maps` draws their shared per-cell fields once from
+        one generator (checked by :func:`shared_generator`), and every
+        point's generator then continues from its end state, so each map
+        equals ``sample_retention_map(chip, geometry)`` bit for bit.  One
+        point is one ``sample_retention_map`` call.
         """
-        return [self.sample_retention_map(chip, geometry) for chip in chips]
+        if len(chips) == 1:
+            return [self.sample_retention_map(chips[0], geometry)]
+        rng = shared_generator(chips)
+        maps = self._solve_maps(chips, geometry, rng)
+        continue_from(chips, rng)
+        return maps
+
+    def sample_word_retention(
+        self, chip: "ChipVariation", geometry: "CacheGeometry"
+    ) -> np.ndarray:
+        """Per-word retention of one chip, ``(n_lines, WORDS_PER_LINE)``.
+
+        The draws of ``sample_retention_map(chip, geometry)`` reduced per
+        64-bit data word instead of per line (word 0 also covers the
+        line's tag cells), so each row's minimum is that map's line
+        retention bit for bit.  Only the word-level refresh study reads
+        word maps; a chip build solves line minima only.
+        """
+        (rmap,) = self._solve_maps((chip,), geometry, chip.rng, words=True)
+        return rmap.retention_by_line
+
+    @abstractmethod
+    def _solve_maps(
+        self,
+        chips: Sequence["ChipVariation"],
+        geometry: "CacheGeometry",
+        rng: np.random.Generator,
+        words: bool = False,
+    ) -> List[RetentionMap]:
+        """Every point's map, drawing the shared per-cell fields from ``rng``.
+
+        A backend draws in one documented order so that a fixed chip seed
+        reproduces its maps bit for bit.  With ``words`` each map's
+        ``retention_by_line`` holds the word minima of
+        :meth:`sample_word_retention` instead of the line minima.
+        """
 
     @abstractmethod
     def refresh_cost(
@@ -385,8 +406,6 @@ class DRAM3T1DBackend(TechnologyBackend):
     ``ChipSampler._build_3t1d_sample`` draw order and arithmetic, now
     evaluated in place in row-block buffers, so chips sampled through the
     backend are bit-identical to pre-backend outputs.
-    ``sample_retention_maps`` solves every operating point of a chip seed
-    from one draw of each pair's fields, with the same result.
     """
 
     name: str = "3t1d"
@@ -427,18 +446,12 @@ class DRAM3T1DBackend(TechnologyBackend):
         rng = chip.rng if rng is None else rng
         return self._solve_maps((chip,), geometry, rng)[0]
 
-    def sample_retention_maps(
-        self,
-        chips: Sequence["ChipVariation"],
-        geometry: "CacheGeometry",
-    ) -> List[RetentionMap]:
-        return _shared_draws(self, chips, geometry)
-
     def _solve_maps(
         self,
         chips: Sequence["ChipVariation"],
         geometry: "CacheGeometry",
         rng: np.random.Generator,
+        words: bool = False,
     ) -> List[RetentionMap]:
         """Every point's map, drawing each pair's fields once from ``rng``.
 
@@ -452,7 +465,6 @@ class DRAM3T1DBackend(TechnologyBackend):
         import repro.cells.dram3t1d as dram3t1d
         from repro.cells.dram3t1d import DRAM3T1DCell
         from repro.cells.retention import RetentionModel
-        from repro.cells.sram6t import SRAM6TCell
 
         dram_cells = [DRAM3T1DCell(chip.node) for chip in chips]
         models = [RetentionModel(cell) for cell in dram_cells]
@@ -467,10 +479,7 @@ class DRAM3T1DBackend(TechnologyBackend):
         rows = geometry.rows_per_pair
         cells = geometry.cells_per_line
 
-        retention = [np.empty(geometry.n_lines) for _ in chips]
-        word_retention = [
-            np.empty((geometry.n_lines, WORDS_PER_LINE)) for _ in chips
-        ]
+        retention = [np.empty(_map_shape(geometry, words)) for _ in chips]
         leakage = [0.0 for _ in chips]
         shape = (rows, cells)
         # Draw order per pair: T1, T2, then boost mismatch.
@@ -502,15 +511,13 @@ class DRAM3T1DBackend(TechnologyBackend):
                         field.scaled(i, span, out=buffer[:n])
                         for field, buffer in zip(fields, scaled)
                     )
-                    line_retention, data_words = _line_and_word_minima(
+                    retention[i][line_ids[span]] = _cell_minima(
                         models[i].retention_time(
                             d_t1, d_t2, delta_l, eps, out=cell_retention[:n],
                             scratch=scratch[:n], mask=dead[:n],
                         ),
-                        n, cells,
+                        words,
                     )
-                    retention[i][line_ids[span]] = line_retention
-                    word_retention[i][line_ids[span]] = data_words
                     # Supply leakage flows through the read stack; reuse
                     # the T2 draw.
                     dram_cells[i].leakage_power(
@@ -519,16 +526,8 @@ class DRAM3T1DBackend(TechnologyBackend):
                 leakage[i] += float(np.sum(cell_leakage))
 
         return [
-            RetentionMap(
-                retention_by_line=retention[i],
-                retention_by_word=word_retention[i],
-                leakage_power=leakage[i],
-                golden_leakage_power=(
-                    SRAM6TCell(chip.node).nominal_cell_leakage_power()
-                    * geometry.total_cells
-                ),
-            )
-            for i, chip in enumerate(chips)
+            RetentionMap(retention_by_line=line, leakage_power=leak)
+            for line, leak in zip(retention, leakage)
         ]
 
     def refresh_cost(
@@ -662,30 +661,19 @@ class STTRAMBackend(TechnologyBackend):
         rng = chip.rng if rng is None else rng
         return self._solve_maps((chip,), geometry, rng)[0]
 
-    def sample_retention_maps(
-        self,
-        chips: Sequence["ChipVariation"],
-        geometry: "CacheGeometry",
-    ) -> List[RetentionMap]:
-        return _shared_draws(self, chips, geometry)
-
     def _solve_maps(
         self,
         chips: Sequence["ChipVariation"],
         geometry: "CacheGeometry",
         rng: np.random.Generator,
+        words: bool = False,
     ) -> List[RetentionMap]:
         """Every point's map, drawing each pair's field once from ``rng``."""
-        from repro.cells.sram6t import SRAM6TCell
-
         delta0 = self._nominal_delta()
         rows = geometry.rows_per_pair
         cells = geometry.cells_per_line
 
-        retention = [np.empty(geometry.n_lines) for _ in chips]
-        word_retention = [
-            np.empty((geometry.n_lines, WORDS_PER_LINE)) for _ in chips
-        ]
+        retention = [np.empty(_map_shape(geometry, words)) for _ in chips]
         # Draw order: one (rows, cells) normal draw per sub-array pair, in
         # pair order.
         z = SharedNormalField((rows, cells), [
@@ -714,22 +702,13 @@ class STTRAMBackend(TechnologyBackend):
                     * np.exp(np.minimum(delta_cells, 60.0)),
                     0.0,
                 )
-                line_retention, data_words = _line_and_word_minima(
-                    cell_retention, rows, cells
-                )
-                retention[i][line_ids] = line_retention
-                word_retention[i][line_ids] = data_words
+                retention[i][line_ids] = _cell_minima(cell_retention, words)
 
         return [
             RetentionMap(
                 retention_by_line=retention[i],
-                retention_by_word=word_retention[i],
                 # Periphery leakage is CMOS and draw-independent.
                 leakage_power=self.leakage_power(chip.node, geometry),
-                golden_leakage_power=(
-                    SRAM6TCell(chip.node).nominal_cell_leakage_power()
-                    * geometry.total_cells
-                ),
             )
             for i, chip in enumerate(chips)
         ]
@@ -846,29 +825,18 @@ class VarDRAMBackend(TechnologyBackend):
         rng = chip.rng if rng is None else rng
         return self._solve_maps((chip,), geometry, rng)[0]
 
-    def sample_retention_maps(
-        self,
-        chips: Sequence["ChipVariation"],
-        geometry: "CacheGeometry",
-    ) -> List[RetentionMap]:
-        return _shared_draws(self, chips, geometry)
-
     def _solve_maps(
         self,
         chips: Sequence["ChipVariation"],
         geometry: "CacheGeometry",
         rng: np.random.Generator,
+        words: bool = False,
     ) -> List[RetentionMap]:
         """Every point's map, drawing each pair's fields once from ``rng``."""
-        from repro.cells.sram6t import SRAM6TCell
-
         rows = geometry.rows_per_pair
         cells = geometry.cells_per_line
 
-        retention = [np.empty(geometry.n_lines) for _ in chips]
-        word_retention = [
-            np.empty((geometry.n_lines, WORDS_PER_LINE)) for _ in chips
-        ]
+        retention = [np.empty(_map_shape(geometry, words)) for _ in chips]
         latency_factor = [np.empty(geometry.n_lines) for _ in chips]
         # Deterministic position gradient: row r of a pair sits r/(rows-1)
         # of the way up the bitline from its sense amplifiers.
@@ -910,22 +878,13 @@ class VarDRAMBackend(TechnologyBackend):
                     * np.exp(z.scaled(i))
                     / row_latency[:, None]
                 )
-                line_retention, data_words = _line_and_word_minima(
-                    cell_retention, rows, cells
-                )
-                retention[i][line_ids] = line_retention
-                word_retention[i][line_ids] = data_words
+                retention[i][line_ids] = _cell_minima(cell_retention, words)
                 latency_factor[i][line_ids] = row_latency
 
         return [
             RetentionMap(
                 retention_by_line=retention[i],
-                retention_by_word=word_retention[i],
                 leakage_power=self.leakage_power(chip.node, geometry),
-                golden_leakage_power=(
-                    SRAM6TCell(chip.node).nominal_cell_leakage_power()
-                    * geometry.total_cells
-                ),
                 latency_factor_by_line=latency_factor[i],
             )
             for i, chip in enumerate(chips)

@@ -1,26 +1,29 @@
 """Word-level refresh study."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.technology import NODE_32NM
 from repro.variation import VariationParams
 from repro.array import ChipSampler
-from repro.array.chip import DRAM3T1DChipSample
 from repro.core.wordlevel import compare_refresh_granularity
 
 
 @pytest.fixture(scope="module")
-def severe_chip():
+def severe_task():
     sampler = ChipSampler(NODE_32NM, VariationParams.severe(), seed=600)
     # Pick a chip with some weak lines so the comparison is non-trivial.
-    chips = sampler.sample_3t1d_chips(6)
-    return max(chips, key=lambda c: c.dead_line_fraction(500e-9))
+    tasks = sampler.reserve_build_tasks(6)
+    return max(
+        tasks, key=lambda task: task.build()[0].dead_line_fraction(500e-9)
+    )
 
 
 @pytest.fixture(scope="module")
-def comparison(severe_chip):
-    return compare_refresh_granularity(severe_chip)
+def comparison(severe_task):
+    return compare_refresh_granularity(severe_task)
 
 
 class TestComparison:
@@ -58,21 +61,23 @@ class TestComparison:
 
 
 class TestValidation:
-    def test_requires_word_retention(self, severe_chip):
-        stripped = DRAM3T1DChipSample(
-            node=severe_chip.node,
-            geometry=severe_chip.geometry,
-            chip_id=severe_chip.chip_id,
-            retention_by_line=severe_chip.retention_by_line,
-            leakage_power=severe_chip.leakage_power,
-            golden_leakage_power=severe_chip.golden_leakage_power,
-        )
-        with pytest.raises(ConfigurationError):
-            compare_refresh_granularity(stripped)
+    def test_requires_a_3t1d_task(self):
+        (task,) = ChipSampler(
+            NODE_32NM, VariationParams.severe(), seed=600
+        ).reserve_build_tasks(1, kind="sram")
+        with pytest.raises(ConfigurationError, match="one-point '3t1d'"):
+            compare_refresh_granularity(task)
 
-    def test_rejects_bad_threshold(self, severe_chip):
+    def test_requires_a_one_point_task(self, severe_task):
+        both = replace(
+            severe_task, points=severe_task.points + severe_task.points
+        )
+        with pytest.raises(ConfigurationError, match="one-point '3t1d'"):
+            compare_refresh_granularity(both)
+
+    def test_rejects_bad_threshold(self, severe_task):
         with pytest.raises(ConfigurationError):
-            compare_refresh_granularity(severe_chip, threshold_cycles=0)
+            compare_refresh_granularity(severe_task, threshold_cycles=0)
 
     def test_power_conversion(self, comparison):
         power = comparison.line_level.power_watts(NODE_32NM.frequency)

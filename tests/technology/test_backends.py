@@ -77,10 +77,11 @@ GOLDEN_EVALS = {
 }
 
 
-#: sha256 digests of (retention_by_line, retention_by_word) and the exact
-#: leakage of the first chip of ChipSampler(node, severity, seed=2007,
-#: geometry) for each (node, severity, geometry, vdd) case, recorded
-#: before chip sampling moved to in-place per-pair buffers.  The geometry
+#: sha256 digests of the line map, the word map (solved through
+#: ``ChipBuildTask.word_retention``) and the exact leakage of the first
+#: chip of ChipSampler(node, severity, seed=2007, geometry) for each
+#: (node, severity, geometry, vdd) case, recorded before chip sampling
+#: moved to in-place per-pair buffers.  The geometry
 #: cases cover both tag-folding widths (548 and 544 cells per line) and
 #: the 32nm-severe-1.0V case has 787 dead lines (fig12 point 6).
 GOLDEN_3T1D_MAPS = {
@@ -163,14 +164,27 @@ GOLDEN_TECH_MAPS = {
 }
 
 
-def sample_chips(technology, n=2, severity="severe", seed=7):
-    sampler = ChipSampler(
+def sampler_of(technology, severity="severe", seed=7):
+    return ChipSampler(
         NODE_32NM,
         getattr(VariationParams, severity)(),
         seed=seed,
         technology=technology,
     )
+
+
+def sample_chips(technology, n=2, severity="severe", seed=7):
+    sampler = sampler_of(technology, severity, seed)
     return [sampler.sample_3t1d_chip() for _ in range(n)]
+
+
+def word_maps(technology, n=2, severity="severe", seed=7):
+    """The word maps of ``sample_chips``'s chips, by build task."""
+    return [
+        task.word_retention()
+        for task in sampler_of(technology, severity, seed)
+        .reserve_build_tasks(n)
+    ]
 
 
 class TestProtocolConformance:
@@ -214,16 +228,16 @@ class TestProtocolConformance:
     @pytest.mark.parametrize("name", ALL_BACKENDS)
     def test_retention_map_shape(self, name):
         chip = sample_chips(name, n=1)[0]
+        (words,) = word_maps(name, n=1)
         geometry = chip.geometry
         assert chip.retention_by_line.shape == (geometry.n_lines,)
-        assert chip.retention_by_word.shape == (geometry.n_lines, 8)
+        assert words.shape == (geometry.n_lines, 8)
         assert np.all(chip.retention_by_line >= 0)
         assert chip.leakage_power > 0
         assert chip.golden_leakage_power > 0
-        # Line retention is the min over the line's words.
-        np.testing.assert_allclose(
-            chip.retention_by_line,
-            chip.retention_by_word.min(axis=1),
+        # Line retention is the min over the line's words, bit for bit.
+        np.testing.assert_array_equal(
+            chip.retention_by_line, words.min(axis=1)
         )
         assert chip.technology == name
 
@@ -235,10 +249,9 @@ class TestProtocolConformance:
             np.testing.assert_array_equal(
                 a.retention_by_line, b.retention_by_line
             )
-            np.testing.assert_array_equal(
-                a.retention_by_word, b.retention_by_word
-            )
             assert a.leakage_power == b.leakage_power
+        for a, b in zip(word_maps(name), word_maps(name)):
+            np.testing.assert_array_equal(a, b)
 
     @pytest.mark.parametrize("name", ALL_BACKENDS)
     def test_backend_and_samples_pickle(self, name):
@@ -251,6 +264,15 @@ class TestProtocolConformance:
             chip_clone.retention_by_line, chip.retention_by_line
         )
         assert chip_clone.technology == name
+
+    def test_paper_geometry_sample_pickles_small(self):
+        # A chip carries its line map only (1,024 float64 lines, 8 KB);
+        # a word map would add another 64 KB to every journal entry and
+        # every pickled evaluation task.
+        (task,) = sampler_of("3t1d").reserve_build_tasks(1)
+        (chip,) = task.build()
+        assert chip.geometry == CacheGeometry()
+        assert len(pickle.dumps(chip)) < 16 * 1024
 
 
 class TestRegistry:
@@ -282,13 +304,15 @@ class TestDefaultBackendBitIdentity:
         return sample_chips("3t1d", n=2)
 
     def test_retention_maps_match_pre_backend_digests(self, chips):
-        for chip, golden in zip(chips, GOLDEN_CHIPS):
+        for chip, words, golden in zip(
+            chips, word_maps("3t1d"), GOLDEN_CHIPS
+        ):
             assert (
                 hashlib.sha256(chip.retention_by_line.tobytes()).hexdigest()
                 == golden["retention_sha"]
             )
             assert (
-                hashlib.sha256(chip.retention_by_word.tobytes()).hexdigest()
+                hashlib.sha256(words.tobytes()).hexdigest()
                 == golden["word_sha"]
             )
             assert chip.leakage_power == golden["leakage"]
@@ -338,21 +362,26 @@ class TestRetentionMapGoldens:
             kwargs["geometry"] = CacheGeometry.from_capacity(
                 size, 4, banks=banks
             )
-        sampler = ChipSampler(
-            node, getattr(VariationParams, severity)(), seed=2007, **kwargs
-        )
-        chip = sampler.sample_3t1d_chip()
+        def sampler():
+            return ChipSampler(
+                node, getattr(VariationParams, severity)(), seed=2007,
+                **kwargs,
+            )
+
+        chip = sampler().sample_3t1d_chip()
+        (task,) = sampler().reserve_build_tasks(1)
         line_sha, word_sha, leakage = GOLDEN_3T1D_MAPS[case]
         assert _digest(chip.retention_by_line) == line_sha
-        assert _digest(chip.retention_by_word) == word_sha
+        assert _digest(task.word_retention()) == word_sha
         assert chip.leakage_power == leakage
 
     @pytest.mark.parametrize("name", sorted(GOLDEN_TECH_MAPS))
     def test_other_backend_maps_match_golden(self, name):
         chip = sample_chips(name, n=1, severity="typical", seed=2007)[0]
+        (words,) = word_maps(name, n=1, severity="typical", seed=2007)
         line_sha, word_sha, latency_sha = GOLDEN_TECH_MAPS[name]
         assert _digest(chip.retention_by_line) == line_sha
-        assert _digest(chip.retention_by_word) == word_sha
+        assert _digest(words) == word_sha
         if latency_sha is None:
             assert chip.latency_factor_by_line is None
         else:
